@@ -260,7 +260,7 @@ def cover_f_injectivity_criterion(
             q2 = p ** e2
             target2 = u.frobenius_pow(e2) * f ** ((q2 - 1) // 2)
             monotone = (R.defining + J.bracket_power(e2).product(I)).contains(target2)
-        except Exception:
+        except FroblabError:
             monotone = None
         sub["monotonicity_verified"] = monotone
         return CriterionReport(

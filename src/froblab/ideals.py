@@ -10,7 +10,6 @@ grevlex bases.
 from __future__ import annotations
 
 import itertools
-import threading
 from typing import Iterable, Sequence
 
 from .errors import (
@@ -79,7 +78,6 @@ class Ideal:
         self.ring = ring
         self.generators = gens
         self._gb: dict[MonomialOrder, GroebnerBasis] = {}
-        self._gb_lock = threading.Lock()
 
     def __repr__(self) -> str:
         inside = ", ".join(str(g) for g in self.generators) or "0"
@@ -89,12 +87,11 @@ class Ideal:
         self, order: MonomialOrder | None = None, budget: int = DEFAULT_PAIR_BUDGET
     ) -> GroebnerBasis:
         order = order or self.ring.order
-        with self._gb_lock:
-            gb = self._gb.get(order)
-            if gb is None:
-                gb = groebner_basis_of(self.ring, self.generators, order, budget)
-                self._gb[order] = gb
-            return gb
+        gb = self._gb.get(order)
+        if gb is None:
+            # setdefault keeps the first basis stored, so every caller shares it
+            gb = self._gb.setdefault(order, groebner_basis_of(self.ring, self.generators, order, budget))
+        return gb
 
     def normal_form(self, g: Polynomial, order: MonomialOrder | None = None) -> Polynomial:
         return self.groebner_basis(order).normal_form(g)

@@ -197,7 +197,7 @@ class QuotientPresentation:
                     try:
                         bigger = self.defining + parameter.bracket_power(e + 1)
                         monotone = bigger.contains(s.frobenius_pow(e + 1))
-                    except Exception:
+                    except FroblabError:
                         monotone = None
                     witness = ClosureWitness(
                         element=str(s), e=e, combination_index=idx, coefficients=vec

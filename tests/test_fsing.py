@@ -231,6 +231,23 @@ def test_criterion_zero_twist_is_decisively_degenerate():
     assert report.sub_results["monotonicity_verified"] is True
 
 
+def test_criterion_monotonicity_probe_lets_foreign_errors_through(monkeypatch):
+    """Only froblab errors turn the probe at witness_e + 1 into null; any
+    other exception is a fault and must reach the caller."""
+    ctx = _regular_context(3, "0")
+    ring = ctx.ring
+    bracket_power = Ideal.bracket_power
+
+    def failing_above_one(self, e):
+        if e > 1:
+            raise RuntimeError("fault inside the probe")
+        return bracket_power(self, e)
+
+    monkeypatch.setattr(Ideal, "bracket_power", failing_above_one)
+    with pytest.raises(RuntimeError, match="fault inside the probe"):
+        cover_f_injectivity_criterion(ctx, [ring.parse("x"), ring.parse("y")], 1)
+
+
 def test_criterion_rejects_bad_parameters():
     ctx = _regular_context()
     ring = ctx.ring

@@ -1,0 +1,109 @@
+"""Properties of the packed monomials inside the Groebner engine, for lex,
+grevlex and elimination orders: order, divisibility, round trips and the
+overflow guard."""
+
+import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+
+from froblab.errors import ExponentOverflow
+from froblab.groebner import GroebnerBasis, Packing, buchberger
+from froblab.polyring import GREVLEX, LEX, MAX_EXPONENT, PolyRing, elimination_order, monomial_div
+
+
+@st.composite
+def order_and_monomials(draw):
+    nvars = draw(st.integers(1, 6))
+    order = draw(st.one_of(
+        st.just(LEX),
+        st.just(GREVLEX),
+        st.integers(1, nvars).map(elimination_order),
+    ))
+    # small exponents make ties and divisibility common; the full range
+    # exercises the top bits of every field
+    exponent = st.one_of(st.integers(0, 3), st.integers(0, MAX_EXPONENT))
+    monomials = draw(st.lists(st.tuples(*[exponent] * nvars), min_size=2, max_size=12))
+    return order, nvars, monomials
+
+
+@given(order_and_monomials())
+def test_packed_order_sorts_like_the_order_key(case):
+    order, nvars, monomials = case
+    pk = Packing(order, nvars)
+    assert sorted(monomials, key=lambda m: pk.pack(m) ^ pk.mask) == sorted(monomials, key=order.key)
+
+
+@given(order_and_monomials())
+def test_pack_unpack_round_trip(case):
+    order, nvars, monomials = case
+    pk = Packing(order, nvars)
+    for m in monomials:
+        assert pk.unpack(pk.pack(m)) == m
+    terms = {m: 1 for m in monomials}
+    assert pk.unpack_terms(pk.pack_terms(terms)) == terms
+
+
+@given(order_and_monomials())
+def test_packed_divisibility_and_quotient_match_monomial_div(case):
+    order, nvars, monomials = case
+    pk = Packing(order, nvars)
+    guard = pk.guard
+    for num in monomials:
+        for den in monomials:
+            difference = (pk.pack(num) | guard) - pk.pack(den)
+            expected = monomial_div(num, den)
+            assert (difference & guard == guard) == (expected is not None)
+            if expected is not None:
+                assert difference ^ guard == pk.pack(expected)
+
+
+@given(order_and_monomials())
+def test_packed_product_sets_a_guard_bit_exactly_on_overflow(case):
+    order, nvars, monomials = case
+    pk = Packing(order, nvars)
+    for a in monomials:
+        for b in monomials:
+            product = pk.pack(a) + pk.pack(b)
+            overflow = any(x + y > MAX_EXPONENT for x, y in zip(a, b))
+            assert bool(product & pk.guard) == overflow
+            if not overflow:
+                assert pk.unpack(product) == tuple(x + y for x, y in zip(a, b))
+
+
+@given(order_and_monomials())
+def test_divisor_bound_flags_exactly_the_overflowing_quotients(case):
+    """One check of q + bound per reduction step stands for the check of
+    every product q + m over the divisor's tail."""
+    order, nvars, monomials = case
+    pk = Packing(order, nvars)
+    _, bound, tail = pk.divisor(pk.pack_terms({m: 1 for m in monomials}), 7)
+    for q in monomials:
+        packed = pk.pack(q)
+        assert bool((packed + bound) & pk.guard) == any((packed + m) & pk.guard for m in tail)
+
+
+# (order, lead, tail): lead > tail in the order, and y * tail overflows
+OVERFLOW_CASES = [
+    (LEX, (1, 0), (0, MAX_EXPONENT)),
+    (GREVLEX, (MAX_EXPONENT, 0), (0, MAX_EXPONENT)),
+    (elimination_order(1), (1, 0), (0, MAX_EXPONENT)),
+]
+
+
+@pytest.mark.parametrize("order, lead, tail", OVERFLOW_CASES, ids=["lex", "grevlex", "elimination"])
+def test_normal_form_raises_when_a_product_overflows(order, lead, tail):
+    ring = PolyRing(7, ("x", "y"), order)
+    g = ring.monomial(lead) + ring.monomial(tail)
+    gb = GroebnerBasis(ring, order, (g,))
+    with pytest.raises(ExponentOverflow):
+        gb.normal_form(ring.monomial((lead[0], lead[1] + 1)))
+
+
+@pytest.mark.parametrize("order, lead, tail", OVERFLOW_CASES, ids=["lex", "grevlex", "elimination"])
+def test_buchberger_raises_when_an_s_polynomial_overflows(order, lead, tail):
+    # the S-polynomial of lead + tail and lead*y - 1 is y*tail + 1
+    ring = PolyRing(7, ("x", "y"), order)
+    g = ring.monomial(lead) + ring.monomial(tail)
+    h = ring.monomial((lead[0], lead[1] + 1)) - ring.one()
+    with pytest.raises(ExponentOverflow):
+        buchberger([g, h])

@@ -166,6 +166,23 @@ def test_closure_witness_on_the_cusp():
     assert (Q.defining + _ideal(R, "x").bracket_power(1)).contains(R.parse("y").frobenius_pow(1))
 
 
+def test_closure_monotonicity_probe_lets_foreign_errors_through(monkeypatch):
+    """Only froblab errors turn the probe at e + 1 into null; any other
+    exception is a fault and must reach the caller."""
+    R = PolyRing(5, ("x", "y"))
+    Q = QuotientPresentation(R, _ideal(R, "y^2 - x^3"))
+    bracket_power = Ideal.bracket_power
+
+    def failing_above_one(self, e):
+        if e > 1:
+            raise RuntimeError("fault inside the probe")
+        return bracket_power(self, e)
+
+    monkeypatch.setattr(Ideal, "bracket_power", failing_above_one)
+    with pytest.raises(RuntimeError, match="fault inside the probe"):
+        Q.frobenius_closure_test(_ideal(R, "x"), e_max=1)
+
+
 def test_closure_sweep_goes_partial_above_the_limit():
     R = PolyRing(3, tuple(f"x{i}" for i in range(1, 7)))
     quadrics = [
