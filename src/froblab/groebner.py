@@ -1,10 +1,17 @@
 """Buchberger's algorithm and multivariate division over prime fields.
 
-The engine is deliberately classical: normal pair selection (smallest lcm
-degree, then order key, then pair index), Buchberger's coprimality and chain
-criteria for pair elimination, and full interreduction at the end.  Output is
-the reduced monic basis sorted by descending leading monomial, which is unique
-for the ideal and order, so it does not depend on generator permutation.
+S-pairs are kept by the Gebauer-Moeller update (Gebauer & Moeller 1988):
+when an element h joins the basis, its new pairs pass criteria M and F,
+queued pairs that h makes redundant are dropped (criterion B_k), and the
+elements whose leads lead(h) divides form no further pairs (they still
+serve as reducers).  Pairs are selected by sugar degree (Giovini et al.
+1991), then by lcm in the monomial order, then by index.  An input's sugar
+is its total degree; a pair (i, j) with lcm L has sugar
+max(sugar_i + deg L - deg lead_i, sugar_j + deg L - deg lead_j), which its
+reduced S-polynomial inherits.  Output is the reduced monic basis after full
+interreduction, sorted by descending leading monomial, which is unique for
+the ideal and order, so it depends neither on generator permutation nor on
+the pair strategy.
 
 Inside the engine a monomial is one packed int.  Each exponent has a 16-bit
 field topped by a guard bit; each grevlex block also has a total-degree
@@ -36,7 +43,7 @@ from functools import cached_property
 from operator import mul
 from typing import Iterable, Sequence
 
-from .errors import BudgetExceeded, ExponentOverflow, RingMismatch
+from .errors import BudgetExceeded, ExponentOverflow, FroblabError, RingMismatch
 from .polyring import (
     MAX_EXPONENT,
     Monomial,
@@ -47,7 +54,8 @@ from .polyring import (
     monomial_lcm,
 )
 
-# max S-pairs popped before giving up; runaway inputs become a clean error
+# max S-pairs formed before giving up, whether a criterion prunes them or
+# not; runaway inputs become a clean error
 DEFAULT_PAIR_BUDGET = 1_000_000
 
 EXPONENT_BITS = MAX_EXPONENT.bit_length()
@@ -135,14 +143,18 @@ def _overflow() -> ExponentOverflow:
     return ExponentOverflow(f"an exponent in the Groebner engine exceeds {MAX_EXPONENT}")
 
 
-def _reduce(terms: dict, divisors: Sequence[tuple], p: int, pk: Packing) -> dict:
+def _reduce(
+    terms: dict, divisors: Sequence[tuple], p: int, pk: Packing, quotient: dict | None = None
+) -> dict:
     """Full remainder of a packed term dict against monic packed divisors.
 
     ``divisors`` holds (lead, bound, tail) triples from ``Packing.divisor``,
     scanned in list order; the first whose lead divides the largest remaining
     term is used.  Terms wait in a heap keyed ``-(m ^ mask)``; a term
     cancelled to zero keeps its heap entry and is skipped when popped.  The
-    remainder comes out in descending order.
+    remainder comes out in descending order.  With a single divisor, a
+    ``quotient`` dict collects the multiplier of each step, so that
+    terms == quotient * divisor + remainder.
     """
     mask, guard = pk.mask, pk.guard
     work = dict(terms)
@@ -162,6 +174,8 @@ def _reduce(terms: dict, divisors: Sequence[tuple], p: int, pk: Packing) -> dict
                 q ^= guard
                 if (q + bound) & guard:
                     raise _overflow()
+                if quotient is not None:
+                    quotient[q] = c
                 c = p - c
                 for tm, tc in tail.items():
                     mm = q + tm
@@ -177,16 +191,106 @@ def _reduce(terms: dict, divisors: Sequence[tuple], p: int, pk: Packing) -> dict
     return remainder
 
 
-def _chain_criterion(i: int, j: int, shifted_lcm: int, leads: list[int], guard: int, done: set) -> bool:
-    """Buchberger's chain criterion for the pair (i, j): another lead divides
-    their lcm (given ``| guard``) and its pairs with i and with j are done."""
-    for k, lk in enumerate(leads):
-        if (
-            (shifted_lcm - lk) & guard == guard and k != i and k != j
-            and (min(i, k), max(i, k)) in done and (min(j, k), max(j, k)) in done
-        ):
-            return True
-    return False
+def _exact_div(h: Polynomial, g: Polynomial) -> Polynomial:
+    """Quotient h/g for h known to lie in (g); a nonzero remainder raises."""
+    ring = h.ring
+    p = ring.p
+    pk = Packing(ring.order, ring.nvars)
+    g_terms = pk.pack_terms(g._terms)
+    divisor = pk.divisor(g_terms, p)
+    quotient: dict = {}
+    if _reduce(pk.pack_terms(h._terms), (divisor,), p, pk, quotient):
+        raise FroblabError("exact division with a nonzero remainder")
+    inv = pow(g_terms[divisor[0]], p - 2, p)
+    return ring._poly(pk.unpack_terms({m: c * inv % p for m, c in quotient.items()}))
+
+
+class _PairQueue:
+    """The S-pairs of a growing basis, kept by the Gebauer-Moeller update
+    and popped by sugar, then lcm, then index.
+
+    Elements are numbered in the order ``add`` receives their packed leads.
+    A queued pair is (sugar, lcm ^ mask, i, j) with i < j, so the heap
+    pops it in exactly that order.
+    """
+
+    def __init__(self, pk: Packing, budget: int):
+        self.pk = pk
+        self.budget = budget
+        self.formed = 0  # pairs formed so far, pruned or not
+        self.leads: list[int] = []
+        self.exponents: list[Monomial] = []  # the leads unpacked, for lcms
+        self.sugars: list[int] = []
+        self.active: list[int] = []  # elements whose lead no later lead divides
+        self.heap: list[tuple] = []
+
+    def add(self, lead: int, sugar: int) -> None:
+        """Enter a new element with this packed lead and sugar: form its
+        pairs with the active elements, keep those that criteria M and F
+        spare, and drop the queued pairs that criterion B_k makes redundant."""
+        pk, leads, exponents, active, heap = self.pk, self.leads, self.exponents, self.active, self.heap
+        mask, guard, units = pk.mask, pk.guard, pk.units
+        self.formed += len(active)
+        if self.formed > self.budget:
+            raise BudgetExceeded(f"S-pair budget of {self.budget} exhausted")
+        t = len(leads)
+        lt = pk.unpack(lead)
+
+        def pack_lcm(i: int) -> int:
+            """Packed lcm(lead_i, lead_t)."""
+            return sum(map(mul, map(max, exponents[i], lt), units))
+
+        # computed for every active i, and on demand for the others
+        lcm_with = {i: pack_lcm(i) for i in active}
+
+        def lcm_t(i: int) -> int:
+            lcm = lcm_with.get(i)
+            return pack_lcm(i) if lcm is None else lcm
+
+        # M and F on the new pairs (i, t), ascending by (lcm, i): a proper
+        # divisor of an lcm sorts before it, and equal lcms sit together
+        minimal: list[tuple] = []  # (lcm, i, coprime) per surviving distinct lcm
+        for key, i in sorted([(lcm ^ mask, i) for i, lcm in lcm_with.items()]):
+            lcm = key ^ mask
+            if minimal and minimal[-1][0] == lcm:
+                # F keeps one pair per lcm, none if any is coprime.  A coprime
+                # pair of the group comes first: its lead divides the other
+                # members' leads, and an active lead has no older multiple.
+                continue
+            shifted = lcm | guard
+            if any((shifted - m[0]) & guard == guard for m in minimal):
+                continue  # M: another new lcm properly divides this one
+            minimal.append((lcm, i, lcm == leads[i] + lead))
+
+        # B_k: lead_t divides the lcm of a queued pair (i, j) and that lcm
+        # differs from both lcm(i, t) and lcm(j, t)
+        queued = [
+            e for e in heap
+            if ((((e[1] ^ mask) | guard) - lead) & guard != guard
+                or e[1] ^ mask in (lcm_t(e[2]), lcm_t(e[3])))
+        ]
+        if len(queued) < len(heap):
+            heap[:] = queued
+            heapq.heapify(heap)
+
+        deg = sum(lt)
+        for lcm, i, coprime in minimal:
+            if not coprime:
+                # from the exponents: unpacking the packed lcm costs more
+                d = sum(map(max, exponents[i], lt))
+                s = max(self.sugars[i] + d - sum(exponents[i]), sugar + d - deg)
+                heapq.heappush(heap, (s, lcm ^ mask, i, t))
+
+        active[:] = [i for i in active if ((leads[i] | guard) - lead) & guard != guard]
+        active.append(t)
+        leads.append(lead)
+        exponents.append(lt)
+        self.sugars.append(sugar)
+
+    def pop(self) -> tuple:
+        """The next pair as (sugar, packed lcm, i, j)."""
+        sugar, key, i, j = heapq.heappop(self.heap)
+        return sugar, key ^ self.pk.mask, i, j
 
 
 def s_polynomial(f: Polynomial, g: Polynomial, order: MonomialOrder | None = None) -> Polynomial:
@@ -276,49 +380,24 @@ def _buchberger(ring: PolyRing, gens: list[Polynomial], order: MonomialOrder, bu
     p = ring.p
     pk = Packing(order, ring.nvars)
     mask, guard = pk.mask, pk.guard
-
+    pairs = _PairQueue(pk, budget)
+    leads = pairs.leads
     basis: list[tuple] = []  # packed monic divisors (lead, bound, tail)
-    leads: list[int] = []
-    exponents: list[Monomial] = []  # the leads unpacked, for the lcm of a pair
-    heap: list[tuple] = []
-    done: set[tuple[int, int]] = set()
 
-    def add_poly(terms: dict) -> None:
+    def add_poly(terms: dict, sugar: int) -> None:
         divisor = pk.divisor(terms, p)
-        lead = divisor[0]
-        lt = pk.unpack(lead)
-        t = len(basis)
-        for i in range(t):
-            lcm = monomial_lcm(exponents[i], lt)
-            heapq.heappush(heap, (sum(lcm), pk.pack(lcm) ^ mask, i, t))
+        pairs.add(divisor[0], sugar)
         basis.append(divisor)
-        leads.append(lead)
-        exponents.append(lt)
 
     for g in gens:
-        add_poly(pk.pack_terms(g._terms))
+        add_poly(pk.pack_terms(g._terms), g.total_degree())
 
-    popped = 0
-    while heap:
-        _, lcm, i, j = heapq.heappop(heap)
-        popped += 1
-        if popped > budget:
-            raise BudgetExceeded(f"S-pair budget of {budget} exhausted")
-        pair = (i, j)
-        if pair in done:
-            continue
-        done.add(pair)
-        li, lj = leads[i], leads[j]
-        lcm ^= mask
-        # coprimality criterion: the S-polynomial reduces to zero on its own
-        if lcm == li + lj:
-            continue
-        if _chain_criterion(i, j, lcm | guard, leads, guard, done):
-            continue
+    while pairs.heap:
+        sugar, lcm, i, j = pairs.pop()
         # S-polynomial: the leads cancel, leaving qi*tail_i - qj*tail_j
         _, bi, ti = basis[i]
         _, bj, tj = basis[j]
-        qi, qj = lcm - li, lcm - lj
+        qi, qj = lcm - leads[i], lcm - leads[j]
         if (qi + bi) & guard or (qj + bj) & guard:
             raise _overflow()
         s = {qi + m: c for m, c in ti.items()}
@@ -327,11 +406,12 @@ def _buchberger(ring: PolyRing, gens: list[Polynomial], order: MonomialOrder, bu
             s[mm] = (s.get(mm, 0) - c) % p
         r = _reduce(s, basis, p, pk)
         if r:
-            add_poly(r)
+            add_poly(r, sugar)
 
-    # minimalize: drop elements whose lead is divisible by another kept lead
+    # minimalize: drop active elements whose lead another kept lead divides
+    # (only inputs can be such: every S-polynomial is reduced by all leads)
     kept: list[int] = []
-    for t in sorted(range(len(basis)), key=lambda t: leads[t] ^ mask):
+    for t in sorted(pairs.active, key=lambda t: leads[t] ^ mask):
         shifted = leads[t] | guard
         if not any((shifted - leads[s]) & guard == guard for s in kept):
             kept.append(t)

@@ -13,13 +13,12 @@ import itertools
 from typing import Iterable, Sequence
 
 from .errors import (
-    FroblabError,
     NotArtinian,
     RingMismatch,
     UnitIdeal,
     ZeroColonDivisor,
 )
-from .groebner import DEFAULT_PAIR_BUDGET, GroebnerBasis, groebner_basis_of
+from .groebner import DEFAULT_PAIR_BUDGET, GroebnerBasis, _exact_div, groebner_basis_of
 from .polyring import (
     GREVLEX,
     Monomial,
@@ -36,35 +35,6 @@ def _aux_name(taken: Sequence[str]) -> str:
     while name in taken:
         name = "_" + name
     return name
-
-
-def _exact_div(h: Polynomial, g: Polynomial) -> Polynomial:
-    """Quotient h/g for h known to lie in (g)."""
-    ring = h.ring
-    p = ring.p
-    key = ring.order.key
-    lg = max(g._terms, key=key)
-    cg_inv = pow(g._terms[lg], p - 2, p)
-    quot: dict = {}
-    work = dict(h._terms)
-    while work:
-        m = max(work, key=key)
-        c = work.pop(m)
-        qm = monomial_div(m, lg)
-        if qm is None:
-            raise FroblabError("exact division with a nonzero remainder")
-        qc = (c * cg_inv) % p
-        quot[qm] = qc
-        for tm, tc in g._terms.items():
-            if tm == lg:
-                continue
-            mm = tuple(x + y for x, y in zip(qm, tm))
-            v = (work.get(mm, 0) - qc * tc) % p
-            if v:
-                work[mm] = v
-            elif mm in work:
-                del work[mm]
-    return ring._poly(quot)
 
 
 class Ideal:

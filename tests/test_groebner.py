@@ -5,9 +5,9 @@ import random
 
 import pytest
 
-from froblab.errors import BudgetExceeded, RingMismatch
-from froblab.groebner import buchberger, groebner_basis_of, s_polynomial
-from froblab.polyring import GREVLEX, LEX, PolyRing
+from froblab.errors import BudgetExceeded, FroblabError, RingMismatch
+from froblab.groebner import Packing, _PairQueue, _exact_div, buchberger, groebner_basis_of, s_polynomial
+from froblab.polyring import GREVLEX, LEX, PolyRing, elimination_order
 
 
 def _random_poly(rng, ring, max_degree=3, terms=3):
@@ -73,24 +73,41 @@ def test_normal_form_properties():
         assert gb.normal_form(f * gens[0] + g * gens[1]).is_zero
 
 
+def _assert_certified(gb, gens):
+    """Every S-polynomial of ``gb`` and every generator reduce to zero.
+    ``s_polynomial`` and ``normal_form`` do not go through pair selection,
+    so this checks the pruning criteria from outside."""
+    for i in range(len(gb.polys)):
+        for j in range(i + 1, len(gb.polys)):
+            s = s_polynomial(gb.polys[i], gb.polys[j], gb.order)
+            assert gb.normal_form(s).is_zero
+    for g in gens:
+        assert gb.normal_form(g).is_zero
+
+
 def test_basis_certifies_itself():
-    """Every S-polynomial of the returned basis reduces to zero."""
+    """Every S-polynomial of the returned basis reduces to zero, in every
+    kind of order on random inputs, and on tagged inputs shaped like
+    ``Ideal.intersect``'s: w*a for a in A, (1 - w)*b for b in B.  Tagged
+    inputs skip lex, where some of these take minutes."""
     rng = random.Random(17)
-    for p in (2, 3, 5):
-        R = PolyRing(p, ("x", "y", "z"))
-        gens = [_random_poly(rng, R, max_degree=2) for _ in range(3)]
-        gens = [g for g in gens if not g.is_zero]
-        if not gens:
-            continue
-        gb = buchberger(gens)
-        if gb.is_unit_ideal():
-            continue
-        for i in range(len(gb.polys)):
-            for j in range(i + 1, len(gb.polys)):
-                s = s_polynomial(gb.polys[i], gb.polys[j], gb.order)
-                assert gb.normal_form(s).is_zero
-        for g in gens:
-            assert gb.normal_form(g).is_zero
+    for order in (GREVLEX, LEX, elimination_order(1), elimination_order(2)):
+        for p in (2, 3, 5):
+            R = PolyRing(p, ("x", "y", "z"), order)
+            for _ in range(3):
+                gens = [g for g in (_random_poly(rng, R, max_degree=2) for _ in range(3)) if not g.is_zero]
+                if gens:
+                    _assert_certified(buchberger(gens), gens)
+            if order == LEX:
+                continue
+            T = PolyRing(p, ("w", "x", "y", "z"), order)
+            w, one = T.variable("w"), T.one()
+            for _ in range(2):
+                gens = [w * _random_poly(rng, R, max_degree=2).mapped_to(T) for _ in range(2)]
+                gens += [(one - w) * _random_poly(rng, R, max_degree=2).mapped_to(T) for _ in range(2)]
+                gens = [g for g in gens if not g.is_zero]
+                if gens:
+                    _assert_certified(buchberger(gens), gens)
 
 
 def test_reduced_basis_is_canonical():
@@ -135,6 +152,22 @@ def test_budget_exhaustion_raises():
     assert buchberger(gens).polys
 
 
+def test_exact_division_recovers_the_quotient():
+    rng = random.Random(29)
+    for order in (GREVLEX, LEX, elimination_order(1)):
+        for p in (2, 3, 7):
+            R = PolyRing(p, ("x", "y", "z"), order)
+            for _ in range(5):
+                q = _random_poly(rng, R, max_degree=3, terms=4)
+                g = _random_poly(rng, R, max_degree=2, terms=3)
+                if q.is_zero or g.is_zero or g.total_degree() == 0:
+                    continue
+                assert _exact_div(q * g, g) == q
+                # g is not a unit, so q*g + 1 is no multiple of it
+                with pytest.raises(FroblabError):
+                    _exact_div(q * g + R.one(), g)
+
+
 def test_mixed_rings_rejected():
     A = PolyRing(3, ("x",))
     B = PolyRing(3, ("y",))
@@ -150,3 +183,55 @@ def test_contains_and_leading_monomials():
     assert gb.contains(R.parse("x^4 - y^2"))
     assert not gb.contains(R.parse("x"))
     assert gb.leading_monomials == ((2, 0),)
+
+
+def _queue(*leads_and_sugars):
+    """A pair queue over x, y, z in grevlex, fed packed leads in turn."""
+    pk = Packing(GREVLEX, 3)
+    pairs = _PairQueue(pk, budget=100)
+    for lead, sugar in leads_and_sugars:
+        pairs.add(pk.pack(lead), sugar)
+    return pairs
+
+
+def _queued(pairs):
+    return sorted((i, j) for _, _, i, j in pairs.heap)
+
+
+def test_pair_update_criterion_m():
+    # lcm(xy, y^2) = xy^2 properly divides lcm(x^2, y^2) = x^2y^2
+    pairs = _queue(((2, 0, 0), 2), ((1, 1, 0), 2), ((0, 2, 0), 2))
+    assert _queued(pairs) == [(0, 1), (1, 2)]
+    assert pairs.formed == 3
+
+
+def test_pair_update_criterion_f_and_the_b_k_exceptions():
+    # y and xy, then x: lcm(y, x) = lcm(xy, x) = xy, and y, x are coprime,
+    # so neither new pair is queued
+    pairs = _queue(((0, 1, 0), 1), ((1, 1, 0), 2), ((1, 0, 0), 1))
+    # x divides lcm(y, xy) = xy, but that lcm equals lcm(y, x): (0, 1) stays
+    assert _queued(pairs) == [(0, 1)]
+    # x divides xy, so xy forms no further pairs
+    assert pairs.active == [0, 2]
+    # equal non-coprime lcms keep one pair: lcm(xy, xyz) = lcm(xz, xyz)
+    pairs = _queue(((1, 1, 0), 2), ((1, 0, 1), 2), ((1, 1, 1), 3))
+    assert _queued(pairs) == [(0, 1), (0, 2)]
+
+
+def test_pair_update_criterion_b_k():
+    # xy divides lcm(x^2y, xy^2) = x^2y^2 and differs from x^2y and xy^2
+    pairs = _queue(((2, 1, 0), 3), ((1, 2, 0), 3), ((1, 1, 0), 2))
+    assert _queued(pairs) == [(0, 2), (1, 2)]
+    assert pairs.active == [2]
+
+
+def test_pairs_pop_by_sugar_then_lcm_then_index():
+    # (0, 1) has lcm x^2y and (0, 2) has lcm xyz, both of degree 3; lcm(x^2, yz)
+    # is properly divided by xyz, so (1, 2) is never queued
+    pack = Packing(GREVLEX, 3).pack
+    pairs = _queue(((1, 1, 0), 2), ((2, 0, 0), 2), ((0, 1, 1), 2))
+    # equal sugar: xyz comes before x^2y in grevlex, against the index order
+    assert [pairs.pop() for _ in range(2)] == [(3, pack((1, 1, 1)), 0, 2), (3, pack((2, 1, 0)), 0, 1)]
+    # a higher sugar on yz puts its pair last
+    pairs = _queue(((1, 1, 0), 2), ((2, 0, 0), 2), ((0, 1, 1), 4))
+    assert [pairs.pop()[2:] for _ in range(2)] == [(0, 1), (0, 2)]
