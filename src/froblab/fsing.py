@@ -323,13 +323,47 @@ def even_char_degeneracy_check(
 
 def fedder_f_pure(presentation: QuotientPresentation) -> bool:
     """Fedder's criterion: R = S/A is F-pure iff (A^[p] : A) is not contained
-    in the bracket power of the maximal ideal."""
-    A = presentation.defining
-    if all(g.is_zero for g in A.generators):
-        return True  # the ring is regular
-    colon = A.bracket_power(1).colon(A)
-    gb = presentation.maximal_ideal.bracket_power(1).groebner_basis()
-    return any(not gb.normal_form(g).is_zero for g in colon.generators)
+    in the bracket power m^[p] of the maximal ideal.
+
+    The verdict is True exactly when a certificate exists: an element h of
+    S outside m^[p] with h*g in A^[p] for every generator g of A.  As m^[p]
+    is a monomial ideal, h lies outside it iff some term of h has every
+    exponent below p.  A principal A = (f) needs no Groebner run: S is a
+    domain, so (f^p : f) = (f^(p-1)) and h = f^(p-1) is the only candidate.
+    Otherwise the colon is built one generator of A at a time, and after
+    each step every generator h of the running colon outside m^[p] is
+    tested against the generators still to come, by membership in A^[p];
+    the first h that passes ends the loop.  No finite certificate exists
+    for False, so a False verdict builds the whole colon and finds none of
+    its generators outside m^[p].
+    """
+    return _fedder_certificate(presentation.defining) is not None
+
+
+def _fedder_certificate(A: Ideal) -> Polynomial | None:
+    """An element of (A^[p] : A) outside m^[p], or None when there is none."""
+    ring = A.ring
+    p = ring.p
+    nonzero = [g for g in A.generators if not g.is_zero]
+    if not nonzero:
+        return ring.one()  # the ring is regular
+    if len(nonzero) == 1:
+        h = nonzero[0] ** (p - 1)
+        return h if _outside_bracket(h) else None
+    A.groebner_basis(GREVLEX)  # its Frobenius image is the basis of A^[p]
+    bracket = A.bracket_power(1)
+    for colon, rest in bracket.colon_steps(A):
+        for h in colon.generators:
+            if _outside_bracket(h) and all(bracket.contains(h * g) for g in rest):
+                return h
+    return None
+
+
+def _outside_bracket(h: Polynomial) -> bool:
+    """h is outside m^[p] = (x1^p, ..., xn^p) iff some term of h has every
+    exponent below p."""
+    p = h.ring.p
+    return any(all(e < p for e in m) for m in h._terms)
 
 
 def _variable_generated(ideal: Ideal) -> list[str] | None:

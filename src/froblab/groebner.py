@@ -364,8 +364,15 @@ def groebner_basis_of(
     generators: Iterable[Polynomial],
     order: MonomialOrder | None = None,
     budget: int = DEFAULT_PAIR_BUDGET,
+    *,
+    _eliminate: int = 0,
 ) -> GroebnerBasis:
-    """Like ``buchberger`` but tolerates an empty generator list (zero ideal)."""
+    """Like ``buchberger`` but tolerates an empty generator list (zero ideal).
+
+    With ``_eliminate`` = b under an elimination order on the first b
+    variables, the result is only the reduced basis of the elimination ideal:
+    the elements free of those variables.
+    """
     order = order or ring.order
     gens = [g for g in generators if not g.is_zero]
     for g in gens:
@@ -373,10 +380,12 @@ def groebner_basis_of(
             raise RingMismatch("generator from a different ring")
     if not gens:
         return GroebnerBasis(ring, order, ())
-    return _buchberger(ring, gens, order, budget)
+    return _buchberger(ring, gens, order, budget, _eliminate)
 
 
-def _buchberger(ring: PolyRing, gens: list[Polynomial], order: MonomialOrder, budget: int) -> GroebnerBasis:
+def _buchberger(
+    ring: PolyRing, gens: list[Polynomial], order: MonomialOrder, budget: int, eliminate: int = 0
+) -> GroebnerBasis:
     p = ring.p
     pk = Packing(order, ring.nvars)
     mask, guard = pk.mask, pk.guard
@@ -408,10 +417,15 @@ def _buchberger(ring: PolyRing, gens: list[Polynomial], order: MonomialOrder, bu
         if r:
             add_poly(r, sugar)
 
+    # an elimination keeps the elements whose lead is free of the first
+    # ``eliminate`` variables; no other lead divides a monomial free of them
+    block = sum(MAX_EXPONENT << pk.shifts[i] for i in range(eliminate))
+    active = [t for t in pairs.active if not leads[t] & block]
+
     # minimalize: drop active elements whose lead another kept lead divides
     # (only inputs can be such: every S-polynomial is reduced by all leads)
     kept: list[int] = []
-    for t in sorted(pairs.active, key=lambda t: leads[t] ^ mask):
+    for t in sorted(active, key=lambda t: leads[t] ^ mask):
         shifted = leads[t] | guard
         if not any((shifted - leads[s]) & guard == guard for s in kept):
             kept.append(t)

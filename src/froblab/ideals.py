@@ -10,9 +10,10 @@ grevlex bases.
 from __future__ import annotations
 
 import itertools
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .errors import (
+    ExponentOverflow,
     NotArtinian,
     RingMismatch,
     UnitIdeal,
@@ -89,10 +90,24 @@ class Ideal:
     __mul__ = product
 
     def bracket_power(self, e: int) -> "Ideal":
-        """The Frobenius bracket power with generators g**(p**e)."""
+        """The Frobenius bracket power with generators g**(p**e).
+
+        Every basis already cached on self carries over as its Frobenius
+        image, which is the reduced basis of the bracket power in the same
+        order: Frobenius is additive and fixes F_p, and m -> m**(p**e)
+        preserves the monomial order and divisibility of monomials.  A basis
+        whose image leaves the exponent field is not carried over.
+        """
         if e < 0:
             raise ValueError("negative bracket power")
-        return Ideal(self.ring, tuple(g.frobenius_pow(e) for g in self.generators))
+        power = Ideal(self.ring, tuple(g.frobenius_pow(e) for g in self.generators))
+        for order, gb in self._gb.items():
+            try:
+                polys = tuple(g.frobenius_pow(e) for g in gb.polys)
+            except ExponentOverflow:
+                continue  # left to a Buchberger run, which raises as before
+            power._gb[order] = GroebnerBasis(self.ring, order, polys)
+        return power
 
     def intersect(self, other: "Ideal") -> "Ideal":
         """A cap B via one auxiliary variable: eliminate w from w*A + (1-w)*B."""
@@ -104,27 +119,30 @@ class Ideal:
         one = ring2.one()
         gens2 = [w * a.mapped_to(ring2) for a in self.generators if not a.is_zero]
         gens2 += [(one - w) * b.mapped_to(ring2) for b in other.generators if not b.is_zero]
-        gb2 = groebner_basis_of(ring2, gens2, ring2.order)
-        kept = [
-            g.mapped_to(ring)
-            for g in gb2.polys
-            if all(m[0] == 0 for m in g._terms)
-        ]
-        return Ideal(ring, tuple(kept))
+        gb2 = groebner_basis_of(ring2, gens2, ring2.order, _eliminate=1)
+        return Ideal(ring, tuple(g.mapped_to(ring) for g in gb2.polys))
 
     def colon(self, other: "Ideal") -> "Ideal":
         """(self : other), computed per generator g as intersect(self, (g)) / g
         and intersected across the generators of ``other``."""
+        for result, _ in self.colon_steps(other):
+            pass
+        return result
+
+    def colon_steps(self, other: "Ideal") -> Iterator[tuple["Ideal", tuple[Polynomial, ...]]]:
+        """The loop of ``colon``, one step per nonzero generator g of
+        ``other``: yields (self : the divisors so far) and the divisors still
+        to come.  The last step yields (self : other) and ()."""
         self._require_same(other)
-        divisors = [g for g in other.generators if not g.is_zero]
+        divisors = tuple(g for g in other.generators if not g.is_zero)
         if not divisors:
             raise ZeroColonDivisor("colon by the zero ideal")
         result: Ideal | None = None
-        for g in divisors:
+        for k, g in enumerate(divisors, 1):
             inter = self.intersect(Ideal(self.ring, (g,)))
             part = Ideal(self.ring, tuple(_exact_div(h, g) for h in inter.generators))
             result = part if result is None else result.intersect(part)
-        return result
+            yield result, divisors[k:]
 
     def eliminate(self, drop: Iterable[str]) -> "Ideal":
         """Generators of self ∩ k[remaining variables], returned in the
@@ -145,14 +163,8 @@ class Ideal:
             elimination_order(len(drop_idx)),
         )
         gens2 = [g.mapped_to(ring2) for g in self.generators if not g.is_zero]
-        gb2 = groebner_basis_of(ring2, gens2, ring2.order)
-        block = len(drop_idx)
-        kept = [
-            g.mapped_to(ring)
-            for g in gb2.polys
-            if all(not any(m[:block]) for m in g._terms)
-        ]
-        return Ideal(ring, tuple(kept))
+        gb2 = groebner_basis_of(ring2, gens2, ring2.order, _eliminate=len(drop_idx))
+        return Ideal(ring, tuple(g.mapped_to(ring) for g in gb2.polys))
 
     def krull_dimension(self) -> int:
         """Dimension of R/self, read combinatorially off the leading-term

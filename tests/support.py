@@ -9,7 +9,9 @@ own Gaussian elimination.
 
 from dataclasses import dataclass
 
-from froblab.polyring import Polynomial
+from froblab.ideals import Ideal
+from froblab.polyring import PolyRing, Polynomial
+from froblab.specfile import matrix_minors
 
 
 def random_monomial(rng, nvars, max_degree):
@@ -31,6 +33,24 @@ def random_poly(rng, ring, max_degree=3, terms=3):
         if c:
             poly = poly + ring.monomial(m) * c
     return poly
+
+
+def generic_minors(n, p):
+    """The ideal of 2 x 2 minors of the generic 2 x n matrix over F_p, whose
+    entries are the variables x1..x(2n), row by row."""
+    names = tuple(f"x{i}" for i in range(1, 2 * n + 1))
+    ring = PolyRing(p, names)
+    entries = [ring.variable(v) for v in names]
+    return Ideal(ring, tuple(matrix_minors((tuple(entries[:n]), tuple(entries[n:])))))
+
+
+def full_colon_f_pure(A):
+    """Fedder's test by the whole colon (A^[p] : A) and the below-p test on
+    its generators: the route fedder_f_pure took before it stopped at the
+    first certificate, kept as a reference."""
+    p = A.ring.p
+    colon = A.bracket_power(1).colon(A)
+    return any(all(e < p for e in m) for g in colon.generators for m in g._terms)
 
 
 def nonzero_random_poly(rng, ring, max_degree=3, terms=3):

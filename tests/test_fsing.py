@@ -2,9 +2,12 @@
 criterion, the bounded F-injectivity criterion, and the full pipeline."""
 
 import random
+from pathlib import Path
 
 import pytest
 
+import froblab
+from froblab import groebner
 from froblab.errors import (
     ContextMismatch,
     EvenCharacteristic,
@@ -32,6 +35,11 @@ from froblab.reports import (
     NOT_FROBENIUS_CLOSED,
     P2_DEGENERATE,
 )
+from froblab.specfile import load_ring_spec
+
+import support
+
+DETERMINANTAL = Path(froblab.__file__).parent / "fixtures" / "determinantal_f3.ring"
 
 
 def _ideal(ring, *texts):
@@ -292,6 +300,102 @@ def test_fedder_on_reference_rings():
 
     regular = QuotientPresentation(cusp_ring, Ideal(cusp_ring, ()))
     assert fedder_f_pure(regular)
+
+
+def _random_generator(rng, ring, min_degree=1, max_degree=2, terms=3):
+    """A nonzero polynomial without constant term: up to ``terms`` monomials
+    of degree min_degree..max_degree."""
+    while True:
+        g = ring.zero()
+        for _ in range(rng.randrange(1, terms + 1)):
+            m = [0] * ring.nvars
+            for _ in range(rng.randrange(min_degree, max_degree + 1)):
+                m[rng.randrange(ring.nvars)] += 1
+            g = g + ring.monomial(tuple(m), rng.randrange(1, ring.p))
+        if not g.is_zero:
+            return g
+
+
+def _assert_fedder_matches_the_full_colon(A):
+    ring = A.ring
+    verdict = fedder_f_pure(QuotientPresentation(ring, Ideal(ring, A.generators)))
+    assert verdict == support.full_colon_f_pure(Ideal(ring, A.generators)), A
+    return verdict
+
+
+def test_fedder_matches_the_full_colon_on_random_ideals():
+    rng = random.Random(41)
+    verdicts = set()
+    for p in (2, 3, 5, 7):
+        ring = PolyRing(p, ("x", "y", "z"))
+        for k in (1, 2, 3, 4):
+            for _ in range(3):
+                A = Ideal(ring, tuple(_random_generator(rng, ring) for _ in range(k)))
+                verdicts.add((k > 1, _assert_fedder_matches_the_full_colon(A)))
+    assert verdicts == {(False, True), (True, True), (True, False)}
+
+
+def test_fedder_principal_path_matches_the_full_colon():
+    rng = random.Random(43)
+    verdicts = set()
+    for p in (2, 3, 5, 7):
+        ring = PolyRing(p, ("x", "y", "z"))
+        for _ in range(6):
+            f = _random_generator(rng, ring, min_degree=2, max_degree=3)
+            verdicts.add(_assert_fedder_matches_the_full_colon(Ideal(ring, (f, ring.zero()))))
+    assert verdicts == {True, False}
+
+
+def test_fedder_false_off_the_hypersurface_case():
+    ring = PolyRing(3, ("x", "y"))
+    for texts in (("x^2", "x*y"), ("x^2", "y^2")):
+        A = _ideal(ring, *texts)
+        assert _assert_fedder_matches_the_full_colon(A) is False
+
+
+def test_fedder_on_determinantal_rings():
+    rings = [support.generic_minors(3, 3), support.generic_minors(3, 5)]
+    spec = load_ring_spec(str(DETERMINANTAL))
+    rings.append(Ideal(spec.ring(), tuple(spec.relation_polys(spec.ring()))))
+    for A in rings:
+        assert _assert_fedder_matches_the_full_colon(A) is True
+
+
+def _count_work(monkeypatch):
+    """Count Ideal.intersect calls and Groebner runs from here on."""
+    counts = {"intersect": 0, "groebner": 0}
+    intersect, run = Ideal.intersect, groebner._buchberger
+
+    def counted_intersect(self, other):
+        counts["intersect"] += 1
+        return intersect(self, other)
+
+    def counted_run(*args, **kwargs):
+        counts["groebner"] += 1
+        return run(*args, **kwargs)
+
+    monkeypatch.setattr(Ideal, "intersect", counted_intersect)
+    monkeypatch.setattr(groebner, "_buchberger", counted_run)
+    return counts
+
+
+def test_fedder_stops_at_the_first_certificate(monkeypatch):
+    """On the generic 2 x 3 matrix at p = 5 a certificate is found after two
+    of the three minors: two per-minor intersections and one pairwise, plus
+    the basis of A whose Frobenius image serves A^[p].  The whole colon
+    takes five intersections."""
+    A = support.generic_minors(3, 5)
+    counts = _count_work(monkeypatch)
+    assert fedder_f_pure(QuotientPresentation(A.ring, A))
+    assert counts == {"intersect": 3, "groebner": 4}
+
+
+def test_fedder_on_a_hypersurface_runs_no_groebner_basis(monkeypatch):
+    ring = PolyRing(7, ("x", "y", "z"))
+    counts = _count_work(monkeypatch)
+    assert fedder_f_pure(QuotientPresentation(ring, _ideal(ring, "x^3 + y^3 + z^3")))
+    assert not fedder_f_pure(QuotientPresentation(ring, _ideal(ring, "y^2 - x^3")))
+    assert counts == {"intersect": 0, "groebner": 0}
 
 
 def test_pipeline_on_the_regular_instance():

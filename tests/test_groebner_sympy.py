@@ -1,6 +1,6 @@
 """The Buchberger engine checked against sympy's, an independent route that
 works offline: reduced bases in grevlex and lex, elimination ideals and
-normal forms must all agree.
+normal forms must all agree, and sympy confirms Fedder certificates.
 
 sympy's lex Buchberger needs 20-40 s on cyclic-5 and katsura-4, so the lex
 basis of katsura-4 comes from sympy's grevlex basis by FGLM, and cyclic-5 is
@@ -8,14 +8,19 @@ compared in grevlex only.
 """
 
 import random
+from pathlib import Path
 
 import pytest
 
 sympy = pytest.importorskip("sympy")
 
+import froblab  # noqa: E402
+import support  # noqa: E402
+from froblab.fsing import _fedder_certificate  # noqa: E402
 from froblab.groebner import buchberger  # noqa: E402
 from froblab.ideals import Ideal  # noqa: E402
 from froblab.polyring import GREVLEX, LEX, PolyRing  # noqa: E402
+from froblab.specfile import load_ring_spec  # noqa: E402
 
 ORDERS = {"grevlex": GREVLEX, "lex": LEX}
 PRIMES = (3, 5, 7, 13, 32003)
@@ -145,3 +150,27 @@ def test_normal_form_matches_sympy_remainder(p, order):
         _, remainder = basis.reduce(to_sympy(f, syms))
         expected = term_set(sympy.Poly(remainder, *syms, modulus=p), p)
         assert frozenset((m, int(c)) for m, c in gb.normal_form(f).terms()) == expected
+
+
+def _determinantal_fixture():
+    spec = load_ring_spec(str(Path(froblab.__file__).parent / "fixtures" / "determinantal_f3.ring"))
+    return Ideal(spec.ring(), tuple(spec.relation_polys(spec.ring())))
+
+
+@pytest.mark.parametrize(
+    "make", [lambda: support.generic_minors(3, 3), lambda: support.generic_minors(3, 5), _determinantal_fixture],
+    ids=["generic-2x3-p3", "generic-2x3-p5", "determinantal-fixture"],
+)
+def test_fedder_certificate_confirmed_by_sympy(make):
+    """The colon element that ends Fedder's loop multiplies every generator
+    of A into A^[p] and lies outside m^[p], both decided by sympy's reduce."""
+    A = make()
+    ring, p = A.ring, A.ring.p
+    h = _fedder_certificate(A)
+    assert h is not None
+    syms = sympy.symbols(ring.variables)
+    bracket, _ = sympy_basis([g.frobenius_pow(1) for g in A.generators], syms, p, "grevlex")
+    for g in A.generators:
+        assert bracket.reduce(to_sympy(h * g, syms))[1] == 0
+    maximal = sympy.groebner([s ** p for s in syms], *syms, modulus=p, order="grevlex")
+    assert maximal.reduce(to_sympy(h, syms))[1] != 0

@@ -6,9 +6,10 @@ import threading
 
 import pytest
 
-from froblab.errors import NotArtinian, RingMismatch, UnitIdeal, ZeroColonDivisor
+from froblab.errors import ExponentOverflow, NotArtinian, RingMismatch, UnitIdeal, ZeroColonDivisor
+from froblab.groebner import groebner_basis_of
 from froblab.ideals import Ideal
-from froblab.polyring import PolyRing
+from froblab.polyring import GREVLEX, LEX, PolyRing, elimination_order
 
 
 def _ideal(ring, *texts):
@@ -69,6 +70,37 @@ def test_bracket_power_contains_frobenius_images():
         assert A.bracket_power(2).contains(h.frobenius_pow(2))
 
 
+def test_bracket_power_carries_every_cached_basis_over():
+    """The Frobenius image of a cached basis equals a fresh Buchberger basis
+    of the bracket-power generators, in each order and for e = 1, 2."""
+    rng = random.Random(17)
+    for p in (2, 3, 5):
+        R = PolyRing(p, ("x", "y", "z"))
+        orders = (GREVLEX, LEX, elimination_order(1))
+        for _ in range(4):
+            A = Ideal(R, tuple(_random_poly(rng, R, terms=3) for _ in range(3)))
+            for order in orders:
+                A.groebner_basis(order)
+            for e in (1, 2):
+                B = A.bracket_power(e)
+                for order in orders:
+                    assert B._gb[order].polys == groebner_basis_of(R, B.generators, order).polys
+
+
+def test_bracket_power_overflow():
+    R = PolyRing(2, ("x", "y"))
+    with pytest.raises(ExponentOverflow):
+        _ideal(R, "x^2 + y").bracket_power(15)  # x^65536
+    # the generators fit the exponent field at e = 14, but the lex basis
+    # (x - y^2, y^4) does not; it is left to a Buchberger run, which raises
+    A = _ideal(R, "x - y^2", "x^2")
+    A.groebner_basis(LEX)
+    B = A.bracket_power(14)
+    assert LEX not in B._gb
+    with pytest.raises(ExponentOverflow):
+        B.groebner_basis(LEX)
+
+
 def test_intersection_examples():
     R = PolyRing(3, ("x", "y"))
     assert _ideal(R, "x").intersect(_ideal(R, "y")) == _ideal(R, "x*y")
@@ -119,6 +151,15 @@ def test_colon_iterates_like_a_product():
     B = _ideal(R, "x")
     C = _ideal(R, "y")
     assert A.colon(B).colon(C) == A.colon(B * C)
+
+
+def test_colon_steps_end_at_the_colon():
+    R = PolyRing(3, ("x", "y"))
+    A = _ideal(R, "x^2", "x*y", "y^3")
+    steps = list(A.colon_steps(_ideal(R, "x", "0", "y")))
+    assert [rest for _, rest in steps] == [(R.parse("y"),), ()]
+    assert steps[0][0] == A.colon(_ideal(R, "x"))
+    assert steps[1][0] == A.colon(_ideal(R, "x", "y"))
 
 
 def test_colon_by_zero_rejected():
