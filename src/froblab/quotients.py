@@ -23,8 +23,8 @@ from .errors import (
     ZeroElement,
 )
 from .ideals import Ideal
-from .linalg import Echelon, nullspace
-from .polyring import Monomial, PolyRing, Polynomial
+from .linalg import Echelon, nullspace, rref
+from .polyring import GREVLEX, Monomial, PolyRing, Polynomial
 from .reports import (
     CLOSED_UP_TO,
     NOT_FROBENIUS_CLOSED,
@@ -32,8 +32,6 @@ from .reports import (
     ClosureWitness,
 )
 
-# combination sweeps stay exhaustive while p**socle_dim is at most this
-ENUMERATION_LIMIT = 3 ** 5
 DEFAULT_CLOSURE_EMAX = 3
 
 
@@ -101,19 +99,27 @@ class QuotientPresentation:
     def is_regular_sequence(self, elements: Sequence[Polynomial]) -> bool:
         """Iterated nonzerodivisor test; also requires the final quotient to
         stay proper, so units and over-long sequences come back False."""
+        full = self._regular_sum(elements)
+        return full is not None and not full.is_unit()
+
+    def _regular_sum(self, elements: Sequence[Polynomial]) -> Ideal | None:
+        """defining + (elements) when each element is a nonzerodivisor modulo
+        the ones before it, else None; the sum is returned so that callers
+        share its Groebner basis."""
         current = self.defining
         for x in elements:
-            if current.contains(x):
-                return False
-            if current.colon(Ideal(self.ring, (x,))) != current:
-                return False
+            if current.contains(x) or current.colon(Ideal(self.ring, (x,))) != current:
+                return None
             current = current + Ideal(self.ring, (x,))
-        return not current.is_unit()
+        return current
 
     def socle(self, parameter: Ideal) -> SocleBasis:
         """Socle of R/(parameter + defining): the kernel of multiplication by
         every variable on the standard-monomial basis."""
-        full = self.defining + parameter
+        return self._socle(parameter, self.defining + parameter)
+
+    def _socle(self, parameter: Ideal, full: Ideal) -> SocleBasis:
+        """socle(parameter), given full = defining + parameter."""
         monomials = full.standard_monomials()
         if not monomials:
             return SocleBasis(parameter, ())
@@ -135,27 +141,53 @@ class QuotientPresentation:
         return SocleBasis(parameter, tuple(basis))
 
     def frobenius_closure_test(
-        self,
-        parameter: Ideal,
-        e_max: int = DEFAULT_CLOSURE_EMAX,
-        enumeration_limit: int = ENUMERATION_LIMIT,
+        self, parameter: Ideal, e_max: int = DEFAULT_CLOSURE_EMAX
     ) -> ClosureReport:
         """Probe whether the parameter ideal is Frobenius closed, through
         socle elements: a witness s with s**(p**e) in the bracket power is
         decisive (NOT_FROBENIUS_CLOSED); exhausting e <= e_max is evidence
         only (CLOSED_UP_TO).
 
-        Every nonzero k-linear combination of the socle basis is swept when
-        p**dimension stays within ``enumeration_limit``; otherwise only the
-        basis elements are probed and the report is flagged partial.
+        Every nonzero k-linear combination s = sum c_i*b_i of the socle basis
+        is decided, with one kernel per depth: since c**q == c over F_p,
+        NF(s**q) = sum c_i*NF(b_i**q), so the combinations with s**q in
+        defining + parameter^[q] are the kernel of the matrix whose columns
+        are the normal forms NF(b_i**q).  The witness is the combination the
+        exhaustive sweep in ``itertools.product`` order meets first: the
+        smallest base-p index over the kernels of all depths, at the smallest
+        depth on a tie; combination_index is that index minus 1.  No
+        combination is ever skipped, so the report is never partial.
         """
-        gens = list(parameter.generators)
-        regular = self.is_regular_sequence(gens) if gens else True
-        soc = self.socle(parameter)
+        full = self._regular_sum(parameter.generators)
+        regular = full is not None and not full.is_unit()
+        soc = self._socle(parameter, full if full is not None else self.defining + parameter)
         r = soc.dimension
         p = self.p
 
-        if r == 0 or e_max == 0:
+        best: tuple[int, int, tuple[int, ...]] | None = None  # (index, e, coefficients)
+        if r and e_max:
+            # every bracket power is formed up front, as the sweep did, so one
+            # that leaves the exponent field raises whatever the witness
+            targets = [self.defining + parameter.bracket_power(e) for e in range(1, e_max + 1)]
+            for e, target in enumerate(targets, 1):
+                gb = target.groebner_basis(GREVLEX)
+                rows: dict[Monomial, list[int]] = {}
+                for j, b in enumerate(soc.basis):
+                    for m, c in gb.normal_form(b.frobenius_pow(e))._terms.items():
+                        rows.setdefault(m, [0] * r)[j] = c
+                kernel = nullspace(list(rows.values()), r, p)
+                if kernel:
+                    # the first kernel vector in product order has its first
+                    # nonzero coordinate as far right as the kernel allows:
+                    # the reduced-echelon row with the largest pivot
+                    vec = tuple(rref(kernel, p)[0][-1])
+                    index = sum(c * p ** (r - 1 - i) for i, c in enumerate(vec))
+                    if best is None or index < best[0]:
+                        best = (index, e, vec)
+                    if best[0] == 1:
+                        break  # no combination comes before (0, ..., 0, 1)
+
+        if best is None:
             return ClosureReport(
                 verdict=CLOSED_UP_TO,
                 e_max=e_max,
@@ -163,64 +195,31 @@ class QuotientPresentation:
                 partial=False,
                 regular_sequence_verified=regular,
                 socle_dimension=r,
-                combinations_tested=0,
+                combinations_tested=p ** r - 1 if r and e_max else 0,
                 monotonicity_verified=None,
             )
-
-        full_sweep = p ** r <= enumeration_limit
-        if full_sweep:
-            combos = [
-                vec
-                for vec in itertools.product(range(p), repeat=r)
-                if any(vec)
-            ]
-        else:
-            combos = [
-                tuple(1 if i == j else 0 for i in range(r)) for j in range(r)
-            ]
-
-        targets = [
-            self.defining + parameter.bracket_power(e) for e in range(1, e_max + 1)
-        ]
-
-        tested = 0
-        for idx, vec in enumerate(combos):
-            s = self.ring.zero()
-            for c, b in zip(vec, soc.basis):
-                if c:
-                    s = s + b * c
-            tested += 1
-            for e in range(1, e_max + 1):
-                power = s.frobenius_pow(e)
-                if targets[e - 1].contains(power):
-                    monotone = None
-                    try:
-                        bigger = self.defining + parameter.bracket_power(e + 1)
-                        monotone = bigger.contains(s.frobenius_pow(e + 1))
-                    except FroblabError:
-                        monotone = None
-                    witness = ClosureWitness(
-                        element=str(s), e=e, combination_index=idx, coefficients=vec
-                    )
-                    return ClosureReport(
-                        verdict=NOT_FROBENIUS_CLOSED,
-                        e_max=e_max,
-                        witness=witness,
-                        partial=not full_sweep,
-                        regular_sequence_verified=regular,
-                        socle_dimension=r,
-                        combinations_tested=tested,
-                        monotonicity_verified=monotone,
-                    )
+        index, e, vec = best
+        s = self.ring.zero()
+        for c, b in zip(vec, soc.basis):
+            if c:
+                s = s + b * c
+        try:
+            bigger = self.defining + parameter.bracket_power(e + 1)
+            monotone = bigger.contains(s.frobenius_pow(e + 1))
+        except FroblabError:
+            monotone = None
+        witness = ClosureWitness(
+            element=str(s), e=e, combination_index=index - 1, coefficients=vec
+        )
         return ClosureReport(
-            verdict=CLOSED_UP_TO,
+            verdict=NOT_FROBENIUS_CLOSED,
             e_max=e_max,
-            witness=None,
-            partial=not full_sweep,
+            witness=witness,
+            partial=False,
             regular_sequence_verified=regular,
             socle_dimension=r,
-            combinations_tested=tested,
-            monotonicity_verified=None,
+            combinations_tested=index,
+            monotonicity_verified=monotone,
         )
 
 

@@ -46,9 +46,14 @@ class ClosureReport:
     verdict: str
     e_max: int
     witness: ClosureWitness | None
+    # always False: every socle combination is decided; kept because schema
+    # froblab-report/1 lists the field
     partial: bool
     regular_sequence_verified: bool
     socle_dimension: int
+    # combinations an exhaustive sweep in itertools.product order decides up
+    # to and including the witness (its base-p index), or all p**r - 1 of
+    # them when there is none; 0 when the socle is zero or e_max is 0
     combinations_tested: int
     monotonicity_verified: bool | None
 

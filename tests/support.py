@@ -7,10 +7,13 @@ assembles the annihilation conditions as one matrix over F_p, and runs its
 own Gaussian elimination.
 """
 
+import itertools
 from dataclasses import dataclass
 
+from froblab.errors import FroblabError
 from froblab.ideals import Ideal
 from froblab.polyring import PolyRing, Polynomial
+from froblab.reports import CLOSED_UP_TO, NOT_FROBENIUS_CLOSED, ClosureReport, ClosureWitness
 from froblab.specfile import matrix_minors
 
 
@@ -51,6 +54,53 @@ def full_colon_f_pure(A):
     p = A.ring.p
     colon = A.bracket_power(1).colon(A)
     return any(all(e < p for e in m) for g in colon.generators for m in g._terms)
+
+
+def closure_sweep_report(presentation, parameter, e_max):
+    """The Frobenius-closure probe by exhaustive sweep: every nonzero socle
+    combination in itertools.product order, each tested for membership of
+    its Frobenius power at e = 1..e_max.  This is the route
+    frobenius_closure_test took before it solved one kernel per depth, with
+    no cap on the number of combinations, kept as a reference."""
+    Q = presentation
+    gens = list(parameter.generators)
+    regular = Q.is_regular_sequence(gens) if gens else True
+    soc = Q.socle(parameter)
+    r = soc.dimension
+
+    def report(witness, tested, monotone):
+        return ClosureReport(
+            verdict=NOT_FROBENIUS_CLOSED if witness else CLOSED_UP_TO,
+            e_max=e_max,
+            witness=witness,
+            partial=False,
+            regular_sequence_verified=regular,
+            socle_dimension=r,
+            combinations_tested=tested,
+            monotonicity_verified=monotone,
+        )
+
+    if r == 0 or e_max == 0:
+        return report(None, 0, None)
+    combos = [vec for vec in itertools.product(range(Q.p), repeat=r) if any(vec)]
+    targets = [Q.defining + parameter.bracket_power(e) for e in range(1, e_max + 1)]
+    for idx, vec in enumerate(combos):
+        s = Q.ring.zero()
+        for c, b in zip(vec, soc.basis):
+            if c:
+                s = s + b * c
+        for e in range(1, e_max + 1):
+            if targets[e - 1].contains(s.frobenius_pow(e)):
+                try:
+                    bigger = Q.defining + parameter.bracket_power(e + 1)
+                    monotone = bigger.contains(s.frobenius_pow(e + 1))
+                except FroblabError:
+                    monotone = None
+                witness = ClosureWitness(
+                    element=str(s), e=e, combination_index=idx, coefficients=vec
+                )
+                return report(witness, idx + 1, monotone)
+    return report(None, len(combos), None)
 
 
 def nonzero_random_poly(rng, ring, max_degree=3, terms=3):

@@ -2,20 +2,27 @@
 checks, socle bases, the Frobenius-closure probe, and the independent
 Artinian membership oracle."""
 
+import itertools
 import random
 
 import pytest
+from hypothesis import assume, given
+from hypothesis import strategies as st
 
+from froblab import ideals
 from froblab.errors import BudgetExceeded, FroblabError, NotArtinian, ZeroElement
+from froblab.groebner import GroebnerBasis
 from froblab.ideals import Ideal
-from froblab.linalg import Echelon, nullspace
-from froblab.polyring import PolyRing
+from froblab.linalg import Echelon, nullspace, rref
+from froblab.polyring import PolyRing, Polynomial
 from froblab.quotients import (
     QuotientPresentation,
     artinian_membership_oracle,
     suggest_parameter_sequence,
 )
 from froblab.reports import CLOSED_UP_TO, NOT_FROBENIUS_CLOSED
+
+from support import closure_sweep_report, random_poly
 
 
 def _ideal(ring, *texts):
@@ -183,7 +190,9 @@ def test_closure_monotonicity_probe_lets_foreign_errors_through(monkeypatch):
         Q.frobenius_closure_test(_ideal(R, "x"), e_max=1)
 
 
-def test_closure_sweep_goes_partial_above_the_limit():
+def test_closure_witness_with_socle_dimension_six():
+    """3^6 - 1 socle combinations, all decided: x6 is the first of them in
+    itertools.product order, and x6^3 is zero in the quotient."""
     R = PolyRing(3, tuple(f"x{i}" for i in range(1, 7)))
     quadrics = [
         R.variable(a) * R.variable(b)
@@ -193,11 +202,15 @@ def test_closure_sweep_goes_partial_above_the_limit():
     ]
     Q = QuotientPresentation(R, Ideal(R, tuple(quadrics)))
     report = Q.frobenius_closure_test(Ideal(R, ()), e_max=1)
-    assert report.socle_dimension == 6  # 3^6 combinations exceed the sweep cap
-    assert report.partial
+    assert report.socle_dimension == 6
     assert report.verdict == NOT_FROBENIUS_CLOSED
+    assert not report.partial
+    assert report.witness.element == "x6"
+    assert report.witness.e == 1
     assert report.witness.combination_index == 0
-    assert report.witness.coefficients == (1, 0, 0, 0, 0, 0)
+    assert report.witness.coefficients == (0, 0, 0, 0, 0, 1)
+    assert report.combinations_tested == 1
+    assert report.monotonicity_verified is True
 
 
 def test_closure_depth_zero_is_vacuous():
@@ -206,6 +219,175 @@ def test_closure_depth_zero_is_vacuous():
     report = Q.frobenius_closure_test(_ideal(R, "x^2"), e_max=0)
     assert report.verdict == CLOSED_UP_TO
     assert report.combinations_tested == 0
+
+
+def _outcome(run):
+    """A report as its dict, or the name of the froblab error it raised."""
+    try:
+        return run().to_dict()
+    except FroblabError as exc:
+        return type(exc).__name__
+
+
+def _assert_closure_matches_the_sweep(ring, defining, parameter, e_max):
+    """frobenius_closure_test against the exhaustive sweep, each on a fresh
+    presentation so that no cached basis is shared; returns the report."""
+    def fresh():
+        return QuotientPresentation(ring, Ideal(ring, tuple(defining)))
+
+    got = _outcome(lambda: fresh().frobenius_closure_test(Ideal(ring, tuple(parameter)), e_max))
+    want = _outcome(lambda: closure_sweep_report(fresh(), Ideal(ring, tuple(parameter)), e_max))
+    assert got == want, (ring, defining, parameter, e_max)
+    return got
+
+
+def _random_artinian_case(rng):
+    """2-3 variables over p in {2, 3, 5, 7}: one to three monomials or short
+    polynomials without constant term as relations, and a pure power of
+    every variable (sometimes perturbed) as the parameter."""
+    p = rng.choice((2, 3, 5, 7))
+    n = rng.randrange(2, 4)
+    ring = PolyRing(p, ("x", "y", "z")[:n])
+    one = ring.monomial((0,) * n)
+    defining = []
+    for _ in range(rng.randrange(1, 4)):
+        if rng.random() < 0.6:
+            m = [0] * n
+            for _ in range(rng.randrange(2, 4)):
+                m[rng.randrange(n)] += 1
+            g = ring.monomial(tuple(m))
+        else:
+            g = random_poly(rng, ring, 2, 3)
+            g = g - one * int(g.constant_coefficient())
+        if not g.is_zero:
+            defining.append(g)
+    parameter = []
+    for i in range(n):
+        g = ring.monomial(tuple(rng.randrange(1, 4) if j == i else 0 for j in range(n)))
+        if rng.random() < 0.2:
+            h = random_poly(rng, ring, 2, 2)
+            g = g + h - one * int(h.constant_coefficient())
+        parameter.append(g)
+    # keeps every Frobenius power small: q = p**e_max is at most 49
+    e_max = rng.randrange(0, {2: 4, 3: 4, 5: 3, 7: 3}[p])
+    return ring, defining, parameter, e_max
+
+
+def test_closure_matches_the_sweep_on_random_quotients():
+    rng = random.Random(2031)
+    outcomes = []
+    for _ in range(250):
+        outcomes.append(_assert_closure_matches_the_sweep(*_random_artinian_case(rng)))
+    reports = [o for o in outcomes if isinstance(o, dict)]
+    witnesses = [o["witness"] for o in reports if o["witness"]]
+    assert len(reports) > 200
+    assert any(o["verdict"] == CLOSED_UP_TO and o["socle_dimension"] > 1 for o in reports)
+    assert any(w["combination_index"] > 0 for w in witnesses)
+    assert any(w["e"] > 1 for w in witnesses)
+
+
+def test_closure_matches_the_sweep_on_cusps():
+    verdicts = set()
+    for p in (2, 3, 5, 7):
+        ring = PolyRing(p, ("x", "y"))
+        for a in (2, 3, 4):
+            for b in (1, 2, 3, 5, 7):
+                report = _assert_closure_matches_the_sweep(
+                    ring, [ring.parse(f"y^{a} - x^{b}")], [ring.parse("x")], 3 if p < 5 else 2
+                )
+                verdicts.add(report["verdict"])
+    assert verdicts == {CLOSED_UP_TO, NOT_FROBENIUS_CLOSED}
+
+
+def _coordinate_lines(p, n):
+    ring = PolyRing(p, tuple(f"x{i}" for i in range(1, n + 1)))
+    v = [ring.variable(a) for a in ring.variables]
+    return ring, v, [v[i] * v[j] for i in range(n) for j in range(i + 1, n)]
+
+
+def test_closure_matches_the_sweep_at_socle_dimension_six():
+    """Socle dimension 6 at p = 3 and p = 2, where a sweep must decide 728
+    and 63 combinations."""
+    for p, e_max in ((3, 1), (2, 2)):
+        ring, v, lines = _coordinate_lines(p, 7)
+        report = _assert_closure_matches_the_sweep(ring, lines, [sum(v[1:], v[0])], e_max)
+        assert report["verdict"] == CLOSED_UP_TO
+        assert report["combinations_tested"] == p ** 6 - 1
+    # only x1 is nilpotent: the witness is the last basis vector alone
+    ring, v, lines = _coordinate_lines(3, 6)
+    report = _assert_closure_matches_the_sweep(ring, lines + [v[0] ** 2], [x ** 2 for x in v[1:]], 1)
+    assert report["witness"]["coefficients"] == [1, 0, 0, 0, 0, 0]
+    assert report["combinations_tested"] == 3 ** 5
+
+
+def test_closure_witness_takes_the_smallest_index_over_all_depths():
+    """x^2 = 0 gives (1, 0) at e = 1, but y^4 in (y^3) gives (0, 1), which
+    comes first in the sweep, at e = 2."""
+    R = PolyRing(2, ("x", "y"))
+    report = _assert_closure_matches_the_sweep(
+        R, [R.parse("x^2"), R.parse("x*y"), R.parse("y^3")], [R.parse("y^2")], 2
+    )
+    assert report["witness"] == {"element": "y", "e": 2, "combination_index": 0, "coefficients": [0, 1]}
+    assert report["combinations_tested"] == 1
+
+
+@st.composite
+def spanning_sets(draw):
+    p = draw(st.sampled_from((2, 3, 5, 7)))
+    r = draw(st.integers(1, 4))
+    vectors = draw(st.lists(st.lists(st.integers(0, p - 1), min_size=r, max_size=r), min_size=1, max_size=4))
+    return p, r, vectors
+
+
+@given(spanning_sets())
+def test_witness_rule_picks_the_first_nonzero_vector_of_the_span(case):
+    """The closure test's witness rule: the first nonzero vector of a span
+    in itertools.product order is its reduced-echelon row with the largest
+    pivot, which rref leaves scaled to pivot 1."""
+    p, r, vectors = case
+    span = Echelon(p)
+    for vec in vectors:
+        span.add(vec)
+    assume(span.rank)
+    first = next(
+        vec for vec in itertools.product(range(p), repeat=r) if any(vec) and span.contains(list(vec))
+    )
+    assert tuple(rref(vectors, p)[0][-1]) == first
+
+
+def test_closure_makes_one_normal_form_per_socle_element_and_depth(monkeypatch):
+    """Five coordinate lines at p = 3, e_max = 2: socle dimension 4, so
+    4 * 2 = 8 normal forms of Frobenius powers (the sweep made 80 * 2), on
+    top of 25 for the socle and 1 for the regular-sequence test; the sum
+    defining + parameter gets one Groebner basis, shared by the
+    regular-sequence test and the socle.  On the cusp y^2 = x^3 at p = 5 the
+    witness y at e = 1 ends the search: no later depth is solved."""
+    counts = {"normal_form": 0, "frobenius_pow": 0, "groebner_basis_of": 0}
+
+    def counted(name, original):
+        def wrapper(*args, **kwargs):
+            counts[name] += 1
+            return original(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(GroebnerBasis, "normal_form", counted("normal_form", GroebnerBasis.normal_form))
+    monkeypatch.setattr(Polynomial, "frobenius_pow", counted("frobenius_pow", Polynomial.frobenius_pow))
+    monkeypatch.setattr(ideals, "groebner_basis_of", counted("groebner_basis_of", ideals.groebner_basis_of))
+    ring, v, lines = _coordinate_lines(3, 5)
+    Q = QuotientPresentation(ring, Ideal(ring, tuple(lines)))
+    report = Q.frobenius_closure_test(Ideal(ring, (sum(v[1:], v[0]),)), e_max=2)
+    assert (report.verdict, report.socle_dimension, report.combinations_tested) == (CLOSED_UP_TO, 4, 80)
+    # frobenius_pow: the 8 socle powers and the parameter's 2 bracket powers;
+    # Groebner bases: defining, its colon, defining + parameter and 2 targets
+    assert counts == {"normal_form": 8 + 25 + 1, "frobenius_pow": 8 + 2, "groebner_basis_of": 6}
+
+    counts.update(dict.fromkeys(counts, 0))
+    R = PolyRing(5, ("x", "y"))
+    Q = QuotientPresentation(R, _ideal(R, "y^2 - x^3"))
+    report = Q.frobenius_closure_test(_ideal(R, "x"), e_max=3)
+    assert report.witness.e == 1
+    # e = 2 and e = 3 would add two normal forms, two powers and two bases
+    assert counts == {"normal_form": 7, "frobenius_pow": 6, "groebner_basis_of": 6}
 
 
 def test_oracle_examples():
