@@ -167,10 +167,11 @@ def socle_lift(
     """Transfer a socle generator z of R/(I + tail) to u = first*z, the socle
     generator of I/JI for J = (first, tail).
 
-    Verifies: first lies in the coefficient ideal and is a nonzerodivisor on
-    R; tail is regular on R/I and on R/(first); the Artinian reduction has
-    type 1.  Postconditions checked: m*u inside J*I + defining and u outside
-    it.
+    This is the one place where the cover hypotheses are checked.  Verifies:
+    first lies in the coefficient ideal and is a nonzerodivisor on R; tail is
+    regular on R/I and on R/(first), so (first, tail) is a regular sequence
+    on R with a proper quotient; the Artinian reduction has type 1.
+    Postconditions checked: m*u inside J*I + defining and u outside it.
     """
     R = context.quotient
     ring = context.ring
@@ -180,14 +181,15 @@ def socle_lift(
     if not R.is_nzd(first):
         raise NotNZD(f"{first} is a zerodivisor on the quotient")
     tail = list(tail)
-    mod_I = QuotientPresentation(ring, R.defining + I)
-    if not mod_I.is_regular_sequence(tail):
+    # the walk modulo I starts at defining + I, whose basis the context holds
+    full = QuotientPresentation(ring, context._membership)._regular_sum(tail)
+    if full is None or full.is_unit():
         raise NotRegularSequence("tail is not regular on R modulo the coefficient ideal")
     mod_first = QuotientPresentation(ring, R.defining + Ideal(ring, (first,)))
     if not mod_first.is_regular_sequence(tail):
         raise NotRegularSequence("tail is not regular on R modulo the first parameter")
 
-    soc = R.socle(I + Ideal(ring, tuple(tail)))
+    soc = R._socle(I + Ideal(ring, tuple(tail)), full)
     if soc.dimension != 1:
         raise TypeNotOne(
             f"socle dimension {soc.dimension}; the Artinian reduction is not type 1"
@@ -215,7 +217,8 @@ def cover_f_injectivity_criterion(
     With u the lifted socle generator and q = p**e, membership
     u**q * twist**((q-1)/2) in J^[q]*I + defining for some e <= e_max proves
     the cover is NOT F-injective (decisive, monotone in e).  Exhausting the
-    range is evidence only.
+    range is evidence only.  The parameters are checked by ``socle_lift``,
+    whose errors this raises unchanged.
     """
     if context.p == 2:
         raise EvenCharacteristic("use the even-characteristic degeneracy check for p = 2")
@@ -223,8 +226,6 @@ def cover_f_injectivity_criterion(
         raise InputAssumptionViolation("an empty system of parameters")
     R = context.quotient
     ring = context.ring
-    if not R.is_regular_sequence(list(sop)):
-        raise NotRegularSequence("the given parameters are not a regular sequence on R")
     lifted = socle_lift(context, sop[0], sop[1:])
     u = lifted.lift
     f = context.twist
@@ -242,38 +243,30 @@ def cover_f_injectivity_criterion(
         "socle_rep": str(lifted.socle_rep),
         "lift": str(u),
     }
+
+    def member(e: int) -> bool:
+        q = p ** e
+        target = u.frobenius_pow(e) * f ** ((q - 1) // 2)
+        return (R.defining + J.bracket_power(e).product(I)).contains(target)
+
     memberships = []
     witness_e = None
     for e in range(1, e_max + 1):
-        q = p ** e
-        target = u.frobenius_pow(e) * f ** ((q - 1) // 2)
-        hit = (R.defining + J.bracket_power(e).product(I)).contains(target)
+        hit = member(e)
         memberships.append({"e": e, "member": hit})
         if hit:
             witness_e = e
             break
     sub["memberships"] = memberships
     if witness_e is not None:
-        monotone = None
         try:
-            e2 = witness_e + 1
-            q2 = p ** e2
-            target2 = u.frobenius_pow(e2) * f ** ((q2 - 1) // 2)
-            monotone = (R.defining + J.bracket_power(e2).product(I)).contains(target2)
+            sub["monotonicity_verified"] = member(witness_e + 1)
         except FroblabError:
-            monotone = None
-        sub["monotonicity_verified"] = monotone
-        return CriterionReport(
-            verdict=DECISIVE_NOT_F_INJECTIVE,
-            e_max=e_max,
-            witness_e=witness_e,
-            assumptions=(ASSUMPTION_CM, ASSUMPTION_CANONICAL),
-            sub_results=sub,
-        )
+            sub["monotonicity_verified"] = None
     return CriterionReport(
-        verdict=NO_FAILURE_UP_TO,
+        verdict=NO_FAILURE_UP_TO if witness_e is None else DECISIVE_NOT_F_INJECTIVE,
         e_max=e_max,
-        witness_e=None,
+        witness_e=witness_e,
         assumptions=(ASSUMPTION_CM, ASSUMPTION_CANONICAL),
         sub_results=sub,
     )
@@ -284,15 +277,14 @@ def even_char_degeneracy_check(
 ) -> CriterionReport:
     """For p = 2 the cover is never F-injective; verify the mechanism: the
     lifted socle generator u satisfies u*I inside J*I and u inside J (hence
-    u^2 inside J^[2] by the freshman's dream)."""
+    u^2 inside J^[2] by the freshman's dream).  The parameters are checked by
+    ``socle_lift``, whose errors this raises unchanged."""
     if context.p != 2:
         raise OddCharacteristic("the degeneracy check only applies in characteristic 2")
     if not sop:
         raise InputAssumptionViolation("an empty system of parameters")
     R = context.quotient
     ring = context.ring
-    if not R.is_regular_sequence(list(sop)):
-        raise NotRegularSequence("the given parameters are not a regular sequence on R")
     lifted = socle_lift(context, sop[0], sop[1:])
     u = lifted.lift
     I = context.coefficient
@@ -409,7 +401,7 @@ def run_cover_pipeline(
 
     tail = list(sop[1:])
     drop = _variable_generated(coefficient)
-    quotient_full = presentation.defining + coefficient
+    quotient_full = context._membership
     route = "ambient-presentation"
     small_tail = tail
     if drop is not None and len(drop) < ring.nvars:

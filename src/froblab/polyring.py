@@ -128,10 +128,6 @@ def monomial_gcd(a: Monomial, b: Monomial) -> Monomial:
     return tuple(x if x < y else y for x, y in zip(a, b))
 
 
-def monomial_degree(m: Monomial) -> int:
-    return sum(m)
-
-
 def _grevlex_key(m: Monomial):
     return (sum(m), tuple(-e for e in reversed(m)))
 

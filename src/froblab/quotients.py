@@ -94,7 +94,7 @@ class QuotientPresentation:
         """True iff g is a nonzerodivisor on R, i.e. (defining : g) == defining."""
         if self.defining.contains(g):
             raise ZeroElement(f"{g} is zero in the quotient")
-        return self.defining.colon(Ideal(self.ring, (g,))) == self.defining
+        return self._regular_sum((g,)) is not None
 
     def is_regular_sequence(self, elements: Sequence[Polynomial]) -> bool:
         """Iterated nonzerodivisor test; also requires the final quotient to
@@ -204,7 +204,8 @@ class QuotientPresentation:
             if c:
                 s = s + b * c
         try:
-            bigger = self.defining + parameter.bracket_power(e + 1)
+            # below e_max the kernel loop already formed the depth-(e + 1) target
+            bigger = targets[e] if e < e_max else self.defining + parameter.bracket_power(e + 1)
             monotone = bigger.contains(s.frobenius_pow(e + 1))
         except FroblabError:
             monotone = None

@@ -89,6 +89,19 @@ def test_cover_command_requires_the_coefficient_ideal(capsys):
     assert json.loads(out)["error"]["code"] == "MissingField"
 
 
+def test_cover_check_reports_the_failed_hypothesis(capsys, tmp_path):
+    """x is a zerodivisor on k[x,y]/(xy): the error code names that
+    hypothesis, as socle_lift raises it."""
+    spec = tmp_path / "zerodivisor.ring"
+    spec.write_text(
+        "p = 3\nvars = x, y\nrelations = x*y\ncanonical_ideal = x\nsop = x, y\n",
+        encoding="utf-8",
+    )
+    code, out = run_cli(capsys, ["cover-check", str(spec)])
+    assert code == 1
+    assert json.loads(out)["error"]["code"] == "NotNZD"
+
+
 def test_usage_errors_exit_one():
     with pytest.raises(SystemExit) as exc:
         main(["no-such-command", DET])

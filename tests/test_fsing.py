@@ -16,6 +16,7 @@ from froblab.errors import (
     NotRegularSequence,
     OddCharacteristic,
     TypeNotOne,
+    ZeroElement,
 )
 from froblab.fsing import (
     CoverContext,
@@ -204,6 +205,13 @@ def test_socle_lift_rejects_bad_inputs():
     hctx = CoverContext(hyper, _ideal(hyper_ring, "x"), hyper_ring.one())
     with pytest.raises(NotNZD):
         socle_lift(hctx, hyper_ring.parse("x"), [])
+    with pytest.raises(NotRegularSequence):
+        socle_lift(ctx, ring.parse("x"), [ring.parse("1")])  # R/(I, 1) is zero
+    with pytest.raises(NotRegularSequence):
+        socle_lift(ctx, ring.parse("x"), [ring.parse("y"), ring.parse("y")])  # tail too long
+    square = QuotientPresentation(ring, _ideal(ring, "x^2"))
+    with pytest.raises(ZeroElement):
+        socle_lift(CoverContext(square, _ideal(ring, "x"), ring.one()), ring.parse("x^2"), [])
 
 
 def test_socle_lift_requires_type_one():
@@ -269,6 +277,42 @@ def test_criterion_rejects_bad_parameters():
     )
     with pytest.raises(EvenCharacteristic):
         cover_f_injectivity_criterion(p2, [p2ring.parse("x"), p2ring.parse("y")], 2)
+
+
+def _crossing_lines_context(p=3):
+    """R = k[x,y]/(xy), two crossing lines, with I = (x): x is a zerodivisor
+    on R."""
+    ring = PolyRing(p, ("x", "y"))
+    pres = QuotientPresentation(ring, _ideal(ring, "x*y"))
+    return CoverContext(pres, _ideal(ring, "x"), ring.one())
+
+
+def test_criterion_raises_the_errors_of_socle_lift():
+    """The criterion checks its parameters only through socle_lift, so an
+    invalid sop gets socle_lift's error code: which hypothesis failed, not
+    a blanket NotRegularSequence.  A tail that dies modulo I still raises
+    NotRegularSequence (test_criterion_rejects_bad_parameters)."""
+    ctx = _crossing_lines_context()
+    ring = ctx.ring
+    with pytest.raises(NotNZD):
+        cover_f_injectivity_criterion(ctx, [ring.parse("x"), ring.parse("y")], 2)
+
+    nilpotent = QuotientPresentation(ring, _ideal(ring, "x^2"))
+    ctx = CoverContext(nilpotent, _ideal(ring, "x"), ring.one())
+    with pytest.raises(ZeroElement):
+        cover_f_injectivity_criterion(ctx, [ring.parse("x^2"), ring.parse("y")], 2)
+
+    ctx = _regular_context()
+    y = ctx.ring.parse("y")
+    with pytest.raises(InputAssumptionViolation):
+        cover_f_injectivity_criterion(ctx, [y, y], 2)  # y is outside I
+
+
+def test_degeneracy_check_raises_the_errors_of_socle_lift():
+    ctx = _crossing_lines_context(2)
+    ring = ctx.ring
+    with pytest.raises(NotNZD):
+        even_char_degeneracy_check(ctx, [ring.parse("x"), ring.parse("y")])
 
 
 def test_even_char_degeneracy():
@@ -396,6 +440,47 @@ def test_fedder_on_a_hypersurface_runs_no_groebner_basis(monkeypatch):
     assert fedder_f_pure(QuotientPresentation(ring, _ideal(ring, "x^3 + y^3 + z^3")))
     assert not fedder_f_pure(QuotientPresentation(ring, _ideal(ring, "y^2 - x^3")))
     assert counts == {"intersect": 0, "groebner": 0}
+
+
+def _count_runs_and_colons(monkeypatch):
+    """Record every Groebner run by (ring, order, generators) and count
+    colon computations from here on."""
+    runs, colons = [], [0]
+    run, steps = groebner._buchberger, Ideal.colon_steps
+
+    def recorded_run(ring, gens, order, *args, **kwargs):
+        runs.append((ring, order, tuple(gens)))
+        return run(ring, gens, order, *args, **kwargs)
+
+    def counted_steps(self, other):
+        colons[0] += 1
+        return steps(self, other)
+
+    monkeypatch.setattr(groebner, "_buchberger", recorded_run)
+    monkeypatch.setattr(Ideal, "colon_steps", counted_steps)
+    return runs, colons
+
+
+def test_cover_hypotheses_are_checked_once_on_the_determinantal_fixture(monkeypatch):
+    """socle_lift is the only hypothesis check: the criterion (with its
+    context) builds no basis twice and runs three colons, one for the
+    nonzerodivisor and one per tail walk; a separate regular-sequence test
+    of the sop would repeat two colons and add eight Groebner runs.  The
+    pipeline shares the basis of defining + I with the criterion."""
+    spec = load_ring_spec(str(DETERMINANTAL))
+    ring = spec.ring()
+    runs, colons = _count_runs_and_colons(monkeypatch)
+    ctx = CoverContext(spec.presentation(ring), spec.coefficient_ideal(ring), spec.twist_poly(ring))
+    cover_f_injectivity_criterion(ctx, spec.sop_polys(ring), spec.e_max)
+    assert (len(runs), len(set(runs)), colons[0]) == (14, 14, 3)
+
+    runs.clear()
+    colons[0] = 0
+    run_cover_pipeline(
+        spec.presentation(ring), spec.coefficient_ideal(ring), spec.twist_poly(ring),
+        spec.sop_polys(ring), spec.e_max,
+    )
+    assert (len(runs), colons[0]) == (30, 5)
 
 
 def test_pipeline_on_the_regular_instance():

@@ -386,8 +386,29 @@ def test_closure_makes_one_normal_form_per_socle_element_and_depth(monkeypatch):
     Q = QuotientPresentation(R, _ideal(R, "y^2 - x^3"))
     report = Q.frobenius_closure_test(_ideal(R, "x"), e_max=3)
     assert report.witness.e == 1
-    # e = 2 and e = 3 would add two normal forms, two powers and two bases
-    assert counts == {"normal_form": 7, "frobenius_pow": 6, "groebner_basis_of": 6}
+    # e = 2 and e = 3 would add two normal forms, two powers and two bases;
+    # the monotonicity probe reuses the depth-2 target, so x^[25] is formed once
+    assert counts == {"normal_form": 7, "frobenius_pow": 5, "groebner_basis_of": 6}
+
+
+def test_closure_probe_reuses_the_next_depth_target(monkeypatch):
+    """A witness below e_max: the kernel loop has already formed
+    defining + parameter^[p^(e+1)], and the monotonicity probe tests
+    against that ideal instead of building its basis again."""
+    ring, v, lines = _coordinate_lines(3, 6)
+    Q = QuotientPresentation(ring, Ideal(ring, tuple(lines + [v[0] ** 2])))
+    parameter = Ideal(ring, tuple(x ** 2 for x in v[1:]))
+    runs = []
+    run = ideals.groebner_basis_of
+
+    def recorded(ring, gens, order, *args, **kwargs):
+        runs.append((ring, order, tuple(gens)))
+        return run(ring, gens, order, *args, **kwargs)
+
+    monkeypatch.setattr(ideals, "groebner_basis_of", recorded)
+    report = Q.frobenius_closure_test(parameter, e_max=2)
+    assert (report.witness.e, report.monotonicity_verified) == (1, True)
+    assert (len(runs), len(set(runs))) == (6, 6)
 
 
 def test_oracle_examples():
