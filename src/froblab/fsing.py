@@ -10,6 +10,8 @@ the degeneracy mechanism itself.
 
 from __future__ import annotations
 
+import itertools
+import math
 from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
@@ -321,15 +323,29 @@ def fedder_f_pure(presentation: QuotientPresentation) -> bool:
     S outside m^[p] with h*g in A^[p] for every generator g of A.  As m^[p]
     is a monomial ideal, h lies outside it iff some term of h has every
     exponent below p.  A principal A = (f) needs no Groebner run: S is a
-    domain, so (f^p : f) = (f^(p-1)) and h = f^(p-1) is the only candidate.
-    Otherwise the colon is built one generator of A at a time, and after
-    each step every generator h of the running colon outside m^[p] is
-    tested against the generators still to come, by membership in A^[p];
-    the first h that passes ends the loop.  No finite certificate exists
-    for False, so a False verdict builds the whole colon and finds none of
-    its generators outside m^[p].
+    domain, so (f^p : f) = (f^(p-1)) and h = f^(p-1) is the only candidate,
+    decided from f^(p-1) modulo m^[p] without expanding the full power.
+    Otherwise, with c the height of A, a candidate comes first: for a
+    complete intersection A = (f1..fc),
+    (A^[p] : A) = A^[p] + ((f1...fc)^(p-1)) (Fedder 1983), so
+    h = (product of c generators)^(p-1) is tried for a bounded number of
+    c-subsets of the generators, by membership of h*g in A^[p] for the
+    generators g outside the subset.  Only when every candidate misses is
+    the colon built, one generator of A at a time, and after each step every
+    generator h of the running colon outside m^[p] is tested against the
+    generators still to come; the first h that passes ends the loop.  No
+    finite certificate exists for False, so a False verdict builds the whole
+    colon and finds none of its generators outside m^[p].
     """
+    nonzero = [g for g in presentation.defining.generators if not g.is_zero]
+    if len(nonzero) == 1:
+        return not _power_below_p(nonzero[0], presentation.p - 1).is_zero
     return _fedder_certificate(presentation.defining) is not None
+
+
+# how many c-subsets of the generators Fedder tries as product-power
+# candidates before it builds the colon; a bound on speed, never on a verdict
+_CANDIDATE_LIMIT = 64
 
 
 def _fedder_certificate(A: Ideal) -> Polynomial | None:
@@ -340,22 +356,66 @@ def _fedder_certificate(A: Ideal) -> Polynomial | None:
     if not nonzero:
         return ring.one()  # the ring is regular
     if len(nonzero) == 1:
-        h = nonzero[0] ** (p - 1)
-        return h if _outside_bracket(h) else None
+        f = nonzero[0]
+        return None if _power_below_p(f, p - 1).is_zero else f ** (p - 1)
     A.groebner_basis(GREVLEX)  # its Frobenius image is the basis of A^[p]
     bracket = A.bracket_power(1)
+    if not A.is_unit():  # the unit ideal has no height
+        subsets = itertools.combinations(nonzero, ring.nvars - A.krull_dimension())
+        for subset in itertools.islice(subsets, _CANDIDATE_LIMIT):
+            product = math.prod(subset, start=ring.one())
+            if _power_below_p(product, p - 1).is_zero:
+                continue  # the candidate lies in m^[p]
+            h = product ** (p - 1)
+            # h*g lies in A^[p] already for every g in the subset
+            if all(bracket.contains(h * g) for g in nonzero if g not in subset):
+                return h
     for colon, rest in bracket.colon_steps(A):
         for h in colon.generators:
-            if _outside_bracket(h) and all(bracket.contains(h * g) for g in rest):
+            if not _power_below_p(h, 1).is_zero and all(bracket.contains(h * g) for g in rest):
                 return h
     return None
 
 
-def _outside_bracket(h: Polynomial) -> bool:
-    """h is outside m^[p] = (x1^p, ..., xn^p) iff some term of h has every
-    exponent below p."""
-    p = h.ring.p
-    return any(all(e < p for e in m) for m in h._terms)
+def _power_below_p(f: Polynomial, n: int) -> Polynomial:
+    """f**n modulo m^[p]: the terms of f**n with every exponent below p.
+
+    Reduction modulo the monomial ideal m^[p] is a ring map onto S/m^[p], so
+    square-and-multiply may drop each product term with an exponent >= p as
+    soon as it arises, and the full power is never formed.  A monomial is
+    packed into one w-bit field per variable, with 2^(w-1) > p: adding
+    2^(w-1) - p to every field of a product sets the top bit of a field iff
+    that exponent is >= p.
+    """
+    ring = f.ring
+    p = ring.p
+    w = p.bit_length() + 1
+    shifts = range(0, w * ring.nvars, w)
+    top = sum(1 << (s + w - 1) for s in shifts)
+    offset = sum(((1 << (w - 1)) - p) << s for s in shifts)
+
+    def times(a: dict, b: dict) -> dict:
+        out: dict = {}
+        for m1, c1 in a.items():
+            m1 += offset
+            for m2, c2 in b.items():
+                m = m1 + m2
+                if not m & top:
+                    out[m] = out.get(m, 0) + c1 * c2
+        return {m - offset: c % p for m, c in out.items() if c % p}
+
+    base = {sum(e << s for e, s in zip(m, shifts)): c for m, c in f._terms.items() if max(m) < p}
+    result = {0: 1}
+    while n:
+        if n & 1:
+            result = times(result, base)
+        n >>= 1
+        if n:
+            base = times(base, base)
+    field = (1 << w) - 1
+    return ring._poly(
+        {tuple((m >> s) & field for s in shifts): c for m, c in result.items()}
+    )
 
 
 def _variable_generated(ideal: Ideal) -> list[str] | None:

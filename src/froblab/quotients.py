@@ -108,9 +108,14 @@ class QuotientPresentation:
         share its Groebner basis."""
         current = self.defining
         for x in elements:
-            if current.contains(x) or current.colon(Ideal(self.ring, (x,))) != current:
+            principal = Ideal(self.ring, (x,))
+            # current lies inside (current : x), so the two are equal iff the
+            # colon's generators lie in current; the colon needs no basis
+            if current.contains(x) or not all(
+                current.contains(g) for g in current.colon(principal).generators
+            ):
                 return None
-            current = current + Ideal(self.ring, (x,))
+            current = current + principal
         return current
 
     def socle(self, parameter: Ideal) -> SocleBasis:

@@ -47,6 +47,16 @@ def generic_minors(n, p):
     return Ideal(ring, tuple(matrix_minors((tuple(entries[:n]), tuple(entries[n:])))))
 
 
+def candidate_miss():
+    """The 2 x 2 minors of the matrix with rows (x5, x5, x4, x5) and
+    (x1, x4, x3, x2) over F_3[x1..x5]: F-pure, of height 2, and no product
+    of two minors raised to p - 1 certifies it, so Fedder's test needs the
+    colon loop."""
+    ring = PolyRing(3, tuple(f"x{i}" for i in range(1, 6)))
+    rows = (("x5", "x5", "x4", "x5"), ("x1", "x4", "x3", "x2"))
+    return Ideal(ring, tuple(matrix_minors(tuple(tuple(ring.variable(v) for v in row) for row in rows))))
+
+
 def full_colon_f_pure(A):
     """Fedder's test by the whole colon (A^[p] : A) and the below-p test on
     its generators: the route fedder_f_pure took before it stopped at the

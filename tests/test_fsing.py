@@ -1,13 +1,16 @@
 """Tests for the cover algebra R + I*t, the socle transfer, Fedder's
 criterion, the bounded F-injectivity criterion, and the full pipeline."""
 
+import math
 import random
 from pathlib import Path
 
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
 import froblab
-from froblab import groebner
+from froblab import fsing, groebner
 from froblab.errors import (
     ContextMismatch,
     EvenCharacteristic,
@@ -27,7 +30,7 @@ from froblab.fsing import (
     socle_lift,
 )
 from froblab.ideals import Ideal
-from froblab.polyring import PolyRing
+from froblab.polyring import PolyRing, Polynomial
 from froblab.quotients import QuotientPresentation
 from froblab.reports import (
     CLOSED_UP_TO,
@@ -397,6 +400,115 @@ def test_fedder_false_off_the_hypersurface_case():
         assert _assert_fedder_matches_the_full_colon(A) is False
 
 
+def _edge_ideal(p, n):
+    """The products x_i*x_j, i < j, of n variables over F_p: a squarefree
+    monomial ideal, so F-pure, of height n - 1."""
+    ring = PolyRing(p, tuple(f"x{i}" for i in range(1, n + 1)))
+    v = [ring.variable(a) for a in ring.variables]
+    return Ideal(ring, tuple(v[i] * v[j] for i in range(n) for j in range(i + 1, n)))
+
+
+@st.composite
+def fedder_ideals(draw):
+    """c = 2 or 3 generators of degree at most 2 in three variables, or in
+    four below p = 5, then up to two redundant generators g_i*r + g_j with
+    r linear.  Either the c generators are random, or the i-th is x_i^2
+    plus quadratic terms in the later variables: their leads x_i^2 are
+    pairwise coprime, so they are a Groebner basis and a complete
+    intersection of height c."""
+    p = draw(st.sampled_from((2, 3, 5)))
+    # the reference colon of A^[5] in four variables can take seconds
+    ring = PolyRing(p, ("x", "y", "z", "w")[: draw(st.integers(3, 3 if p == 5 else 4))])
+    n = ring.nvars
+    coefficient = st.integers(1, p - 1)
+
+    def poly(factors):
+        g = ring.zero()
+        for c, variables in draw(st.lists(st.tuples(coefficient, factors), min_size=1, max_size=3)):
+            m = [0] * n
+            for i in variables:
+                m[i] += 1
+            g = g + ring.monomial(m, c)
+        return g
+
+    c = draw(st.integers(2, 3))
+    if draw(st.booleans()):
+        gens = [poly(st.lists(st.integers(0, n - 1), min_size=1, max_size=2)) for _ in range(c)]
+    else:
+        gens = []
+        for i in range(c):
+            lead = ring.monomial([2 if j == i else 0 for j in range(n)], draw(coefficient))
+            if i + 1 < n and draw(st.booleans()):
+                lead = lead + poly(st.tuples(st.integers(i, n - 1), st.integers(i + 1, n - 1)))
+            gens.append(lead)
+    index = st.integers(0, c - 1)
+    for _ in range(draw(st.integers(0, 2))):
+        gens.append(gens[draw(index)] * poly(st.tuples(st.integers(0, n - 1))) + gens[draw(index)])
+    assume(any(not g.is_zero for g in gens))
+    return Ideal(ring, tuple(gens))
+
+
+@settings(max_examples=70, deadline=None, derandomize=True)
+@given(fedder_ideals())
+@example(_edge_ideal(3, 5))  # C(10, 4) = 210 subsets, beyond the candidate limit
+def test_fedder_matches_the_full_colon_on_generated_ideals(A):
+    _assert_fedder_matches_the_full_colon(A)
+
+
+def test_fedder_tries_a_bounded_number_of_candidates(monkeypatch):
+    """The edge ideal of five vertices has height 4 and C(10, 4) = 210
+    candidates, none a certificate; after the first _CANDIDATE_LIMIT of
+    them the colon decides, and the verdict is still True."""
+    A = _edge_ideal(3, 5)
+    assert math.comb(len(A.generators), 4) > fsing._CANDIDATE_LIMIT
+    calls = [0]
+    below = fsing._power_below_p
+
+    def counted(f, n):
+        calls[0] += n == 2  # a candidate; the colon loop tests h with n = 1
+        return below(f, n)
+
+    monkeypatch.setattr(fsing, "_power_below_p", counted)
+    h = fsing._fedder_certificate(A)
+    assert h == A.ring.parse("x1^2*x2^2*x3^2*x4^2*x5^2")
+    assert calls[0] == fsing._CANDIDATE_LIMIT
+
+
+@st.composite
+def powers(draw):
+    p = draw(st.sampled_from((2, 3, 5, 7)))
+    ring = PolyRing(p, ("x", "y", "z")[: draw(st.integers(1, 3))])
+    exponents = st.tuples(*[st.integers(0, p + 1)] * ring.nvars)
+    f = ring.zero()
+    for m, c in draw(st.lists(st.tuples(exponents, st.integers(1, p - 1)), max_size=5)):
+        f = f + ring.monomial(m, c)
+    return f, draw(st.integers(0, 2 * p))
+
+
+@given(powers())
+def test_power_below_p_keeps_the_terms_of_the_full_power_below_p(case):
+    f, n = case
+    p = f.ring.p
+    full = f ** n
+    expected = {m: c for m, c in full._terms.items() if all(e < p for e in m)}
+    assert fsing._power_below_p(f, n)._terms == expected
+
+
+def test_fedder_on_a_hypersurface_never_expands_the_full_power(monkeypatch):
+    """f^(p-1) has 152-174 terms on the cubic cones at p = 7; the verdict
+    needs only its terms below p, which the truncated power keeps."""
+    ring = PolyRing(7, ("x", "y", "z"))
+    pure = QuotientPresentation(ring, _ideal(ring, "x^3 + y^3 + z^3 + x*y*z"))
+    cusp = QuotientPresentation(ring, _ideal(ring, "y^2 - x^3"))
+
+    def refuse(self, n):
+        raise AssertionError("the full power was expanded")
+
+    monkeypatch.setattr(Polynomial, "__pow__", refuse)
+    assert fedder_f_pure(pure)
+    assert not fedder_f_pure(cusp)
+
+
 def test_fedder_on_determinantal_rings():
     rings = [support.generic_minors(3, 3), support.generic_minors(3, 5)]
     spec = load_ring_spec(str(DETERMINANTAL))
@@ -424,14 +536,34 @@ def _count_work(monkeypatch):
 
 
 def test_fedder_stops_at_the_first_certificate(monkeypatch):
-    """On the generic 2 x 3 matrix at p = 5 a certificate is found after two
-    of the three minors: two per-minor intersections and one pairwise, plus
-    the basis of A whose Frobenius image serves A^[p].  The whole colon
-    takes five intersections."""
+    """On the generic 2 x 3 matrix at p = 5 (height 2) the first candidate,
+    the product of two minors raised to p - 1, is a certificate: the only
+    Groebner run is the basis of A, whose Frobenius image serves A^[p], and
+    no colon is built.  The colon loop took three intersections and four
+    runs to find one; the whole colon takes five intersections."""
     A = support.generic_minors(3, 5)
     counts = _count_work(monkeypatch)
     assert fedder_f_pure(QuotientPresentation(A.ring, A))
-    assert counts == {"intersect": 3, "groebner": 4}
+    assert counts == {"intersect": 0, "groebner": 1}
+
+
+def test_fedder_certificate_of_the_unit_ideal_skips_the_candidates():
+    """The unit ideal has no height, so no candidate is formed; the colon
+    is the whole ring and 1 is its certificate."""
+    ring = PolyRing(3, ("x", "y"))
+    assert fsing._fedder_certificate(_ideal(ring, "x*y + 1", "x")) == ring.one()
+
+
+def test_fedder_falls_back_to_the_colon_when_every_candidate_misses(monkeypatch):
+    """A 2 x 4 matrix in five variables at p = 3: none of the C(6, 2) = 15
+    products of two minors, squared, is a certificate, so the colon is
+    built one minor at a time.  A certificate appears after the third
+    minor: three per-minor intersections and two pairwise, plus the basis
+    of A."""
+    A = support.candidate_miss()
+    counts = _count_work(monkeypatch)
+    assert fedder_f_pure(QuotientPresentation(A.ring, A))
+    assert counts == {"intersect": 5, "groebner": 6}
 
 
 def test_fedder_on_a_hypersurface_runs_no_groebner_basis(monkeypatch):
@@ -465,14 +597,16 @@ def test_cover_hypotheses_are_checked_once_on_the_determinantal_fixture(monkeypa
     """socle_lift is the only hypothesis check: the criterion (with its
     context) builds no basis twice and runs three colons, one for the
     nonzerodivisor and one per tail walk; a separate regular-sequence test
-    of the sop would repeat two colons and add eight Groebner runs.  The
-    pipeline shares the basis of defining + I with the criterion."""
+    of the sop would repeat two colons and add four Groebner runs.  No colon
+    gets a basis of its own: each nonzerodivisor test reads the colon's
+    generators against the cached basis.  The pipeline shares the basis of
+    defining + I with the criterion."""
     spec = load_ring_spec(str(DETERMINANTAL))
     ring = spec.ring()
     runs, colons = _count_runs_and_colons(monkeypatch)
     ctx = CoverContext(spec.presentation(ring), spec.coefficient_ideal(ring), spec.twist_poly(ring))
     cover_f_injectivity_criterion(ctx, spec.sop_polys(ring), spec.e_max)
-    assert (len(runs), len(set(runs)), colons[0]) == (14, 14, 3)
+    assert (len(runs), len(set(runs)), colons[0]) == (11, 11, 3)
 
     runs.clear()
     colons[0] = 0
@@ -480,7 +614,7 @@ def test_cover_hypotheses_are_checked_once_on_the_determinantal_fixture(monkeypa
         spec.presentation(ring), spec.coefficient_ideal(ring), spec.twist_poly(ring),
         spec.sop_polys(ring), spec.e_max,
     )
-    assert (len(runs), colons[0]) == (30, 5)
+    assert (len(runs), colons[0]) == (26, 5)
 
 
 def test_pipeline_on_the_regular_instance():

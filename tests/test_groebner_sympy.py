@@ -1,12 +1,15 @@
 """The Buchberger engine checked against sympy's, an independent route that
 works offline: reduced bases in grevlex and lex, elimination ideals and
-normal forms must all agree, and sympy confirms Fedder certificates.
+normal forms must all agree, and sympy confirms Fedder certificates from
+both routes: a product-power candidate and an element of the colon.
 
 sympy's lex Buchberger needs 20-40 s on cyclic-5 and katsura-4, so the lex
 basis of katsura-4 comes from sympy's grevlex basis by FGLM, and cyclic-5 is
 compared in grevlex only.
 """
 
+import itertools
+import math
 import random
 from pathlib import Path
 
@@ -157,17 +160,43 @@ def _determinantal_fixture():
     return Ideal(spec.ring(), tuple(spec.relation_polys(spec.ring())))
 
 
+def _complete_intersection():
+    ring = PolyRing(3, ("x", "y", "z", "w", "u"))
+    return Ideal(ring, (ring.parse("x*y + z*w + u^2"), ring.parse("x*z - y*w")))
+
+
+def _product_powers(A):
+    """(f_i1...f_ic)^(p-1) for every c-subset of the generators, c the
+    height of A: the candidates Fedder's test tries before the colon."""
+    ring = A.ring
+    height = ring.nvars - A.krull_dimension()
+    return {
+        math.prod(subset, start=ring.one()) ** (ring.p - 1)
+        for subset in itertools.combinations(A.generators, height)
+    }
+
+
 @pytest.mark.parametrize(
-    "make", [lambda: support.generic_minors(3, 3), lambda: support.generic_minors(3, 5), _determinantal_fixture],
-    ids=["generic-2x3-p3", "generic-2x3-p5", "determinantal-fixture"],
+    "make, route",
+    [
+        (lambda: support.generic_minors(3, 3), "candidate"),
+        (lambda: support.generic_minors(3, 5), "candidate"),
+        (_determinantal_fixture, "colon"),
+        (_complete_intersection, "candidate"),
+        (support.candidate_miss, "colon"),
+    ],
+    ids=["generic-2x3-p3", "generic-2x3-p5", "determinantal-fixture", "complete-intersection-c2", "candidate-miss"],
 )
-def test_fedder_certificate_confirmed_by_sympy(make):
-    """The colon element that ends Fedder's loop multiplies every generator
-    of A into A^[p] and lies outside m^[p], both decided by sympy's reduce."""
+def test_fedder_certificate_confirmed_by_sympy(make, route):
+    """The certificate that ends Fedder's test multiplies every generator of
+    A into A^[p] and lies outside m^[p], both decided by sympy's reduce.  It
+    is a product-power candidate, or, when every candidate misses, an
+    element of the colon."""
     A = make()
     ring, p = A.ring, A.ring.p
     h = _fedder_certificate(A)
     assert h is not None
+    assert (h in _product_powers(A)) == (route == "candidate")
     syms = sympy.symbols(ring.variables)
     bracket, _ = sympy_basis([g.frobenius_pow(1) for g in A.generators], syms, p, "grevlex")
     for g in A.generators:

@@ -358,8 +358,10 @@ def test_witness_rule_picks_the_first_nonzero_vector_of_the_span(case):
 def test_closure_makes_one_normal_form_per_socle_element_and_depth(monkeypatch):
     """Five coordinate lines at p = 3, e_max = 2: socle dimension 4, so
     4 * 2 = 8 normal forms of Frobenius powers (the sweep made 80 * 2), on
-    top of 25 for the socle and 1 for the regular-sequence test; the sum
-    defining + parameter gets one Groebner basis, shared by the
+    top of 25 for the socle and 1 + 10 for the regular-sequence test: the
+    parameter itself, then the 10 generators of the colon, each tested
+    against the cached basis of defining in place of a basis of the colon.
+    The sum defining + parameter gets one Groebner basis, shared by the
     regular-sequence test and the socle.  On the cusp y^2 = x^3 at p = 5 the
     witness y at e = 1 ends the search: no later depth is solved."""
     counts = {"normal_form": 0, "frobenius_pow": 0, "groebner_basis_of": 0}
@@ -378,8 +380,9 @@ def test_closure_makes_one_normal_form_per_socle_element_and_depth(monkeypatch):
     report = Q.frobenius_closure_test(Ideal(ring, (sum(v[1:], v[0]),)), e_max=2)
     assert (report.verdict, report.socle_dimension, report.combinations_tested) == (CLOSED_UP_TO, 4, 80)
     # frobenius_pow: the 8 socle powers and the parameter's 2 bracket powers;
-    # Groebner bases: defining, its colon, defining + parameter and 2 targets
-    assert counts == {"normal_form": 8 + 25 + 1, "frobenius_pow": 8 + 2, "groebner_basis_of": 6}
+    # Groebner bases: defining, the intersection inside the colon,
+    # defining + parameter and 2 targets
+    assert counts == {"normal_form": 8 + 25 + 1 + 10, "frobenius_pow": 8 + 2, "groebner_basis_of": 5}
 
     counts.update(dict.fromkeys(counts, 0))
     R = PolyRing(5, ("x", "y"))
@@ -388,7 +391,7 @@ def test_closure_makes_one_normal_form_per_socle_element_and_depth(monkeypatch):
     assert report.witness.e == 1
     # e = 2 and e = 3 would add two normal forms, two powers and two bases;
     # the monotonicity probe reuses the depth-2 target, so x^[25] is formed once
-    assert counts == {"normal_form": 7, "frobenius_pow": 5, "groebner_basis_of": 6}
+    assert counts == {"normal_form": 8, "frobenius_pow": 5, "groebner_basis_of": 5}
 
 
 def test_closure_probe_reuses_the_next_depth_target(monkeypatch):
@@ -408,7 +411,7 @@ def test_closure_probe_reuses_the_next_depth_target(monkeypatch):
     monkeypatch.setattr(ideals, "groebner_basis_of", recorded)
     report = Q.frobenius_closure_test(parameter, e_max=2)
     assert (report.witness.e, report.monotonicity_verified) == (1, True)
-    assert (len(runs), len(set(runs))) == (6, 6)
+    assert (len(runs), len(set(runs))) == (5, 5)
 
 
 def test_oracle_examples():
