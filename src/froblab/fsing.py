@@ -26,6 +26,7 @@ from .errors import (
     OddCharacteristic,
     TypeNotOne,
 )
+from .groebner import _power_below_p
 from .ideals import Ideal
 from .polyring import GREVLEX, PolyRing, Polynomial
 from .quotients import QuotientPresentation
@@ -344,7 +345,8 @@ def fedder_f_pure(presentation: QuotientPresentation) -> bool:
 
 
 # how many c-subsets of the generators Fedder tries as product-power
-# candidates before it builds the colon; a bound on speed, never on a verdict
+# candidates before it builds the colon; a bound on speed, never on a verdict,
+# and not tuned: no benchmark input has more c-subsets than this
 _CANDIDATE_LIMIT = 64
 
 
@@ -355,9 +357,6 @@ def _fedder_certificate(A: Ideal) -> Polynomial | None:
     nonzero = [g for g in A.generators if not g.is_zero]
     if not nonzero:
         return ring.one()  # the ring is regular
-    if len(nonzero) == 1:
-        f = nonzero[0]
-        return None if _power_below_p(f, p - 1).is_zero else f ** (p - 1)
     A.groebner_basis(GREVLEX)  # its Frobenius image is the basis of A^[p]
     bracket = A.bracket_power(1)
     if not A.is_unit():  # the unit ideal has no height
@@ -372,50 +371,16 @@ def _fedder_certificate(A: Ideal) -> Polynomial | None:
                 return h
     for colon, rest in bracket.colon_steps(A):
         for h in colon.generators:
-            if not _power_below_p(h, 1).is_zero and all(bracket.contains(h * g) for g in rest):
+            if _outside_bracket(h) and all(bracket.contains(h * g) for g in rest):
                 return h
     return None
 
 
-def _power_below_p(f: Polynomial, n: int) -> Polynomial:
-    """f**n modulo m^[p]: the terms of f**n with every exponent below p.
-
-    Reduction modulo the monomial ideal m^[p] is a ring map onto S/m^[p], so
-    square-and-multiply may drop each product term with an exponent >= p as
-    soon as it arises, and the full power is never formed.  A monomial is
-    packed into one w-bit field per variable, with 2^(w-1) > p: adding
-    2^(w-1) - p to every field of a product sets the top bit of a field iff
-    that exponent is >= p.
-    """
-    ring = f.ring
-    p = ring.p
-    w = p.bit_length() + 1
-    shifts = range(0, w * ring.nvars, w)
-    top = sum(1 << (s + w - 1) for s in shifts)
-    offset = sum(((1 << (w - 1)) - p) << s for s in shifts)
-
-    def times(a: dict, b: dict) -> dict:
-        out: dict = {}
-        for m1, c1 in a.items():
-            m1 += offset
-            for m2, c2 in b.items():
-                m = m1 + m2
-                if not m & top:
-                    out[m] = out.get(m, 0) + c1 * c2
-        return {m - offset: c % p for m, c in out.items() if c % p}
-
-    base = {sum(e << s for e, s in zip(m, shifts)): c for m, c in f._terms.items() if max(m) < p}
-    result = {0: 1}
-    while n:
-        if n & 1:
-            result = times(result, base)
-        n >>= 1
-        if n:
-            base = times(base, base)
-    field = (1 << w) - 1
-    return ring._poly(
-        {tuple((m >> s) & field for s in shifts): c for m, c in result.items()}
-    )
+def _outside_bracket(h: Polynomial) -> bool:
+    """h is outside m^[p] = (x1^p, ..., xn^p) iff some term of h has every
+    exponent below p."""
+    p = h.ring.p
+    return any(max(m) < p for m in h._terms)
 
 
 def _variable_generated(ideal: Ideal) -> list[str] | None:

@@ -45,6 +45,7 @@ from typing import Iterable, Sequence
 
 from .errors import BudgetExceeded, ExponentOverflow, FroblabError, RingMismatch
 from .polyring import (
+    LEX,
     MAX_EXPONENT,
     Monomial,
     MonomialOrder,
@@ -203,6 +204,48 @@ def _exact_div(h: Polynomial, g: Polynomial) -> Polynomial:
         raise FroblabError("exact division with a nonzero remainder")
     inv = pow(g_terms[divisor[0]], p - 2, p)
     return ring._poly(pk.unpack_terms({m: c * inv % p for m, c in quotient.items()}))
+
+
+def _power_below_p(f: Polynomial, n: int) -> Polynomial:
+    """f**n modulo m^[p] = (x1^p, ..., xn^p): the terms of f**n with every
+    exponent below p.
+
+    Reduction modulo the monomial ideal m^[p] is a ring map onto S/m^[p], so
+    square-and-multiply may drop each product term with an exponent >= p as
+    soon as it arises, and the full power is never formed.  The terms are
+    packed in lex, which has no degree fields; with b = min(p, 2^16), adding
+    2^16 - b to every exponent field of a product sets a guard bit iff some
+    exponent is >= b.  Below p = 2^16 that drops the term; above it the
+    exponent does not fit, as in Polynomial.__mul__.
+    """
+    ring = f.ring
+    p = ring.p
+    pk = Packing(LEX, ring.nvars)
+    guard = pk.guard
+    bound = min(p, MAX_EXPONENT + 1)
+    offset = sum((MAX_EXPONENT + 1 - bound) << s for s in pk.shifts)
+
+    def times(a: dict, b: dict) -> dict:
+        out: dict = {}
+        for m1, c1 in a.items():
+            m1 += offset
+            for m2, c2 in b.items():
+                m = m1 + m2
+                if not m & guard:
+                    out[m] = out.get(m, 0) + c1 * c2
+                elif bound < p:
+                    raise _overflow()
+        return {m - offset: c % p for m, c in out.items() if c % p}
+
+    base = pk.pack_terms({m: c for m, c in f._terms.items() if max(m) < p})
+    result = {0: 1}
+    while n:
+        if n & 1:
+            result = times(result, base)
+        n >>= 1
+        if n:
+            base = times(base, base)
+    return ring._poly(pk.unpack_terms(result))
 
 
 class _PairQueue:

@@ -14,6 +14,7 @@ from froblab import fsing, groebner
 from froblab.errors import (
     ContextMismatch,
     EvenCharacteristic,
+    ExponentOverflow,
     InputAssumptionViolation,
     NotNZD,
     NotRegularSequence,
@@ -465,7 +466,7 @@ def test_fedder_tries_a_bounded_number_of_candidates(monkeypatch):
     below = fsing._power_below_p
 
     def counted(f, n):
-        calls[0] += n == 2  # a candidate; the colon loop tests h with n = 1
+        calls[0] += 1
         return below(f, n)
 
     monkeypatch.setattr(fsing, "_power_below_p", counted)
@@ -491,7 +492,19 @@ def test_power_below_p_keeps_the_terms_of_the_full_power_below_p(case):
     p = f.ring.p
     full = f ** n
     expected = {m: c for m, c in full._terms.items() if all(e < p for e in m)}
-    assert fsing._power_below_p(f, n)._terms == expected
+    assert groebner._power_below_p(f, n)._terms == expected
+
+
+def test_power_below_p_raises_where_an_exponent_does_not_fit():
+    """Above p = 2^16 an exponent below p can exceed the 16-bit field; the
+    truncated power raises there, as the full one does."""
+    ring = PolyRing(65537, ("x", "y"))
+    f = ring.parse("x^40000 + y")
+    assert groebner._power_below_p(f, 1) == f
+    assert groebner._power_below_p(ring.parse("x^3 + y"), 3) == ring.parse("x^3 + y") ** 3
+    for power in (lambda: f ** 2, lambda: groebner._power_below_p(f, 2)):
+        with pytest.raises(ExponentOverflow):
+            power()
 
 
 def test_fedder_on_a_hypersurface_never_expands_the_full_power(monkeypatch):
