@@ -25,6 +25,7 @@ from .errors import (
     NotRegularSequence,
     OddCharacteristic,
     TypeNotOne,
+    ZeroElement,
 )
 from .groebner import _power_below_p
 from .ideals import Ideal
@@ -181,15 +182,19 @@ def socle_lift(
     I = context.coefficient
     if not context._membership.contains(first):
         raise InputAssumptionViolation(f"{first} is not in the coefficient ideal")
-    if not R.is_nzd(first):
+    if R.is_zero_in_quotient(first):
+        raise ZeroElement(f"{first} is zero in the quotient")
+    # the nonzerodivisor test returns defining + (first), basis built, for
+    # the walk modulo first below
+    with_first = R._regular_sum((first,))
+    if with_first is None:
         raise NotNZD(f"{first} is a zerodivisor on the quotient")
     tail = list(tail)
     # the walk modulo I starts at defining + I, whose basis the context holds
     full = QuotientPresentation(ring, context._membership)._regular_sum(tail)
     if full is None or full.is_unit():
         raise NotRegularSequence("tail is not regular on R modulo the coefficient ideal")
-    mod_first = QuotientPresentation(ring, R.defining + Ideal(ring, (first,)))
-    if not mod_first.is_regular_sequence(tail):
+    if not QuotientPresentation(ring, with_first).is_regular_sequence(tail):
         raise NotRegularSequence("tail is not regular on R modulo the first parameter")
 
     soc = R._socle(I + Ideal(ring, tuple(tail)), full)

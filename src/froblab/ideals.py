@@ -1,6 +1,6 @@
 """Ideal-level operations in F_p[x1..xn]: sums, products, Frobenius bracket
-powers, colon and elimination ideals, Krull dimension and standard monomial
-bases.
+powers, colon and elimination ideals, Krull dimension, Hilbert numerators and
+standard monomial bases.
 
 An Ideal keeps its generator list as given and caches one reduced Groebner
 basis per monomial order.  Extensional equality always compares reduced
@@ -10,6 +10,7 @@ grevlex bases.
 from __future__ import annotations
 
 import itertools
+from operator import ge
 from typing import Iterable, Iterator, Sequence
 
 from .errors import (
@@ -38,6 +39,47 @@ def _aux_name(taken: Sequence[str]) -> str:
     return name
 
 
+def _plus_shifted(a: list[int], b: list[int], shift: int, sign: int = 1) -> list[int]:
+    """a(t) + sign * t**shift * b(t), coefficient lists from degree 0 up,
+    with no trailing zeros."""
+    out = a + [0] * (len(b) + shift - len(a))
+    for k, c in enumerate(b):
+        out[k + shift] += sign * c
+    while out and not out[-1]:
+        out.pop()
+    return out
+
+
+def _hilbert_numerator(gens: list[Monomial]) -> list[int]:
+    """K(t) with HS(S/M) = K(t)/(1 - t)^n for the monomial ideal M
+    generated by ``gens``, by the pivot recursion K(M) = K(M + (x^a))
+    + t^a * K(M : x^a) (Bigatti 1997), where x is the variable in most
+    generators and a its smallest exponent there; both sides lower the sum
+    of the generator degrees.  Generators with no variable in common are a
+    regular sequence (or hold 1), and K is the product of their factors
+    1 - t^deg.  Minimal generators keep the recursion short; both sides
+    keep them minimal."""
+    counts = [sum(map(bool, column)) for column in zip(*gens)]
+    most = max(counts, default=0)
+    if most < 2:
+        out = [1]
+        for m in gens:
+            out = _plus_shifted(out, out, sum(m), -1)
+        return out
+    x = counts.index(most)
+    a = min(m[x] for m in gens if m[x])
+    # x^a divides every generator holding x, so M + (x^a) needs no
+    # minimalising; in M : x^a only a lowered generator can divide another
+    rest = [m for m in gens if not m[x]]
+    lowered: list[Monomial] = []
+    for m in sorted({m[:x] + (m[x] - a,) + m[x + 1:] for m in gens if m[x]}, key=sum):
+        if not any(all(map(ge, m, g)) for g in lowered):
+            lowered.append(m)
+    quotient = lowered + [m for m in rest if not any(all(map(ge, m, g)) for g in lowered)]
+    power = (0,) * x + (a,) + (0,) * (len(counts) - x - 1)
+    return _plus_shifted(_hilbert_numerator(rest + [power]), _hilbert_numerator(quotient), a)
+
+
 class Ideal:
     """An ideal of a PolyRing, held by an explicit generator list."""
 
@@ -49,6 +91,7 @@ class Ideal:
         self.ring = ring
         self.generators = gens
         self._gb: dict[MonomialOrder, GroebnerBasis] = {}
+        self._numerator: list[int] | None = None
 
     def __repr__(self) -> str:
         inside = ", ".join(str(g) for g in self.generators) or "0"
@@ -183,6 +226,16 @@ class Ideal:
                 if not any(s <= u for s in supports):
                     return size
         raise AssertionError("unreachable: the empty set is always independent")
+
+    def hilbert_numerator(self) -> list[int]:
+        """The numerator K(t) of HS(S/in(self)) = K(t)/(1 - t)^n, as its
+        coefficients from degree 0 up, read off the leading monomials of the
+        grevlex basis, which are minimal; cached.  For a homogeneous ideal
+        this is also the Hilbert series of S/self.  The zero ideal gives
+        [1], the unit ideal []."""
+        if self._numerator is None:
+            self._numerator = _hilbert_numerator(list(self.groebner_basis(GREVLEX).leading_monomials))
+        return self._numerator
 
     def standard_monomials(self) -> list[Monomial]:
         """Monomial basis of R/self, ascending in the ring order.

@@ -311,6 +311,11 @@ class Polynomial:
             return -1
         return max(sum(m) for m in self._terms)
 
+    def is_homogeneous(self) -> bool:
+        """True when every term has the same total degree; the zero
+        polynomial is homogeneous."""
+        return len({sum(m) for m in self._terms}) <= 1
+
     def leading_term(self, order: MonomialOrder | None = None) -> tuple[Monomial, FpScalar] | None:
         if not self._terms:
             return None

@@ -5,7 +5,10 @@ ideals.
 
 Everything here works with an ambient presentation R = k[x1..xn]/defining and
 represents residue classes by normal forms against the defining ideal's
-grevlex basis.
+grevlex basis.  A form x is a nonzerodivisor modulo a homogeneous ideal J
+exactly when the Hilbert series of S/(J + x) is (1 - t^deg x) times that of
+S/J, and both are read off the leading terms of grevlex bases; only
+inhomogeneous inputs build the colon (J : x).
 """
 
 from __future__ import annotations
@@ -22,7 +25,7 @@ from .errors import (
     RingMismatch,
     ZeroElement,
 )
-from .ideals import Ideal
+from .ideals import Ideal, _plus_shifted
 from .linalg import Echelon, nullspace, rref
 from .polyring import GREVLEX, Monomial, PolyRing, Polynomial
 from .reports import (
@@ -105,17 +108,32 @@ class QuotientPresentation:
     def _regular_sum(self, elements: Sequence[Polynomial]) -> Ideal | None:
         """defining + (elements) when each element is a nonzerodivisor modulo
         the ones before it, else None; the sum is returned so that callers
-        share its Groebner basis."""
+        share its Groebner basis.
+
+        While the sum so far and x are homogeneous, x of degree d, the exact
+        sequence 0 -> ((J : x)/J)(-d) -> (S/J)(-d) -> S/J -> S/(J + x) -> 0
+        says x is a nonzerodivisor on S/J iff HS(S/(J + x)) equals
+        (1 - t^d) * HS(S/J), which two Hilbert numerators decide from the
+        grevlex basis of J + x that the next step uses anyway.  Otherwise
+        (J : x) is built and its generators are tested against J."""
         current = self.defining
+        graded = all(g.is_homogeneous() for g in current.generators)
         for x in elements:
+            if current.contains(x):
+                return None
             principal = Ideal(self.ring, (x,))
+            bigger = current + principal
+            graded = graded and x.is_homogeneous()
+            if graded:
+                numerator = current.hilbert_numerator()
+                expected = _plus_shifted(numerator, numerator, x.total_degree(), -1)
+                if bigger.hilbert_numerator() != expected:
+                    return None
             # current lies inside (current : x), so the two are equal iff the
             # colon's generators lie in current; the colon needs no basis
-            if current.contains(x) or not all(
-                current.contains(g) for g in current.colon(principal).generators
-            ):
+            elif not all(current.contains(g) for g in current.colon(principal).generators):
                 return None
-            current = current + principal
+            current = bigger
         return current
 
     def socle(self, parameter: Ideal) -> SocleBasis:

@@ -66,6 +66,24 @@ def full_colon_f_pure(A):
     return any(all(e < p for e in m) for g in colon.generators for m in g._terms)
 
 
+def colon_regular_sum(presentation, elements):
+    """defining + (elements) when each element is a nonzerodivisor modulo the
+    ones before it, else None, with every step decided by the colon: x is a
+    nonzerodivisor on S/J iff x is outside J and every generator of (J : x)
+    lies in J.  This is the route _regular_sum took for every input before
+    homogeneous ones were decided by Hilbert numerators, kept as a
+    reference."""
+    current = presentation.defining
+    for x in elements:
+        principal = Ideal(presentation.ring, (x,))
+        if current.contains(x) or not all(
+            current.contains(g) for g in current.colon(principal).generators
+        ):
+            return None
+        current = current + principal
+    return current
+
+
 def closure_sweep_report(presentation, parameter, e_max):
     """The Frobenius-closure probe by exhaustive sweep: every nonzero socle
     combination in itertools.product order, each tested for membership of

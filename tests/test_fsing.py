@@ -608,18 +608,18 @@ def _count_runs_and_colons(monkeypatch):
 
 def test_cover_hypotheses_are_checked_once_on_the_determinantal_fixture(monkeypatch):
     """socle_lift is the only hypothesis check: the criterion (with its
-    context) builds no basis twice and runs three colons, one for the
-    nonzerodivisor and one per tail walk; a separate regular-sequence test
-    of the sop would repeat two colons and add four Groebner runs.  No colon
-    gets a basis of its own: each nonzerodivisor test reads the colon's
-    generators against the cached basis.  The pipeline shares the basis of
-    defining + I with the criterion."""
+    context) builds no basis twice and runs no colon.  The fixture is
+    homogeneous, so every nonzerodivisor test compares Hilbert numerators
+    read off the basis of the next sum, and the sum defining + (first) that
+    the test of the first parameter returns is the start of the walk modulo
+    first.  The pipeline shares the basis of defining + I with the
+    criterion; its one colon is Fedder's fallback on the fixture."""
     spec = load_ring_spec(str(DETERMINANTAL))
     ring = spec.ring()
     runs, colons = _count_runs_and_colons(monkeypatch)
     ctx = CoverContext(spec.presentation(ring), spec.coefficient_ideal(ring), spec.twist_poly(ring))
     cover_f_injectivity_criterion(ctx, spec.sop_polys(ring), spec.e_max)
-    assert (len(runs), len(set(runs)), colons[0]) == (11, 11, 3)
+    assert (len(runs), len(set(runs)), colons[0]) == (8, 8, 0)
 
     runs.clear()
     colons[0] = 0
@@ -627,7 +627,7 @@ def test_cover_hypotheses_are_checked_once_on_the_determinantal_fixture(monkeypa
         spec.presentation(ring), spec.coefficient_ideal(ring), spec.twist_poly(ring),
         spec.sop_polys(ring), spec.e_max,
     )
-    assert (len(runs), colons[0]) == (26, 5)
+    assert (len(runs), colons[0]) == (22, 1)
 
 
 def test_pipeline_on_the_regular_instance():

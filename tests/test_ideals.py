@@ -1,10 +1,15 @@
 """Tests for ideal operations: sums, products, bracket powers, intersection,
-colon, elimination, dimension, and standard monomials."""
+colon, elimination, dimension, Hilbert numerators and standard
+monomials."""
 
+import itertools
+import math
 import random
 import threading
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from froblab.errors import ExponentOverflow, NotArtinian, RingMismatch, UnitIdeal, ZeroColonDivisor
 from froblab.groebner import groebner_basis_of
@@ -195,6 +200,51 @@ def test_krull_dimension():
     assert _ideal(R, "x", "y").krull_dimension() == 0
     with pytest.raises(UnitIdeal):
         _ideal(R, "x", "x + 1").krull_dimension()
+
+
+@st.composite
+def monomial_ideals(draw):
+    """Up to five monomials with exponents at most 3 in one to four
+    variables; a zero exponent vector generates the unit ideal."""
+    n = draw(st.integers(1, 4))
+    monomial = st.tuples(*[st.integers(0, 3)] * n)
+    return n, draw(st.lists(monomial, max_size=5))
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(monomial_ideals())
+@example((3, []))  # the zero ideal: K = 1
+@example((2, [(0, 0)]))  # the unit ideal: K = 0
+@example((2, [(1, 1), (1, 2), (2, 1)]))
+def test_hilbert_numerator_counts_the_standard_monomials(case):
+    """The coefficients of K(t)/(1 - t)^n, up to degree deg K + 2, against
+    the number of monomials of each degree that no generator divides."""
+    n, monomials = case
+    ring = PolyRing(3, tuple(f"x{i}" for i in range(1, n + 1)))
+    K = Ideal(ring, tuple(ring.monomial(m) for m in monomials)).hilbert_numerator()
+    if not monomials:
+        assert K == [1]
+    if (0,) * n in monomials:
+        assert K == []
+    for d in range(len(K) + 2):
+        series = sum(c * math.comb(d - k + n - 1, n - 1) for k, c in enumerate(K[: d + 1]))
+        outside = [
+            m
+            for m in itertools.product(range(d + 1), repeat=n)
+            if sum(m) == d and not any(all(a >= b for a, b in zip(m, g)) for g in monomials)
+        ]
+        assert series == len(outside)
+
+
+def test_hilbert_numerator_of_a_homogeneous_ideal():
+    """(x*y, x*z) = (x) ∩ (y, z): HS = 1/(1 - t)^2 + 1/(1 - t) - 1, so
+    K = 1 - 2t^2 + t^3.  The coprime quadrics x*y - y^2 and x*z are a
+    complete intersection, K = (1 - t^2)^2, although the grevlex basis has
+    a third lead y^2*z; so are the squares of the variables, (1 - t^2)^3."""
+    R = PolyRing(5, ("x", "y", "z"))
+    assert _ideal(R, "x*y", "x*z").hilbert_numerator() == [1, 0, -2, 1]
+    assert _ideal(R, "x*y - y^2", "x*z").hilbert_numerator() == [1, 0, -2, 0, 1]
+    assert _ideal(R, "x^2", "y^2", "z^2").hilbert_numerator() == [1, 0, -3, 0, 3, 0, -1]
 
 
 def test_standard_monomials():

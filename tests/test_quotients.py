@@ -6,7 +6,7 @@ import itertools
 import random
 
 import pytest
-from hypothesis import assume, given
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from froblab import ideals
@@ -22,7 +22,7 @@ from froblab.quotients import (
 )
 from froblab.reports import CLOSED_UP_TO, NOT_FROBENIUS_CLOSED
 
-from support import closure_sweep_report, random_poly
+from support import closure_sweep_report, colon_regular_sum, random_poly
 
 
 def _ideal(ring, *texts):
@@ -81,6 +81,84 @@ def test_regular_sequences():
     assert hyper.is_regular_sequence([R.parse("x + y")])
     assert not hyper.is_regular_sequence([R.parse("x")])
     assert free.is_regular_sequence([])
+
+
+def test_units_keep_their_regular_sequence_answers():
+    """A unit is a nonzerodivisor, but it makes the quotient improper.  On
+    the Hilbert route both sides vanish: the unit ideal has numerator 0 and
+    1 - t^0 = 0."""
+    R = PolyRing(5, ("x", "y", "z"))
+    Q = QuotientPresentation(R, _ideal(R, "x*y"))
+    assert Q.is_nzd(R.one())
+    assert Q.is_nzd(R.constant(3))
+    assert not Q.is_regular_sequence([R.one()])
+    assert not Q.is_regular_sequence([R.parse("z"), R.one()])
+
+
+def test_regular_sum_builds_a_colon_only_off_homogeneous_inputs(monkeypatch):
+    """The cusp y^2 - x^3 is not homogeneous, so its parameter x takes the
+    colon route; x + y on (x*y) does not.  Once an element is not
+    homogeneous, every later step takes the colon route too."""
+    colons = [0]
+    colon = Ideal.colon
+
+    def counted(self, other):
+        colons[0] += 1
+        return colon(self, other)
+
+    monkeypatch.setattr(Ideal, "colon", counted)
+    R = PolyRing(5, ("x", "y"))
+    assert QuotientPresentation(R, _ideal(R, "y^2 - x^3"))._regular_sum([R.parse("x")]) is not None
+    assert colons[0] == 1
+
+    colons[0] = 0
+    assert QuotientPresentation(R, _ideal(R, "x*y")).is_nzd(R.parse("x + y"))
+    assert colons[0] == 0
+
+    S = PolyRing(5, ("x", "y", "z"))
+    free = QuotientPresentation(S, Ideal(S, ()))
+    assert free.is_regular_sequence([S.parse("x"), S.parse("y + x^2"), S.parse("z")])
+    assert colons[0] == 2
+
+
+@st.composite
+def homogeneous_sequences(draw):
+    """A homogeneous defining ideal in three variables over F_p, partly
+    l*K for a linear form l so that zerodivisors occur, and up to three
+    forms of degree 0, 1 or 2, l itself among them when drawn."""
+    p = draw(st.sampled_from((2, 3, 5, 7)))
+    ring = PolyRing(p, ("x", "y", "z"))
+    coefficient = st.integers(1, p - 1)
+
+    def form(degree):
+        monomials = [m for m in itertools.product(range(degree + 1), repeat=3) if sum(m) == degree]
+        g = ring.zero()
+        for m in draw(st.lists(st.sampled_from(monomials), min_size=1, max_size=3, unique=True)):
+            g = g + ring.monomial(m, draw(coefficient))
+        return g
+
+    line = form(1)
+    defining = [line * form(draw(st.integers(1, 2))) for _ in range(draw(st.integers(0, 2)))]
+    defining += [form(draw(st.integers(1, 3))) for _ in range(draw(st.integers(0, 2)))]
+    degree = st.sampled_from((0, 1, 1, 2, 2))  # a unit ends the walk, so draw few
+    elements = [form(draw(degree)) for _ in range(draw(st.integers(1, 3)))]
+    if draw(st.booleans()):
+        elements.insert(draw(st.integers(0, len(elements))), line)
+    return QuotientPresentation(ring, Ideal(ring, tuple(defining))), elements
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(homogeneous_sequences())
+def test_regular_sum_matches_the_colon_route_on_homogeneous_inputs(case):
+    """Of the 80 walks, 35 stop at a zerodivisor, 20 at an element already
+    in the ideal, 13 reach the unit ideal and 12 a proper sum."""
+    Q, elements = case
+    got = Q._regular_sum(elements)
+    expected = colon_regular_sum(Q, elements)
+    assert (got is None) == (expected is None)
+    if got is not None:
+        assert got.generators == expected.generators
+        assert got.is_unit() == expected.is_unit()
 
 
 def test_socle_of_fat_point():
@@ -358,11 +436,12 @@ def test_witness_rule_picks_the_first_nonzero_vector_of_the_span(case):
 def test_closure_makes_one_normal_form_per_socle_element_and_depth(monkeypatch):
     """Five coordinate lines at p = 3, e_max = 2: socle dimension 4, so
     4 * 2 = 8 normal forms of Frobenius powers (the sweep made 80 * 2), on
-    top of 25 for the socle and 1 + 10 for the regular-sequence test: the
-    parameter itself, then the 10 generators of the colon, each tested
-    against the cached basis of defining in place of a basis of the colon.
-    The sum defining + parameter gets one Groebner basis, shared by the
-    regular-sequence test and the socle.  On the cusp y^2 = x^3 at p = 5 the
+    top of 25 for the socle and 1 for the regular-sequence test, the
+    membership of the parameter itself.  The lines are homogeneous, so the
+    test compares Hilbert numerators read off the bases of defining and of
+    defining + parameter, and builds no colon.  The sum gets one Groebner
+    basis, shared by the regular-sequence test and the socle.  On the cusp
+    y^2 = x^3 at p = 5 the regular-sequence test keeps its colon, and the
     witness y at e = 1 ends the search: no later depth is solved."""
     counts = {"normal_form": 0, "frobenius_pow": 0, "groebner_basis_of": 0}
 
@@ -380,9 +459,8 @@ def test_closure_makes_one_normal_form_per_socle_element_and_depth(monkeypatch):
     report = Q.frobenius_closure_test(Ideal(ring, (sum(v[1:], v[0]),)), e_max=2)
     assert (report.verdict, report.socle_dimension, report.combinations_tested) == (CLOSED_UP_TO, 4, 80)
     # frobenius_pow: the 8 socle powers and the parameter's 2 bracket powers;
-    # Groebner bases: defining, the intersection inside the colon,
-    # defining + parameter and 2 targets
-    assert counts == {"normal_form": 8 + 25 + 1 + 10, "frobenius_pow": 8 + 2, "groebner_basis_of": 5}
+    # Groebner bases: defining, defining + parameter and 2 targets
+    assert counts == {"normal_form": 8 + 25 + 1, "frobenius_pow": 8 + 2, "groebner_basis_of": 4}
 
     counts.update(dict.fromkeys(counts, 0))
     R = PolyRing(5, ("x", "y"))
