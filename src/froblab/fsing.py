@@ -74,7 +74,7 @@ class CoverContext:
         if all(quotient.defining.contains(g) for g in coefficient.generators):
             raise InputAssumptionViolation("coefficient ideal is zero in the quotient")
         for g in coefficient.generators:
-            if int(quotient.normal_form(g).constant_coefficient()):
+            if quotient.normal_form(g).constant_coefficient():
                 raise InputAssumptionViolation(
                     f"coefficient generator {g} is a unit in the quotient; the ideal "
                     "must sit inside the maximal ideal"
@@ -140,7 +140,7 @@ class CoverContext:
         """Units are exactly the elements whose ring part avoids the maximal
         ideal, read off the constant term of the normal form."""
         self._check(u)
-        return bool(int(u.ring_part.constant_coefficient()))
+        return bool(u.ring_part.constant_coefficient())
 
     def frobenius(self, u: CoverElement, e: int) -> CoverElement:
         """(a + b*t) ** (p**e) through the closed form, requiring p > 2."""
@@ -432,22 +432,19 @@ def run_cover_pipeline(
     tail = list(sop[1:])
     drop = _variable_generated(coefficient)
     quotient_full = context._membership
-    route = "ambient-presentation"
-    small_tail = tail
-    if drop is not None and len(drop) < ring.nvars:
-        tail_support = set().union(*(t.support_variables() for t in tail)) if tail else set()
-        if not (tail_support & set(drop)):
-            eliminated = quotient_full.eliminate(drop)
-            keep = [v for v in ring.variables if v not in set(drop)]
-            small_ring = PolyRing(ring.p, tuple(keep), GREVLEX)
-            small_gens = tuple(g.mapped_to(small_ring) for g in eliminated.generators)
-            quotient_pres = QuotientPresentation(small_ring, small_gens)
-            small_tail = [t.mapped_to(small_ring) for t in tail]
-            route = "eliminated-presentation"
-        else:
-            quotient_pres = QuotientPresentation(ring, quotient_full)
+    tail_support = set().union(*(t.support_variables() for t in tail))
+    if drop is not None and len(drop) < ring.nvars and not (tail_support & set(drop)):
+        eliminated = quotient_full.eliminate(drop)
+        keep = [v for v in ring.variables if v not in set(drop)]
+        small_ring = PolyRing(ring.p, tuple(keep), GREVLEX)
+        small_gens = tuple(g.mapped_to(small_ring) for g in eliminated.generators)
+        quotient_pres = QuotientPresentation(small_ring, small_gens)
+        small_tail = [t.mapped_to(small_ring) for t in tail]
+        route = "eliminated-presentation"
     else:
         quotient_pres = QuotientPresentation(ring, quotient_full)
+        small_tail = tail
+        route = "ambient-presentation"
 
     quotient_pure = fedder_f_pure(quotient_pres)
 

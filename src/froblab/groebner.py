@@ -345,8 +345,8 @@ def s_polynomial(f: Polynomial, g: Polynomial, order: MonomialOrder | None = Non
     lf, cf = f.leading_term(order)
     lg, cg = g.leading_term(order)
     lcm = monomial_lcm(lf, lg)
-    mf = ring.monomial(monomial_div(lcm, lf), pow(int(cf), ring.p - 2, ring.p))
-    mg = ring.monomial(monomial_div(lcm, lg), pow(int(cg), ring.p - 2, ring.p))
+    mf = ring.monomial(monomial_div(lcm, lf), pow(cf, ring.p - 2, ring.p))
+    mg = ring.monomial(monomial_div(lcm, lg), pow(cg, ring.p - 2, ring.p))
     return mf * f - mg * g
 
 

@@ -47,9 +47,6 @@ class Echelon:
     def rank(self) -> int:
         return len(self.rows)
 
-    def basis(self) -> list[list[int]]:
-        return [self.rows[pc] for pc in sorted(self.rows)]
-
 
 def rref(rows: list[list[int]], p: int) -> tuple[list[list[int]], list[int]]:
     """Reduced row echelon form; returns (rows, pivot columns)."""

@@ -3,14 +3,14 @@
 Polynomials are immutable values attached to a PolyRing handle fixing the
 characteristic, the variable names and a monomial order used for printing and
 Groebner computations.  Monomials are plain exponent tuples; coefficients are
-ints reduced into [1, p) internally and surfaced as FpScalar at the API edge.
+plain ints in [0, p), and a stored term never has coefficient 0.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence, Union
+from typing import Sequence, Union
 
 from .errors import (
     ExponentOverflow,
@@ -52,63 +52,8 @@ def check_modulus(p: int) -> None:
         raise ValueError(f"modulus must be prime: {p}")
 
 
-@dataclass(frozen=True)
-class FpScalar:
-    """An element of the prime field F_p."""
-
-    value: int
-    modulus: int
-
-    def __post_init__(self):
-        check_modulus(self.modulus)
-        object.__setattr__(self, "value", self.value % self.modulus)
-
-    def _require_same(self, other: "FpScalar") -> None:
-        if not isinstance(other, FpScalar):
-            raise TypeError(f"expected FpScalar, got {type(other).__name__}")
-        if other.modulus != self.modulus:
-            raise RingMismatch(f"moduli differ: {self.modulus} vs {other.modulus}")
-
-    def __add__(self, other: "FpScalar") -> "FpScalar":
-        self._require_same(other)
-        return FpScalar(self.value + other.value, self.modulus)
-
-    def __sub__(self, other: "FpScalar") -> "FpScalar":
-        self._require_same(other)
-        return FpScalar(self.value - other.value, self.modulus)
-
-    def __mul__(self, other: "FpScalar") -> "FpScalar":
-        self._require_same(other)
-        return FpScalar(self.value * other.value, self.modulus)
-
-    def __neg__(self) -> "FpScalar":
-        return FpScalar(-self.value, self.modulus)
-
-    def inverse(self) -> "FpScalar":
-        if self.value == 0:
-            raise ZeroDivisionError("0 has no inverse")
-        return FpScalar(pow(self.value, self.modulus - 2, self.modulus), self.modulus)
-
-    def __truediv__(self, other: "FpScalar") -> "FpScalar":
-        self._require_same(other)
-        return self * other.inverse()
-
-    def __bool__(self) -> bool:
-        return self.value != 0
-
-    def __int__(self) -> int:
-        return self.value
-
-    def __str__(self) -> str:
-        return str(self.value)
-
-
 # ---------------------------------------------------------------------------
 # monomial helpers (monomials are exponent tuples)
-
-def monomial_mul(a: Monomial, b: Monomial) -> Monomial:
-    return tuple(x + y for x, y in zip(a, b))
-
 
 def monomial_div(num: Monomial, den: Monomial) -> Monomial | None:
     """num / den, or None when den does not divide num."""
@@ -122,10 +67,6 @@ def monomial_div(num: Monomial, den: Monomial) -> Monomial | None:
 
 def monomial_lcm(a: Monomial, b: Monomial) -> Monomial:
     return tuple(x if x > y else y for x, y in zip(a, b))
-
-
-def monomial_gcd(a: Monomial, b: Monomial) -> Monomial:
-    return tuple(x if x < y else y for x, y in zip(a, b))
 
 
 def _grevlex_key(m: Monomial):
@@ -152,10 +93,6 @@ class MonomialOrder:
         if self.kind == "lex":
             return m
         return (_grevlex_key(m[: self.block]), _grevlex_key(m[self.block:]))
-
-    def compare(self, a: Monomial, b: Monomial) -> int:
-        ka, kb = self.key(a), self.key(b)
-        return (ka > kb) - (ka < kb)
 
 
 GREVLEX = MonomialOrder("grevlex")
@@ -209,9 +146,6 @@ class PolyRing:
 
     def __repr__(self) -> str:
         return f"PolyRing(GF({self.p}), {list(self.variables)}, {self.order.kind})"
-
-    def scalar(self, value: int) -> FpScalar:
-        return FpScalar(value, self.p)
 
     def _poly(self, terms: dict) -> "Polynomial":
         # trusted constructor: terms already reduced, zero coefficients dropped
@@ -291,19 +225,14 @@ class Polynomial:
     def is_zero(self) -> bool:
         return not self._terms
 
-    def terms(self) -> list[tuple[Monomial, FpScalar]]:
-        """Terms in descending ring order."""
+    def terms(self) -> list[tuple[Monomial, int]]:
+        """Terms in descending ring order, as (monomial, coefficient) pairs
+        with each coefficient an int in [1, p)."""
         key = self.ring.order.key
-        return [
-            (m, FpScalar(self._terms[m], self.ring.p))
-            for m in sorted(self._terms, key=key, reverse=True)
-        ]
+        return [(m, self._terms[m]) for m in sorted(self._terms, key=key, reverse=True)]
 
-    def coefficient(self, monomial: Sequence[int]) -> FpScalar:
-        return FpScalar(self._terms.get(tuple(monomial), 0), self.ring.p)
-
-    def constant_coefficient(self) -> FpScalar:
-        return FpScalar(self._terms.get((0,) * self.ring.nvars, 0), self.ring.p)
+    def constant_coefficient(self) -> int:
+        return self._terms.get((0,) * self.ring.nvars, 0)
 
     def total_degree(self) -> int:
         """-1 for the zero polynomial."""
@@ -316,26 +245,16 @@ class Polynomial:
         polynomial is homogeneous."""
         return len({sum(m) for m in self._terms}) <= 1
 
-    def leading_term(self, order: MonomialOrder | None = None) -> tuple[Monomial, FpScalar] | None:
+    def leading_term(self, order: MonomialOrder | None = None) -> tuple[Monomial, int] | None:
         if not self._terms:
             return None
         key = (order or self.ring.order).key
         m = max(self._terms, key=key)
-        return m, FpScalar(self._terms[m], self.ring.p)
+        return m, self._terms[m]
 
     def leading_monomial(self, order: MonomialOrder | None = None) -> Monomial | None:
         lt = self.leading_term(order)
         return lt[0] if lt else None
-
-    def monic(self, order: MonomialOrder | None = None) -> "Polynomial":
-        if not self._terms:
-            return self
-        m = max(self._terms, key=(order or self.ring.order).key)
-        inv = pow(self._terms[m], self.ring.p - 2, self.ring.p)
-        if inv == 1:
-            return self
-        p = self.ring.p
-        return self.ring._poly({mm: (c * inv) % p for mm, c in self._terms.items()})
 
     def support_variables(self) -> set[str]:
         used = set()
@@ -372,12 +291,12 @@ class Polynomial:
                     out[i] = e
         return tuple(out)
 
-    def __mul__(self, other: Union["Polynomial", int, FpScalar]) -> "Polynomial":
-        if isinstance(other, (int, FpScalar)):
-            c = (int(other) % self.ring.p) if isinstance(other, FpScalar) else other % self.ring.p
+    def __mul__(self, other: Union["Polynomial", int]) -> "Polynomial":
+        if isinstance(other, int):
+            p = self.ring.p
+            c = other % p
             if c == 0:
                 return self.ring.zero()
-            p = self.ring.p
             return self.ring._poly({m: (cc * c) % p for m, cc in self._terms.items()})
         self._require_same(other)
         if not self._terms or not other._terms:

@@ -60,7 +60,7 @@ class QuotientPresentation:
         if defining.ring != ring:
             raise RingMismatch("defining ideal lives in a different ring")
         for g in defining.generators:
-            if int(g.constant_coefficient()):
+            if g.constant_coefficient():
                 raise FroblabError(
                     f"defining generator {g} has a nonzero constant term, so the "
                     "presentation is not local at the ideal of variables"

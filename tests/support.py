@@ -222,7 +222,7 @@ def cover_socle(ring, defining, coefficient, parameters, twist):
     def vector(poly, index):
         vec = [0] * len(index)
         for m, c in poly.terms():
-            vec[index[m]] = int(c)
+            vec[index[m]] = c
         return vec
 
     support = sorted({m for w in candidates for m, _ in w.terms()}, key=ring.order.key)
@@ -251,7 +251,7 @@ def cover_socle(ring, defining, coefficient, parameters, twist):
         block = [[0] * (na + nb) for _ in seen]
         for j, img in enumerate(images):
             for m, c in img.terms():
-                block[where[m]][offset + j] = int(c)
+                block[where[m]][offset + j] = c
         rows.extend(block)
 
     variables = [ring.variable(v) for v in ring.variables]

@@ -336,7 +336,7 @@ def _random_artinian_case(rng):
             g = ring.monomial(tuple(m))
         else:
             g = random_poly(rng, ring, 2, 3)
-            g = g - one * int(g.constant_coefficient())
+            g = g - one * g.constant_coefficient()
         if not g.is_zero:
             defining.append(g)
     parameter = []
@@ -344,7 +344,7 @@ def _random_artinian_case(rng):
         g = ring.monomial(tuple(rng.randrange(1, 4) if j == i else 0 for j in range(n)))
         if rng.random() < 0.2:
             h = random_poly(rng, ring, 2, 2)
-            g = g + h - one * int(h.constant_coefficient())
+            g = g + h - one * h.constant_coefficient()
         parameter.append(g)
     # keeps every Frobenius power small: q = p**e_max is at most 49
     e_max = rng.randrange(0, {2: 4, 3: 4, 5: 3, 7: 3}[p])
