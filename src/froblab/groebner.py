@@ -4,14 +4,18 @@ S-pairs are kept by the Gebauer-Moeller update (Gebauer & Moeller 1988):
 when an element h joins the basis, its new pairs pass criteria M and F,
 queued pairs that h makes redundant are dropped (criterion B_k), and the
 elements whose leads lead(h) divides form no further pairs (they still
-serve as reducers).  Pairs are selected by sugar degree (Giovini et al.
-1991), then by lcm in the monomial order, then by index.  An input's sugar
-is its total degree; a pair (i, j) with lcm L has sugar
-max(sugar_i + deg L - deg lead_i, sugar_j + deg L - deg lead_j), which its
-reduced S-polynomial inherits.  Output is the reduced monic basis after full
-interreduction, sorted by descending leading monomial, which is unique for
-the ideal and order, so it depends neither on generator permutation nor on
-the pair strategy.
+serve as reducers).  A run may start from a seed, the cached reduced basis
+of an ideal inside the one wanted, as Singular's ``std(I, f)`` does: its
+elements enter as already processed, active and with no pairs among
+themselves, since a reduced basis already meets Buchberger's criterion,
+and each generator enters reduced against the basis so far.  Pairs are
+selected by sugar degree (Giovini et al. 1991), then by lcm in the monomial
+order, then by index.  An input's sugar is its total degree; a pair (i, j)
+with lcm L has sugar max(sugar_i + deg L - deg lead_i, sugar_j + deg L -
+deg lead_j), which its reduced S-polynomial inherits.  Output is the
+reduced monic basis after full interreduction, sorted by descending leading
+monomial, which is unique for the ideal and order, so it depends neither on
+generator permutation, nor on the pair strategy, nor on a seed.
 
 Inside the engine a monomial is one packed int.  Each exponent has a 16-bit
 field topped by a guard bit; each grevlex block also has a total-degree
@@ -330,6 +334,16 @@ class _PairQueue:
         exponents.append(lt)
         self.sugars.append(sugar)
 
+    def add_processed(self, lead: int, sugar: int) -> None:
+        """Enter an element of a seed: active, with no pairs formed.  The
+        seed's leads divide none of each other, and its pairs reduce to zero
+        within the seed, so this is the state a run on the seed alone ends
+        in."""
+        self.active.append(len(self.leads))
+        self.leads.append(lead)
+        self.exponents.append(self.pk.unpack(lead))
+        self.sugars.append(sugar)
+
     def pop(self) -> tuple:
         """The next pair as (sugar, packed lcm, i, j)."""
         sugar, key, i, j = heapq.heappop(self.heap)
@@ -408,9 +422,15 @@ def groebner_basis_of(
     order: MonomialOrder | None = None,
     budget: int = DEFAULT_PAIR_BUDGET,
     *,
+    seed: GroebnerBasis | None = None,
     _eliminate: int = 0,
 ) -> GroebnerBasis:
     """Like ``buchberger`` but tolerates an empty generator list (zero ideal).
+
+    A ``seed`` is the reduced basis, in the same ring and order, of an ideal
+    inside the one the generators span, such as a summand's cached basis:
+    the run starts from it and never forms the pairs among its elements.
+    The result is the same reduced basis as without it.
 
     With ``_eliminate`` = b under an elimination order on the first b
     variables, the result is only the reduced basis of the elimination ideal:
@@ -421,13 +441,20 @@ def groebner_basis_of(
     for g in gens:
         if g.ring != ring:
             raise RingMismatch("generator from a different ring")
+    if seed is not None and (seed.ring != ring or seed.order != order):
+        raise ValueError("the seed basis is in another ring or order")
     if not gens:
         return GroebnerBasis(ring, order, ())
-    return _buchberger(ring, gens, order, budget, _eliminate)
+    return _buchberger(ring, gens, order, budget, _eliminate, seed)
 
 
 def _buchberger(
-    ring: PolyRing, gens: list[Polynomial], order: MonomialOrder, budget: int, eliminate: int = 0
+    ring: PolyRing,
+    gens: list[Polynomial],
+    order: MonomialOrder,
+    budget: int,
+    eliminate: int = 0,
+    seed: GroebnerBasis | None = None,
 ) -> GroebnerBasis:
     p = ring.p
     pk = Packing(order, ring.nvars)
@@ -441,8 +468,21 @@ def _buchberger(
         pairs.add(divisor[0], sugar)
         basis.append(divisor)
 
+    # a seed's elements enter as processed, already packed by an equal
+    # Packing; the generators then enter reduced against the basis so far
+    seeded = seed.polys if seed is not None else ()
+    if seeded:
+        for g, divisor in zip(seeded, seed._prepared[1]):
+            pairs.add_processed(divisor[0], g.total_degree())
+            basis.append(divisor)
     for g in gens:
-        add_poly(pk.pack_terms(g._terms), g.total_degree())
+        terms = pk.pack_terms(g._terms)
+        if seeded:
+            terms = _reduce(terms, basis, p, pk)
+        if terms:
+            add_poly(terms, g.total_degree())
+    if seeded and len(basis) == len(seeded) and not eliminate:
+        return seed  # every generator lies in the seed's ideal
 
     while pairs.heap:
         sugar, lcm, i, j = pairs.pop()

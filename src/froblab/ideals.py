@@ -3,8 +3,9 @@ powers, colon and elimination ideals, Krull dimension, Hilbert numerators and
 standard monomial bases.
 
 An Ideal keeps its generator list as given and caches one reduced Groebner
-basis per monomial order.  Extensional equality always compares reduced
-grevlex bases.
+basis per monomial order.  A sum remembers its two summands, and its basis
+is built from a summand's cached basis in the same order when there is one.
+Extensional equality always compares reduced grevlex bases.
 """
 
 from __future__ import annotations
@@ -92,6 +93,7 @@ class Ideal:
         self.generators = gens
         self._gb: dict[MonomialOrder, GroebnerBasis] = {}
         self._numerator: list[int] | None = None
+        self._summands: tuple[Ideal, ...] = ()
 
     def __repr__(self) -> str:
         inside = ", ".join(str(g) for g in self.generators) or "0"
@@ -100,11 +102,17 @@ class Ideal:
     def groebner_basis(
         self, order: MonomialOrder | None = None, budget: int = DEFAULT_PAIR_BUDGET
     ) -> GroebnerBasis:
+        """The reduced basis in ``order``, cached.  A sum's basis is built
+        from the larger basis in that order its summands have cached, if
+        any: the Buchberger run then forms no pair inside that summand."""
         order = order or self.ring.order
         gb = self._gb.get(order)
         if gb is None:
+            cached = [s._gb[order] for s in self._summands if order in s._gb]
+            seed = max(cached, key=lambda b: len(b.polys), default=None)
+            gb = groebner_basis_of(self.ring, self.generators, order, budget, seed=seed)
             # setdefault keeps the first basis stored, so every caller shares it
-            gb = self._gb.setdefault(order, groebner_basis_of(self.ring, self.generators, order, budget))
+            gb = self._gb.setdefault(order, gb)
         return gb
 
     def normal_form(self, g: Polynomial, order: MonomialOrder | None = None) -> Polynomial:
@@ -120,8 +128,12 @@ class Ideal:
         return self.groebner_basis(GREVLEX).is_unit_ideal()
 
     def __add__(self, other: "Ideal") -> "Ideal":
+        """The sum, generated by both generator lists.  It keeps both
+        summands, so that its Groebner bases can start from theirs."""
         self._require_same(other)
-        return Ideal(self.ring, self.generators + other.generators)
+        total = Ideal(self.ring, self.generators + other.generators)
+        total._summands = (self, other)
+        return total
 
     def product(self, other: "Ideal") -> "Ideal":
         self._require_same(other)

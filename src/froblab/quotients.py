@@ -146,7 +146,9 @@ class QuotientPresentation:
         monomials = full.standard_monomials()
         if not monomials:
             return SocleBasis(parameter, ())
-        gb = full.groebner_basis()
+        # the standard monomials come from the grevlex basis, so the normal
+        # forms must too, whatever the ring's order
+        gb = full.groebner_basis(GREVLEX)
         n = len(monomials)
         index = {m: i for i, m in enumerate(monomials)}
         rows: list[list[int]] = [[0] * n for _ in range(self.ring.nvars * n)]

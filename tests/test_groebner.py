@@ -1,12 +1,16 @@
 """Tests for the Buchberger engine: reduced bases, normal forms, selection
-determinism, and the work budget."""
+determinism, the work budget, and runs seeded with a summand's basis."""
 
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from froblab import groebner
 from froblab.errors import BudgetExceeded, FroblabError, RingMismatch
 from froblab.groebner import Packing, _PairQueue, _exact_div, buchberger, groebner_basis_of, s_polynomial
+from froblab.ideals import Ideal
 from froblab.polyring import GREVLEX, LEX, PolyRing, elimination_order
 
 
@@ -260,3 +264,136 @@ def test_pairs_pop_by_sugar_then_lcm_then_index():
     # a higher sugar on yz puts its pair last
     pairs = _queue(((1, 1, 0), 2), ((2, 0, 0), 2), ((0, 1, 1), 4))
     assert [pairs.pop()[2:] for _ in range(2)] == [(0, 1), (0, 2)]
+
+
+# -- seeded runs ---------------------------------------------------------------
+
+SEED_ORDERS = (GREVLEX, LEX, elimination_order(1))
+
+
+@st.composite
+def summand_pairs(draw):
+    """Two generator lists over F_p[x, y, z] in one of the seed orders, each
+    of up to three random polynomials of degree at most 2 (possibly none)."""
+    order = draw(st.sampled_from(SEED_ORDERS))
+    p = draw(st.sampled_from((2, 3, 5)))
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    R = PolyRing(p, ("x", "y", "z"), order)
+    sides = [
+        [_random_poly(rng, R, max_degree=2) for _ in range(draw(st.integers(0, 3)))]
+        for _ in range(2)
+    ]
+    return R, sides[0], sides[1]
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(summand_pairs())
+def test_seeded_and_unseeded_bases_agree(case):
+    """Seeding with either summand's basis, through ``groebner_basis_of`` and
+    through ``Ideal.__add__``, gives the unseeded reduced basis, and the
+    seeded result certifies itself."""
+    R, A, B = case
+    order = R.order
+    expected = groebner_basis_of(R, A + B, order)
+    for seeded_side in (A, B):
+        seed = groebner_basis_of(R, seeded_side, order)
+        got = groebner_basis_of(R, A + B, order, seed=seed)
+        assert got.polys == expected.polys
+        _assert_certified(got, A + B)
+    X, Y = Ideal(R, tuple(A)), Ideal(R, tuple(B))
+    X.groebner_basis(order)
+    assert (X + Y).groebner_basis(order).polys == expected.polys
+    Y.groebner_basis(order)
+    assert (X + Y).groebner_basis(order).polys == expected.polys
+
+
+def test_a_generator_whose_lead_divides_a_seed_lead_retires_that_element():
+    """x enters after the seed {x^2 + y, y^2}: lead x divides x^2, so that
+    seed element forms no further pairs, and the result is (x, y)."""
+    for order in SEED_ORDERS:
+        R = PolyRing(5, ("x", "y"), order)
+        seed = buchberger([R.parse("x^2 + y"), R.parse("y^2")], order)
+        gens = [R.parse("x^2 + y"), R.parse("y^2"), R.parse("x")]
+        got = groebner_basis_of(R, gens, order, seed=seed)
+        assert [str(g) for g in got.polys] == ["x", "y"]
+        assert got.polys == groebner_basis_of(R, gens, order).polys
+        _assert_certified(got, gens)
+    pk = Packing(GREVLEX, 2)
+    pairs = _PairQueue(pk, budget=100)
+    pairs.add_processed(pk.pack((2, 0)), 2)
+    pairs.add_processed(pk.pack((0, 2)), 2)
+    assert (pairs.active, pairs.formed, pairs.heap) == ([0, 1], 0, [])
+    pairs.add(pk.pack((1, 0)), 1)
+    # x^2 leaves the active set but keeps its pair with x; (y^2, x) is coprime
+    assert (pairs.active, pairs.formed, _queued(pairs)) == ([1, 2], 2, [(0, 2)])
+
+
+def test_generators_inside_the_seed_return_the_seed_itself():
+    R = PolyRing(7, ("x", "y", "z"))
+    gens = [R.parse("x^2 + y*z"), R.parse("y^2 + x*z"), R.parse("z^2 + x*y")]
+    seed = buchberger(gens)
+    inside = gens + [gens[0] * R.parse("x + z"), gens[1] - gens[2]]
+    assert groebner_basis_of(R, inside, GREVLEX, seed=seed) is seed
+
+
+def test_a_unit_seed_gives_the_unit_ideal():
+    for order in SEED_ORDERS:
+        R = PolyRing(3, ("x", "y"), order)
+        seed = buchberger([R.parse("x"), R.parse("x + 1")], order)
+        got = groebner_basis_of(R, [R.parse("x"), R.parse("x + 1"), R.parse("y^2 + x")], order, seed=seed)
+        assert [str(g) for g in got.polys] == ["1"]
+
+
+def test_a_zero_summand_seeds_nothing_and_is_seeded_by_nothing():
+    R = PolyRing(5, ("x", "y"))
+    zero = Ideal(R, ())
+    A = Ideal(R, (R.parse("x^2 - y"), R.parse("x*y - 1")))
+    expected = groebner_basis_of(R, A.generators, GREVLEX).polys
+    assert zero.groebner_basis().polys == ()
+    assert (zero + A).groebner_basis().polys == expected
+    A.groebner_basis()
+    assert (A + zero).groebner_basis().polys == expected
+    assert (zero + zero).groebner_basis().polys == ()
+
+
+def test_seed_in_another_order_is_rejected():
+    R = PolyRing(5, ("x", "y"))
+    seed = buchberger([R.parse("x - y")], LEX)
+    with pytest.raises(ValueError):
+        groebner_basis_of(R, [R.parse("x - y")], GREVLEX, seed=seed)
+
+
+def test_seeded_build_exhausts_the_budget():
+    R = PolyRing(7, ("x", "y", "z"))
+    X = Ideal(R, (R.parse("x^3 + y^2 + z"),))
+    Y = Ideal(R, (R.parse("y^3 + z^2 + x"), R.parse("z^3 + x^2 + y")))
+    X.groebner_basis()
+    with pytest.raises(BudgetExceeded):
+        (X + Y).groebner_basis(budget=1)
+    with pytest.raises(BudgetExceeded):
+        groebner_basis_of(R, X.generators + Y.generators, GREVLEX, budget=1, seed=X.groebner_basis())
+    assert (X + Y).groebner_basis().polys == buchberger(X.generators + Y.generators).polys
+
+
+def test_seeded_sum_forms_fewer_pairs(monkeypatch):
+    """defining + parameter on the five coordinate lines at p = 3 (the
+    closure test's first sum): seeded with the basis of the ten line
+    relations, the run forms none of their pairs."""
+    queues = []
+
+    class Recorded(_PairQueue):
+        def __init__(self, *args):
+            super().__init__(*args)
+            queues.append(self)
+
+    monkeypatch.setattr(groebner, "_PairQueue", Recorded)
+    R = PolyRing(3, ("x1", "x2", "x3", "x4", "x5"))
+    v = [R.variable(a) for a in R.variables]
+    defining = Ideal(R, tuple(v[i] * v[j] for i in range(5) for j in range(i + 1, 5)))
+    parameter = Ideal(R, (sum(v[1:], v[0]),))
+    unseeded = groebner_basis_of(R, defining.generators + parameter.generators, GREVLEX)
+    alone = queues[-1].formed
+    defining.groebner_basis()
+    assert (defining + parameter).groebner_basis().polys == unseeded.polys
+    seeded = queues[-1].formed
+    assert seeded < alone

@@ -155,6 +155,39 @@ def test_normal_form_matches_sympy_remainder(p, order):
         assert frozenset(gb.normal_form(f).terms()) == expected
 
 
+def _lines_and_parameter(n, p):
+    """n lines through the origin of F_p^n in random coordinates and a
+    random linear parameter."""
+    rng = random.Random(f"seeded:{n}")
+    ring = PolyRing(p, tuple(f"z{i}" for i in range(1, n + 1)))
+    v = [ring.variable(a) for a in ring.variables]
+    while True:
+        rows = [[rng.randrange(p) for _ in range(n)] for _ in range(n)]
+        if sympy.Matrix(rows).det() % p:
+            break
+    forms = [sum((x * c for x, c in zip(v, row)), ring.zero()) for row in rows]
+    lines = Ideal(ring, tuple(a * b for a, b in itertools.combinations(forms, 2)))
+    return lines, sum((x * rng.randrange(1, p) for x in v), ring.zero())
+
+
+def _cusp_and_parameter(p):
+    ring = PolyRing(p, ("x", "y"))
+    return Ideal(ring, (ring.parse("y^2 - x^3"),)), ring.parse("x")
+
+
+@pytest.mark.parametrize("case", ("lines-3", "lines-4", "cusp"))
+def test_seeded_closure_targets_match_sympy(case):
+    """Targets shaped like the closure test's, defining + (l^25) at p = 5,
+    built from the cached basis of the defining ideal."""
+    p = 5
+    defining, param = _cusp_and_parameter(p) if case == "cusp" else _lines_and_parameter(int(case[-1]), p)
+    defining.groebner_basis()
+    target = defining + Ideal(defining.ring, (param,)).bracket_power(2)
+    syms = sympy.symbols(defining.ring.variables)
+    _, expected = sympy_basis(target.generators, syms, p, "grevlex")
+    assert froblab_set(target.groebner_basis().polys) == expected
+
+
 def _determinantal_fixture():
     spec = load_ring_spec(str(Path(froblab.__file__).parent / "fixtures" / "determinantal_f3.ring"))
     return Ideal(spec.ring(), tuple(spec.relation_polys(spec.ring())))
