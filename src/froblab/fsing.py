@@ -363,17 +363,24 @@ def _fedder_certificate(A: Ideal) -> Polynomial | None:
     if not nonzero:
         return ring.one()  # the ring is regular
     A.groebner_basis(GREVLEX)  # its Frobenius image is the basis of A^[p]
+    if A.is_unit():
+        return ring.one()  # A^[p] is the unit ideal, and so is the colon
     bracket = A.bracket_power(1)
-    if not A.is_unit():  # the unit ideal has no height
-        subsets = itertools.combinations(nonzero, ring.nvars - A.krull_dimension())
-        for subset in itertools.islice(subsets, _CANDIDATE_LIMIT):
-            product = math.prod(subset, start=ring.one())
-            if _power_below_p(product, p - 1).is_zero:
-                continue  # the candidate lies in m^[p]
-            h = product ** (p - 1)
-            # h*g lies in A^[p] already for every g in the subset
-            if all(bracket.contains(h * g) for g in nonzero if g not in subset):
-                return h
+    # a product's lowest term degree is the sum of its factors'; above n,
+    # every term of its (p-1)-th power has degree above n(p-1), so some
+    # exponent reaches p and the power lies in m^[p]
+    lowest = {g: min(map(sum, g._terms)) for g in nonzero}
+    subsets = itertools.combinations(nonzero, ring.nvars - A.krull_dimension())
+    for subset in itertools.islice(subsets, _CANDIDATE_LIMIT):
+        if sum(lowest[g] for g in subset) > ring.nvars:
+            continue
+        product = math.prod(subset, start=ring.one())
+        if _power_below_p(product, p - 1).is_zero:
+            continue  # the candidate lies in m^[p]
+        h = product ** (p - 1)
+        # h*g lies in A^[p] already for every g in the subset
+        if all(bracket.contains(h * g) for g in nonzero if g not in subset):
+            return h
     for colon, rest in bracket.colon_steps(A):
         for h in colon.generators:
             if _outside_bracket(h) and all(bracket.contains(h * g) for g in rest):
@@ -434,11 +441,17 @@ def run_cover_pipeline(
     quotient_full = context._membership
     tail_support = set().union(*(t.support_variables() for t in tail))
     if drop is not None and len(drop) < ring.nvars and not (tail_support & set(drop)):
-        eliminated = quotient_full.eliminate(drop)
+        # (defining + I) ∩ k[keep] is the image of defining under x_d -> 0,
+        # presented by its reduced grevlex basis in the small ring
         keep = [v for v in ring.variables if v not in set(drop)]
         small_ring = PolyRing(ring.p, tuple(keep), GREVLEX)
-        small_gens = tuple(g.mapped_to(small_ring) for g in eliminated.generators)
-        quotient_pres = QuotientPresentation(small_ring, small_gens)
+        dropped = [ring.variables.index(v) for v in drop]
+        image = Ideal(small_ring, tuple(
+            ring._poly({m: c for m, c in g._terms.items() if not any(m[i] for i in dropped)})
+            .mapped_to(small_ring)
+            for g in presentation.defining.generators
+        ))
+        quotient_pres = QuotientPresentation(small_ring, image.groebner_basis(GREVLEX).polys)
         small_tail = [t.mapped_to(small_ring) for t in tail]
         route = "eliminated-presentation"
     else:

@@ -17,6 +17,18 @@ reduced monic basis after full interreduction, sorted by descending leading
 monomial, which is unique for the ideal and order, so it depends neither on
 generator permutation, nor on the pair strategy, nor on a seed.
 
+A tracked run (``syzygy_images``) is the same loop on a seed of P plus
+generators g*t_k, for one fixed g and tags t_k.  Each element f also
+carries a tag t, with f - g*t in P: each reduction step logs (divisor,
+multiplier, coefficient), and the tag follows from the log.  An element
+that reduces to zero leaves its tag t, with g*t in P.  These tags generate
+(P : g) ∩ T modulo P*T, where T is spanned by the t_k: a pair inside the
+seed has image 0, and the Koszul syzygy of a coprime pair that criterion F
+drops has image f_j*t_i - f_i*t_j = (f_j - g*t_j)*t_i - (f_i - g*t_i)*t_j,
+which is in P*T.  With g = 1 and tags Q's generators this gives P ∩ Q, and
+with tags 1 the colon (P : g), with no elimination order (Moeller, Mora &
+Traverso 1992; Greuel & Pfister, section 1.8).
+
 Inside the engine a monomial is one packed int.  Each exponent has a 16-bit
 field topped by a guard bit; each grevlex block also has a total-degree
 field, wide enough for the block's degree sum, topped by its own guard bit.
@@ -47,7 +59,7 @@ from functools import cached_property
 from operator import mul
 from typing import Iterable, Sequence
 
-from .errors import BudgetExceeded, ExponentOverflow, FroblabError, RingMismatch
+from .errors import BudgetExceeded, ExponentOverflow, RingMismatch
 from .polyring import (
     LEX,
     MAX_EXPONENT,
@@ -149,7 +161,7 @@ def _overflow() -> ExponentOverflow:
 
 
 def _reduce(
-    terms: dict, divisors: Sequence[tuple], p: int, pk: Packing, quotient: dict | None = None
+    terms: dict, divisors: Sequence[tuple], p: int, pk: Packing, steps: list | None = None
 ) -> dict:
     """Full remainder of a packed term dict against monic packed divisors.
 
@@ -157,9 +169,9 @@ def _reduce(
     scanned in list order; the first whose lead divides the largest remaining
     term is used.  Terms wait in a heap keyed ``-(m ^ mask)``; a term
     cancelled to zero keeps its heap entry and is skipped when popped.  The
-    remainder comes out in descending order.  With a single divisor, a
-    ``quotient`` dict collects the multiplier of each step, so that
-    terms == quotient * divisor + remainder.
+    remainder comes out in descending order.  A ``steps`` list logs each
+    step as (divisor lead, multiplier, coefficient), so that terms ==
+    sum of coefficient * multiplier * divisor + remainder.
     """
     mask, guard = pk.mask, pk.guard
     work = dict(terms)
@@ -179,8 +191,8 @@ def _reduce(
                 q ^= guard
                 if (q + bound) & guard:
                     raise _overflow()
-                if quotient is not None:
-                    quotient[q] = c
+                if steps is not None:
+                    steps.append((lead, q, c))
                 c = p - c
                 for tm, tc in tail.items():
                     mm = q + tm
@@ -194,20 +206,6 @@ def _reduce(
         else:
             remainder[m] = c
     return remainder
-
-
-def _exact_div(h: Polynomial, g: Polynomial) -> Polynomial:
-    """Quotient h/g for h known to lie in (g); a nonzero remainder raises."""
-    ring = h.ring
-    p = ring.p
-    pk = Packing(ring.order, ring.nvars)
-    g_terms = pk.pack_terms(g._terms)
-    divisor = pk.divisor(g_terms, p)
-    quotient: dict = {}
-    if _reduce(pk.pack_terms(h._terms), (divisor,), p, pk, quotient):
-        raise FroblabError("exact division with a nonzero remainder")
-    inv = pow(g_terms[divisor[0]], p - 2, p)
-    return ring._poly(pk.unpack_terms({m: c * inv % p for m, c in quotient.items()}))
 
 
 def _power_below_p(f: Polynomial, n: int) -> Polynomial:
@@ -448,6 +446,37 @@ def groebner_basis_of(
     return _buchberger(ring, gens, order, budget, _eliminate, seed)
 
 
+def syzygy_images(
+    seed: GroebnerBasis,
+    tags: Sequence[Polynomial],
+    g: Polynomial | None = None,
+) -> list[Polynomial]:
+    """Generators of (P : g) ∩ T modulo P*T, from one tracked run on
+    P + (g*t for t in tags) in the seed's order, where P is the seed's
+    ideal, T = (tags) and g defaults to 1.  With g = 1, this is P ∩ T;
+    with tags = (1), the colon (P : g).
+
+    The run's generators are the products g*t, so each element f of the
+    run carries its tag t, with f - g*t in P: for f = (an element of P) +
+    sum a_k*g*tags[k], t = sum a_k*tags[k].  Seed elements carry 0.
+    (P : g) ∩ T is the image of the syzygies of the run's elements, which
+    Schreyer's theorem says the pairs generate; the pairs that criteria M
+    and B_k and the inactive-element rule drop have syzygies that the kept
+    pairs generate.  An element, S-polynomial or generator, that reduces to
+    zero yields its tag.  A coprime pair (i, j) that criterion F drops
+    yields f_j*t_i - f_i*t_j = (f_j - g*t_j)*t_i - (f_i - g*t_i)*t_j, which
+    lies in P*T, and a pair inside the seed yields 0: the images of the
+    zero reductions generate it modulo P*T.
+    """
+    tags = [t for t in tags if not t.is_zero]
+    if not tags:
+        return []
+    gens = tags if g is None else [g * t for t in tags]
+    return _buchberger(
+        seed.ring, gens, seed.order, DEFAULT_PAIR_BUDGET, seed=seed, tags=tags,
+    )
+
+
 def _buchberger(
     ring: PolyRing,
     gens: list[Polynomial],
@@ -455,18 +484,50 @@ def _buchberger(
     budget: int,
     eliminate: int = 0,
     seed: GroebnerBasis | None = None,
-) -> GroebnerBasis:
+    tags: Sequence[Polynomial] | None = None,
+) -> GroebnerBasis | list[Polynomial]:
+    """The reduced basis of (seed) + (gens); with ``tags``, where gens[k] is
+    g*tags[k] for one fixed g, a tracked run that returns the images of the
+    syzygies instead (see ``syzygy_images``)."""
     p = ring.p
     pk = Packing(order, ring.nvars)
     mask, guard = pk.mask, pk.guard
     pairs = _PairQueue(pk, budget)
     leads = pairs.leads
     basis: list[tuple] = []  # packed monic divisors (lead, bound, tail)
+    # a tracked run keeps each element's nonzero tag, scaled like the
+    # element, by its lead: every element enters reduced, so no two leads
+    # are equal
+    tracked = tags is not None
+    carried: dict[int, dict] = {}
+    images: list[dict] = []
 
-    def add_poly(terms: dict, sugar: int) -> None:
-        divisor = pk.divisor(terms, p)
-        pairs.add(divisor[0], sugar)
-        basis.append(divisor)
+    def tag_of(tag: dict, steps: list) -> dict:
+        """tag - sum of c*q*(tag of the divisor) over the logged steps."""
+        out = dict(tag)
+        for lead, q, c in steps:
+            for m, v in carried.get(lead, {}).items():
+                m += q
+                out[m] = out.get(m, 0) + (p - c) * v
+        if any(m & guard for m in out):
+            raise _overflow()
+        return {m: v % p for m, v in out.items() if v % p}
+
+    def enter(terms: dict, sugar: int, tag: dict | None, steps: list | None) -> None:
+        """Add a reduced polynomial to the basis unless it is zero.  In a
+        tracked run its tag is ``tag`` less the logged steps' tags, and the
+        tag of a zero polynomial is an image."""
+        if tracked:
+            tag = tag_of(tag, steps)
+            if not terms and tag:
+                images.append(tag)
+        if terms:
+            divisor = pk.divisor(terms, p)
+            pairs.add(divisor[0], sugar)
+            basis.append(divisor)
+            if tracked and tag:
+                inv = pow(terms[divisor[0]], p - 2, p)
+                carried[divisor[0]] = {m: v * inv % p for m, v in tag.items()}
 
     # a seed's elements enter as processed, already packed by an equal
     # Packing; the generators then enter reduced against the basis so far
@@ -475,13 +536,15 @@ def _buchberger(
         for g, divisor in zip(seeded, seed._prepared[1]):
             pairs.add_processed(divisor[0], g.total_degree())
             basis.append(divisor)
-    for g in gens:
+    for k, g in enumerate(gens):
         terms = pk.pack_terms(g._terms)
-        if seeded:
-            terms = _reduce(terms, basis, p, pk)
-        if terms:
-            add_poly(terms, g.total_degree())
-    if seeded and len(basis) == len(seeded) and not eliminate:
+        steps = tag = None
+        if tracked:
+            steps, tag = [], pk.pack_terms(tags[k]._terms)
+        if seeded or tracked:
+            terms = _reduce(terms, basis, p, pk, steps)
+        enter(terms, g.total_degree(), tag, steps)
+    if seeded and len(basis) == len(seeded) and not eliminate and not tracked:
         return seed  # every generator lies in the seed's ideal
 
     while pairs.heap:
@@ -496,9 +559,12 @@ def _buchberger(
         for m, c in tj.items():
             mm = qj + m
             s[mm] = (s.get(mm, 0) - c) % p
-        r = _reduce(s, basis, p, pk)
-        if r:
-            add_poly(r, sugar)
+        # logged as two steps, the S-polynomial's tag is qi*tag_i - qj*tag_j
+        steps = [(leads[i], qi, p - 1), (leads[j], qj, 1)] if tracked else None
+        enter(_reduce(s, basis, p, pk, steps), sugar, {}, steps)
+
+    if tracked:
+        return [ring._poly(pk.unpack_terms(t)) for t in images]
 
     # an elimination keeps the elements whose lead is free of the first
     # ``eliminate`` variables; no other lead divides a monomial free of them

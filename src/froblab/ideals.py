@@ -1,10 +1,12 @@
 """Ideal-level operations in F_p[x1..xn]: sums, products, Frobenius bracket
-powers, colon and elimination ideals, Krull dimension, Hilbert numerators and
-standard monomial bases.
+powers, intersections, colons, elimination ideals, Krull dimension, Hilbert
+numerators and standard monomial bases.
 
 An Ideal keeps its generator list as given and caches one reduced Groebner
 basis per monomial order.  A sum remembers its two summands, and its basis
 is built from a summand's cached basis in the same order when there is one.
+Intersections and colons come from tracked grevlex runs seeded with such a
+cached basis (``groebner.syzygy_images``), with no elimination order.
 Extensional equality always compares reduced grevlex bases.
 """
 
@@ -12,7 +14,7 @@ from __future__ import annotations
 
 import itertools
 from operator import ge
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator
 
 from .errors import (
     ExponentOverflow,
@@ -21,7 +23,7 @@ from .errors import (
     UnitIdeal,
     ZeroColonDivisor,
 )
-from .groebner import DEFAULT_PAIR_BUDGET, GroebnerBasis, _exact_div, groebner_basis_of
+from .groebner import DEFAULT_PAIR_BUDGET, GroebnerBasis, groebner_basis_of, syzygy_images
 from .polyring import (
     GREVLEX,
     Monomial,
@@ -33,11 +35,14 @@ from .polyring import (
 )
 
 
-def _aux_name(taken: Sequence[str]) -> str:
-    name = "w"
-    while name in taken:
-        name = "_" + name
-    return name
+def _distinct_monic(polys: Iterable[Polynomial]) -> list[Polynomial]:
+    """The distinct nonzero polys made monic in grevlex, in first-seen order."""
+    out: dict[Polynomial, None] = {}
+    for f in polys:
+        if not f.is_zero:
+            p = f.ring.p
+            out[f * pow(f.leading_term(GREVLEX)[1], p - 2, p)] = None
+    return list(out)
 
 
 def _plus_shifted(a: list[int], b: list[int], shift: int, sign: int = 1) -> list[int]:
@@ -165,39 +170,46 @@ class Ideal:
         return power
 
     def intersect(self, other: "Ideal") -> "Ideal":
-        """A cap B via one auxiliary variable: eliminate w from w*A + (1-w)*B."""
+        """self ∩ other, from one grevlex Buchberger run on self + other
+        seeded with self's cached basis: each element carries its part in
+        other, and the parts of the elements that reduce to zero generate
+        the intersection modulo the product (``groebner.syzygy_images``)."""
         self._require_same(other)
-        ring = self.ring
-        aux = _aux_name(ring.variables)
-        ring2 = PolyRing(ring.p, (aux,) + ring.variables, elimination_order(1))
-        w = ring2.variable(aux)
-        one = ring2.one()
-        gens2 = [w * a.mapped_to(ring2) for a in self.generators if not a.is_zero]
-        gens2 += [(one - w) * b.mapped_to(ring2) for b in other.generators if not b.is_zero]
-        gb2 = groebner_basis_of(ring2, gens2, ring2.order, _eliminate=1)
-        return Ideal(ring, tuple(g.mapped_to(ring) for g in gb2.polys))
+        gb = self.groebner_basis(GREVLEX)
+        images = syzygy_images(gb, other.generators)
+        return Ideal(self.ring, tuple(images) + self.product(other).generators)
 
     def colon(self, other: "Ideal") -> "Ideal":
-        """(self : other), computed per generator g as intersect(self, (g)) / g
-        and intersected across the generators of ``other``."""
+        """(self : other), the last step of ``colon_steps``."""
         for result, _ in self.colon_steps(other):
             pass
         return result
 
     def colon_steps(self, other: "Ideal") -> Iterator[tuple["Ideal", tuple[Polynomial, ...]]]:
-        """The loop of ``colon``, one step per nonzero generator g of
-        ``other``: yields (self : the divisors so far) and the divisors still
-        to come.  The last step yields (self : other) and ()."""
+        """The colon one nonzero generator g of ``other`` at a time: yields
+        (self : the divisors so far) and the divisors still to come.  The
+        last step yields (self : other) and ().
+
+        Each step is one tracked grevlex run on self + (c*g), seeded with
+        self's cached basis, where the cofactors c generate the previous
+        step's colon modulo self (the first step has c = 1).  With each c*g
+        tagged c, the elements that reduce to zero leave tags that generate
+        {h in (c) : h*g in self} modulo self.  As self lies in (self : g),
+        the previous colon self + (c) meets (self : g) in
+        self + ((c) ∩ (self : g)), so the tags, reduced modulo self, are the
+        new cofactors.  A step's colon is self + (its cofactors), so its
+        basis is a run seeded with self's.
+        """
         self._require_same(other)
         divisors = tuple(g for g in other.generators if not g.is_zero)
         if not divisors:
             raise ZeroColonDivisor("colon by the zero ideal")
-        result: Ideal | None = None
+        gb = self.groebner_basis(GREVLEX)
+        cofactors = [self.ring.one()]
         for k, g in enumerate(divisors, 1):
-            inter = self.intersect(Ideal(self.ring, (g,)))
-            part = Ideal(self.ring, tuple(_exact_div(h, g) for h in inter.generators))
-            result = part if result is None else result.intersect(part)
-            yield result, divisors[k:]
+            images = syzygy_images(gb, cofactors, g)
+            cofactors = _distinct_monic(gb.normal_form(h) for h in images)
+            yield self + Ideal(self.ring, tuple(cofactors)), divisors[k:]
 
     def eliminate(self, drop: Iterable[str]) -> "Ideal":
         """Generators of self ∩ k[remaining variables], returned in the

@@ -1,5 +1,6 @@
-"""Shared helpers for the test suite: random element generators and an
-independent linear-algebra computation of the socle of (R + I*t)/(J*(R + I*t)).
+"""Shared helpers for the test suite: random element generators, the
+routes that faster code replaced (kept as references), and an independent
+linear-algebra computation of the socle of (R + I*t)/(J*(R + I*t)).
 
 The socle routine here deliberately avoids the package's socle and transfer
 code paths: it builds the module presentation R/J (+) (I/JI)*t directly,
@@ -12,7 +13,7 @@ from dataclasses import dataclass
 
 from froblab.errors import FroblabError
 from froblab.ideals import Ideal
-from froblab.polyring import PolyRing, Polynomial
+from froblab.polyring import PolyRing, Polynomial, monomial_div
 from froblab.reports import CLOSED_UP_TO, NOT_FROBENIUS_CLOSED, ClosureReport, ClosureWitness
 from froblab.specfile import matrix_minors
 
@@ -64,6 +65,53 @@ def full_colon_f_pure(A):
     p = A.ring.p
     colon = A.bracket_power(1).colon(A)
     return any(all(e < p for e in m) for g in colon.generators for m in g._terms)
+
+
+def elimination_intersect(A, B):
+    """A ∩ B by eliminating w from w*A + (1 - w)*B in an elimination order:
+    the route Ideal.intersect took before its tracked grevlex run, kept as a
+    reference."""
+    ring = A.ring
+    aux = "w"
+    while aux in ring.variables:
+        aux = "_" + aux
+    big = PolyRing(ring.p, (aux,) + ring.variables)
+    w, one = big.variable(aux), big.one()
+    gens = [w * a.mapped_to(big) for a in A.generators]
+    gens += [(one - w) * b.mapped_to(big) for b in B.generators]
+    free = Ideal(big, tuple(gens)).eliminate([aux])
+    return Ideal(ring, tuple(g.mapped_to(ring) for g in free.generators))
+
+
+def divide_exactly(h, g):
+    """h / g by long division on leading terms, for h a multiple of g."""
+    ring = h.ring
+    lead, c = g.leading_term()
+    inv = pow(c, ring.p - 2, ring.p)
+    quotient = ring.zero()
+    while not h.is_zero:
+        m, d = h.leading_term()
+        if monomial_div(m, lead) is None:
+            raise ValueError(f"{h} is no multiple of {g}")
+        step = ring.monomial(monomial_div(m, lead), d * inv % ring.p)
+        quotient = quotient + step
+        h = h - step * g
+    return quotient
+
+
+def elimination_colon(A, B):
+    """(A : B) as the intersection over the nonzero generators g of B (at
+    least one) of (A ∩ (g))/g, every intersection by
+    ``elimination_intersect``: the route Ideal.colon took before its tracked
+    grevlex runs, kept as a reference."""
+    result = None
+    for g in B.generators:
+        if g.is_zero:
+            continue
+        multiples = elimination_intersect(A, Ideal(A.ring, (g,))).generators
+        part = Ideal(A.ring, tuple(divide_exactly(h, g) for h in multiples))
+        result = part if result is None else elimination_intersect(result, part)
+    return result
 
 
 def colon_regular_sum(presentation, elements):

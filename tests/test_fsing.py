@@ -1,9 +1,11 @@
 """Tests for the cover algebra R + I*t, the socle transfer, Fedder's
 criterion, the bounded F-injectivity criterion, and the full pipeline."""
 
+import itertools
 import math
 import random
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import assume, example, given, settings
@@ -40,7 +42,7 @@ from froblab.reports import (
     NOT_FROBENIUS_CLOSED,
     P2_DEGENERATE,
 )
-from froblab.specfile import load_ring_spec
+from froblab.specfile import load_ring_spec, parse_ring_spec
 
 import support
 
@@ -452,27 +454,65 @@ def fedder_ideals(draw):
 @settings(max_examples=70, deadline=None, derandomize=True)
 @given(fedder_ideals())
 @example(_edge_ideal(3, 5))  # C(10, 4) = 210 subsets, beyond the candidate limit
+# inhomogeneous at p = 5 with two redundant cubics; an elimination-order
+# colon of it takes about 30 s
+@example(_ideal(
+    PolyRing(5, ("x", "y", "z", "w")), "4*y*z + 4*x + y", "2*x*w", "x*w + 3*x + z",
+    "(4*y*z + 4*x + y)*(x*y + 2) + 2*x*w", "(x*w + 3*x + z)*(y*z + w) + 4*y*z + 4*x + y",
+))
 def test_fedder_matches_the_full_colon_on_generated_ideals(A):
     _assert_fedder_matches_the_full_colon(A)
+
+
+def _count_candidates(monkeypatch):
+    """Count the c-subsets Fedder draws and its calls of _power_below_p."""
+    calls = {"subsets": 0, "power_below_p": 0}
+    below = fsing._power_below_p
+
+    def counted_subsets(generators, c):
+        for subset in itertools.combinations(generators, c):
+            calls["subsets"] += 1
+            yield subset
+
+    def counted_power(f, n):
+        calls["power_below_p"] += 1
+        return below(f, n)
+
+    monkeypatch.setattr(fsing, "itertools", SimpleNamespace(combinations=counted_subsets, islice=itertools.islice))
+    monkeypatch.setattr(fsing, "_power_below_p", counted_power)
+    return calls
 
 
 def test_fedder_tries_a_bounded_number_of_candidates(monkeypatch):
     """The edge ideal of five vertices has height 4 and C(10, 4) = 210
     candidates, none a certificate; after the first _CANDIDATE_LIMIT of
-    them the colon decides, and the verdict is still True."""
+    them the colon decides, and the verdict is still True.  Each product of
+    four edges has degree 8 > 5, so its cube lies in m^[3] and is never
+    formed."""
     A = _edge_ideal(3, 5)
     assert math.comb(len(A.generators), 4) > fsing._CANDIDATE_LIMIT
-    calls = [0]
-    below = fsing._power_below_p
-
-    def counted(f, n):
-        calls[0] += 1
-        return below(f, n)
-
-    monkeypatch.setattr(fsing, "_power_below_p", counted)
+    calls = _count_candidates(monkeypatch)
     h = fsing._fedder_certificate(A)
     assert h == A.ring.parse("x1^2*x2^2*x3^2*x4^2*x5^2")
-    assert calls[0] == fsing._CANDIDATE_LIMIT
+    assert calls == {"subsets": fsing._CANDIDATE_LIMIT, "power_below_p": 0}
+
+
+def test_fedder_skips_candidates_of_degree_above_n_on_the_fixture(monkeypatch):
+    """The determinantal fixture has height 3 and six quadric minors in five
+    variables: all C(6, 3) = 20 products have degree 6 > 5, so their
+    squares lie in m^[3] and none reaches _power_below_p.  Fedder and the
+    pipeline keep their verdicts."""
+    spec = load_ring_spec(str(DETERMINANTAL))
+    ring = spec.ring()
+    calls = _count_candidates(monkeypatch)
+    assert fedder_f_pure(spec.presentation(ring))
+    assert calls == {"subsets": 20, "power_below_p": 0}
+    report = run_cover_pipeline(
+        spec.presentation(ring), spec.coefficient_ideal(ring), spec.twist_poly(ring),
+        spec.sop_polys(ring), spec.e_max,
+    )
+    assert report.ambient_f_pure and report.quotient_f_pure
+    assert report.conclusion_status == "supported-by-evidence"
 
 
 @st.composite
@@ -571,12 +611,14 @@ def test_fedder_falls_back_to_the_colon_when_every_candidate_misses(monkeypatch)
     """A 2 x 4 matrix in five variables at p = 3: none of the C(6, 2) = 15
     products of two minors, squared, is a certificate, so the colon is
     built one minor at a time.  A certificate appears after the third
-    minor: three per-minor intersections and two pairwise, plus the basis
-    of A."""
+    minor.  Each step is one tracked grevlex run seeded with the basis of
+    A^[p], the Frobenius image of A's, and no step intersects: three runs
+    plus the basis of A.  (The elimination route took three per-minor
+    intersections and two pairwise, six runs in all.)"""
     A = support.candidate_miss()
     counts = _count_work(monkeypatch)
     assert fedder_f_pure(QuotientPresentation(A.ring, A))
-    assert counts == {"intersect": 5, "groebner": 6}
+    assert counts == {"intersect": 0, "groebner": 4}
 
 
 def test_fedder_on_a_hypersurface_runs_no_groebner_basis(monkeypatch):
@@ -613,7 +655,15 @@ def test_cover_hypotheses_are_checked_once_on_the_determinantal_fixture(monkeypa
     read off the basis of the next sum, and the sum defining + (first) that
     the test of the first parameter returns is the start of the walk modulo
     first.  The pipeline shares the basis of defining + I with the
-    criterion; its one colon is Fedder's fallback on the fixture."""
+    criterion; its one colon is Fedder's fallback on the fixture.
+
+    The pipeline makes 16 runs, all in grevlex, where the elimination
+    routes made 22, ten of them in an elimination order.  Fedder's colon on
+    the fixture now takes three tracked runs, one per minor until the
+    certificate, in place of nine intersections (five per minor and four
+    pairwise).  The small presentation is the image of defining under
+    x1, x4, x5 -> 0, and one grevlex run of that image replaces the
+    elimination: 22 - 9 + 3 - 1 + 1."""
     spec = load_ring_spec(str(DETERMINANTAL))
     ring = spec.ring()
     runs, colons = _count_runs_and_colons(monkeypatch)
@@ -627,7 +677,41 @@ def test_cover_hypotheses_are_checked_once_on_the_determinantal_fixture(monkeypa
         spec.presentation(ring), spec.coefficient_ideal(ring), spec.twist_poly(ring),
         spec.sop_polys(ring), spec.e_max,
     )
-    assert (len(runs), colons[0]) == (22, 1)
+    assert (len(runs), colons[0]) == (16, 1)
+    assert [order for _, order, _ in runs if order.kind != "grevlex"] == []
+
+
+def test_small_presentation_matches_the_elimination_on_permuted_fixtures():
+    """The pipeline's small presentation, the reduced grevlex basis of the
+    image of defining under x1, x4, x5 -> 0, prints exactly as the
+    elimination of x1, x4, x5 from defining + I did: on the fixture with its
+    variables listed in the orders of the benchmark's pipeline jobs (drawn
+    from the same fixed seed), and in further orders at p = 3, 5 and 7."""
+    text = DETERMINANTAL.read_text()
+    names = ["x1", "x2", "x3", "x4", "x5"]
+    fixed = random.Random("reference-pipeline-orders")
+    orders = []
+    for _ in range(6):
+        fixed.shuffle(names)
+        orders.append(list(names))
+    for k, order in enumerate(orders):
+        for p in (3,) if k < 2 else (3, 5, 7):
+            lines = [
+                f"p = {p}" if line.startswith("p = ") else
+                "vars = " + ", ".join(order) if line.startswith("vars = ") else line
+                for line in text.splitlines()
+            ]
+            spec = parse_ring_spec("\n".join(lines) + "\n")
+            ring = spec.ring()
+            coefficient = spec.coefficient_ideal(ring)
+            report = run_cover_pipeline(
+                spec.presentation(ring), coefficient, spec.twist_poly(ring), spec.sop_polys(ring), 1
+            )
+            dropped = ["x1", "x4", "x5"]
+            small = PolyRing(p, tuple(v for v in ring.variables if v not in dropped))
+            eliminated = (spec.presentation(ring).defining + coefficient).eliminate(dropped)
+            assert report.quotient_route == "eliminated-presentation"
+            assert report.quotient_presentation == tuple(str(g.mapped_to(small)) for g in eliminated.generators)
 
 
 def test_pipeline_on_the_regular_instance():

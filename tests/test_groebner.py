@@ -8,8 +8,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from froblab import groebner
-from froblab.errors import BudgetExceeded, FroblabError, RingMismatch
-from froblab.groebner import Packing, _PairQueue, _exact_div, buchberger, groebner_basis_of, s_polynomial
+from froblab.errors import BudgetExceeded, RingMismatch
+from froblab.groebner import (
+    Packing,
+    _PairQueue,
+    buchberger,
+    groebner_basis_of,
+    s_polynomial,
+    syzygy_images,
+)
 from froblab.ideals import Ideal
 from froblab.polyring import GREVLEX, LEX, PolyRing, elimination_order
 
@@ -181,20 +188,18 @@ def test_budget_exhaustion_raises():
     assert buchberger(gens).polys
 
 
-def test_exact_division_recovers_the_quotient():
-    rng = random.Random(29)
-    for order in (GREVLEX, LEX, elimination_order(1)):
-        for p in (2, 3, 7):
-            R = PolyRing(p, ("x", "y", "z"), order)
-            for _ in range(5):
-                q = _random_poly(rng, R, max_degree=3, terms=4)
-                g = _random_poly(rng, R, max_degree=2, terms=3)
-                if q.is_zero or g.is_zero or g.total_degree() == 0:
-                    continue
-                assert _exact_div(q * g, g) == q
-                # g is not a unit, so q*g + 1 is no multiple of it
-                with pytest.raises(FroblabError):
-                    _exact_div(q * g + R.one(), g)
+def test_tracked_runs_keep_the_pair_budget():
+    """A tracked run forms its pairs through the same queue, so the budget
+    stops it; under the default budget the same colon (P : g) finishes, with
+    images h such that h*g lies in P, some of them outside P."""
+    R = PolyRing(7, ("x", "y", "z"))
+    seed = buchberger([R.parse("x^3*y + y^2*z"), R.parse("x*y^3 + x*z^2")])
+    g = R.parse("x*y + z^2")
+    with pytest.raises(BudgetExceeded):
+        groebner._buchberger(R, [g], GREVLEX, 1, seed=seed, tags=[R.one()])
+    images = syzygy_images(seed, [R.one()], g)
+    assert all(seed.contains(h * g) for h in images)
+    assert not all(seed.contains(h) for h in images)
 
 
 def test_mixed_rings_rejected():

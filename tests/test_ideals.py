@@ -1,5 +1,6 @@
 """Tests for ideal operations: sums, products, bracket powers, intersection,
-colon, elimination, dimension, Hilbert numerators and standard
+colon (against the elimination routes of tests/support.py and against
+Hilbert series), elimination, dimension, Hilbert numerators and standard
 monomials."""
 
 import itertools
@@ -15,6 +16,8 @@ from froblab.errors import ExponentOverflow, NotArtinian, RingMismatch, UnitIdea
 from froblab.groebner import groebner_basis_of
 from froblab.ideals import Ideal
 from froblab.polyring import GREVLEX, LEX, PolyRing, elimination_order
+
+import support
 
 
 def _ideal(ring, *texts):
@@ -190,6 +193,111 @@ def test_eliminate_output_avoids_dropped_variables():
         A.eliminate(["nope"])
     with pytest.raises(ValueError):
         A.eliminate(["x", "y", "z"])
+
+
+@st.composite
+def ideal_pairs(draw, homogeneous=None):
+    """Two ideals of F_p[x, y, z] or fewer variables, p in {2, 3, 5, 7},
+    with up to three generators of up to three terms of degree at most 2.
+    Each generator is homogeneous when ``homogeneous`` says so (drawn when
+    it is None); an empty draw is a zero generator, an empty list the zero
+    ideal, and a nonzero constant makes the unit ideal."""
+    p = draw(st.sampled_from((2, 3, 5, 7)))
+    ring = PolyRing(p, ("x", "y", "z")[: draw(st.integers(1, 3))])
+    if homogeneous is None:
+        homogeneous = draw(st.booleans())
+    monomials = [m for m in itertools.product(range(3), repeat=ring.nvars) if sum(m) <= 2]
+
+    def poly():
+        pool = monomials
+        if homogeneous:
+            d = draw(st.integers(0, 2))
+            pool = [m for m in monomials if sum(m) == d]
+        g = ring.zero()
+        for m, c in draw(st.lists(st.tuples(st.sampled_from(pool), st.integers(1, p - 1)), max_size=3)):
+            g = g + ring.monomial(m, c)
+        return g
+
+    def ideal():
+        return Ideal(ring, tuple(poly() for _ in range(draw(st.integers(0, 3)))))
+
+    return ideal(), ideal()
+
+
+def _pair(p, names, first, second):
+    ring = PolyRing(p, names)
+    return _ideal(ring, *first), _ideal(ring, *second)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(ideal_pairs())
+@example(_pair(3, ("x", "y"), [], ["x", "y"]))  # the zero ideal
+@example(_pair(5, ("x", "y"), ["x", "x + 1"], ["y^2", "0", "x*y"]))  # unit, zero divisor
+@example(_pair(2, ("x", "y", "z"), ["x*y + z", "y^2"], ["x + z^2", "y*z + 1"]))
+@example(_pair(7, ("x", "y", "z"), ["x^2", "x*y", "y*z"], ["x", "0", "z^2"]))
+@example(_pair(5, ("x", "y", "z"), ["2*x*z + 3"], ["4*x*y + x + 1"]))  # S-pairs of two tagged elements
+def test_intersect_and_colon_match_the_elimination_routes(case):
+    """Intersection, colon and each colon step equal the elimination
+    routes of tests/support.py, on homogeneous and inhomogeneous inputs."""
+    A, B = case
+    assert A.intersect(B) == support.elimination_intersect(A, B)
+    divisors = tuple(g for g in B.generators if not g.is_zero)
+    if not divisors:
+        with pytest.raises(ZeroColonDivisor):
+            A.colon(B)
+        return
+    steps = list(A.colon_steps(B))
+    assert [rest for _, rest in steps] == [divisors[k:] for k in range(1, len(divisors) + 1)]
+    for k, (colon, _) in enumerate(steps, 1):
+        assert colon == support.elimination_colon(A, Ideal(A.ring, divisors[:k]))
+    assert A.colon(B) == steps[-1][0]
+
+
+def _series(*parts):
+    """The sum of sign * t^shift * K over parts (sign, shift, K), as a
+    coefficient list with no trailing zeros."""
+    out = [0] * max((shift + len(K) for _, shift, K in parts), default=0)
+    for sign, shift, K in parts:
+        for k, c in enumerate(K):
+            out[shift + k] += sign * c
+    while out and not out[-1]:
+        out.pop()
+    return out
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(ideal_pairs(homogeneous=True))
+@example(_pair(3, ("x", "y"), [], ["x", "y"]))
+@example(_pair(5, ("x", "y", "z"), ["x*y", "x*z", "y*z"], ["x", "y + z", "0"]))
+@example(_pair(7, ("x", "y", "z"), ["x^2", "y^2"], ["1", "x*y"]))
+def test_intersect_and_colon_have_the_hilbert_series_of_their_exact_sequences(case):
+    """On homogeneous P, Q and g, from Hilbert numerators alone (K with
+    HS(S/I) = K/(1 - t)^n):
+    - K(P ∩ Q) = K(P) + K(Q) - K(P + Q), from 0 -> S/(P ∩ Q) -> S/P ⊕ S/Q
+      -> S/(P + Q) -> 0;
+    - t^deg g * K(P : g) = K(P) - K(P + (g)), from
+      0 -> (S/(P : g))(-deg g) -> S/P -> S/(P + (g)) -> 0;
+    - each step of colon_steps is the intersection of the step before and
+      the colon by the new divisor.
+    With the containments checked by membership, equal Hilbert series make
+    the ideals equal."""
+    P, Q = case
+    K = Ideal.hilbert_numerator
+    meet = P.intersect(Q)
+    assert all(P.contains(h) and Q.contains(h) for h in meet.generators)
+    assert _series((1, 0, K(meet)), (1, 0, K(P + Q))) == _series((1, 0, K(P)), (1, 0, K(Q)))
+    divisors = [g for g in Q.generators if not g.is_zero]
+    before = None
+    for (colon, _), g in zip(P.colon_steps(Q) if divisors else (), divisors):
+        single = P.colon(Ideal(P.ring, (g,)))
+        assert all(P.contains(h * g) for h in single.generators)
+        assert _series((1, g.total_degree(), K(single))) == _series((1, 0, K(P)), (-1, 0, K(P + Ideal(P.ring, (g,)))))
+        if before is None:
+            assert colon == single
+        else:
+            assert all(before.contains(h) and single.contains(h) for h in colon.generators)
+            assert _series((1, 0, K(colon)), (1, 0, K(before + single))) == _series((1, 0, K(before)), (1, 0, K(single)))
+        before = colon
 
 
 def test_krull_dimension():
