@@ -442,7 +442,8 @@ def run_cover_pipeline(
     tail_support = set().union(*(t.support_variables() for t in tail))
     if drop is not None and len(drop) < ring.nvars and not (tail_support & set(drop)):
         # (defining + I) ∩ k[keep] is the image of defining under x_d -> 0,
-        # presented by its reduced grevlex basis in the small ring
+        # presented by its reduced grevlex basis in the small ring, which is
+        # its own basis, so the presentation builds no second one
         keep = [v for v in ring.variables if v not in set(drop)]
         small_ring = PolyRing(ring.p, tuple(keep), GREVLEX)
         dropped = [ring.variables.index(v) for v in drop]
@@ -451,7 +452,10 @@ def run_cover_pipeline(
             .mapped_to(small_ring)
             for g in presentation.defining.generators
         ))
-        quotient_pres = QuotientPresentation(small_ring, image.groebner_basis(GREVLEX).polys)
+        basis = image.groebner_basis(GREVLEX)
+        small = Ideal(small_ring, basis.polys)
+        small._gb[GREVLEX] = basis
+        quotient_pres = QuotientPresentation(small_ring, small)
         small_tail = [t.mapped_to(small_ring) for t in tail]
         route = "eliminated-presentation"
     else:

@@ -26,21 +26,20 @@ that reduces to zero leaves its tag t, with g*t in P.  These tags generate
 seed has image 0, and the Koszul syzygy of a coprime pair that criterion F
 drops has image f_j*t_i - f_i*t_j = (f_j - g*t_j)*t_i - (f_i - g*t_i)*t_j,
 which is in P*T.  With g = 1 and tags Q's generators this gives P ∩ Q, and
-with tags 1 the colon (P : g), with no elimination order (Moeller, Mora &
-Traverso 1992; Greuel & Pfister, section 1.8).
+with tags 1 the colon (P : g), all in grevlex (Moeller, Mora & Traverso
+1992; Greuel & Pfister, section 1.8).
 
 Inside the engine a monomial is one packed int.  Each exponent has a 16-bit
-field topped by a guard bit; each grevlex block also has a total-degree
-field, wide enough for the block's degree sum, topped by its own guard bit.
-The field layout depends on the order, from the most significant field down:
+field topped by a guard bit; grevlex also has a total-degree field, wide
+enough for the degree sum, topped by its own guard bit.  The field layout
+depends on the order, from the most significant field down:
 
 - lex: x1, x2, ..., xn;
-- grevlex: degree, xn, ..., x1;
-- elimination on the first b variables: degree of x1..xb, xb, ..., x1,
-  then degree of the rest, xn, ..., x(b+1).
+- grevlex: degree, xn, ..., x1.
 
-``mask`` holds the value bits of every exponent field inside a grevlex
-block, so ``packed ^ mask`` compares exactly like ``MonomialOrder.key``.
+Under grevlex ``mask`` holds the value bits of every exponent field (under
+lex it is 0), so ``packed ^ mask`` compares exactly like
+``MonomialOrder.key``.
 The product of two monomials is the sum of their packed ints.  With ``guard``
 the union of all guard bits, ``lead`` divides ``m`` iff
 ``((m | guard) - lead) & guard == guard``, and the quotient is that
@@ -84,41 +83,19 @@ class Packing:
     __slots__ = ("units", "shifts", "mask", "guard", "exponents")
 
     def __init__(self, order: MonomialOrder, nvars: int):
-        if order.kind == "lex":
-            # x1 most significant, so fields are laid out from xn upwards
-            blocks = [(tuple(range(nvars - 1, -1, -1)), False)]
-        elif order.kind == "grevlex":
-            blocks = [(tuple(range(nvars)), True)]
-        else:
-            b = min(order.block, nvars)
-            blocks = [(tuple(range(b, nvars)), True), (tuple(range(b)), True)]
-        shifts = [0] * nvars
-        units = [0] * nvars
-        mask = guard = exponents = 0
-        at = 0  # next free bit, filling from the least significant end
-        for variables, graded in blocks:
-            if not variables:
-                continue
-            for i in variables:
-                shifts[i] = at
-                units[i] = 1 << at
-                exponents |= MAX_EXPONENT << at
-                if graded:
-                    mask |= MAX_EXPONENT << at
-                at += EXPONENT_BITS
-                guard |= 1 << at
-                at += 1
-            if graded:
-                for i in variables:
-                    units[i] |= 1 << at
-                at += EXPONENT_BITS + (len(variables) - 1).bit_length()
-                guard |= 1 << at
-                at += 1
-        self.units = tuple(units)
-        self.shifts = tuple(shifts)
-        self.mask = mask
-        self.guard = guard
-        self.exponents = exponents
+        graded = order.kind == "grevlex"
+        width = EXPONENT_BITS + 1
+        # exponent fields fill from the least significant end, each topped by
+        # a guard bit: x1 first under grevlex, xn first under lex; grevlex
+        # puts its degree field, wide enough for the degree sum, above them
+        self.shifts = tuple(width * (i if graded else nvars - 1 - i) for i in range(nvars))
+        self.exponents = sum(MAX_EXPONENT << s for s in self.shifts)
+        self.guard = sum(1 << (s + EXPONENT_BITS) for s in self.shifts)
+        self.mask = self.exponents if graded else 0
+        degree = 1 << (width * nvars) if graded else 0
+        self.units = tuple(1 << s | degree for s in self.shifts)
+        if graded:
+            self.guard |= degree << (EXPONENT_BITS + (nvars - 1).bit_length())
 
     def pack(self, m: Monomial) -> int:
         return sum(map(mul, m, self.units))
@@ -421,7 +398,6 @@ def groebner_basis_of(
     budget: int = DEFAULT_PAIR_BUDGET,
     *,
     seed: GroebnerBasis | None = None,
-    _eliminate: int = 0,
 ) -> GroebnerBasis:
     """Like ``buchberger`` but tolerates an empty generator list (zero ideal).
 
@@ -429,10 +405,6 @@ def groebner_basis_of(
     inside the one the generators span, such as a summand's cached basis:
     the run starts from it and never forms the pairs among its elements.
     The result is the same reduced basis as without it.
-
-    With ``_eliminate`` = b under an elimination order on the first b
-    variables, the result is only the reduced basis of the elimination ideal:
-    the elements free of those variables.
     """
     order = order or ring.order
     gens = [g for g in generators if not g.is_zero]
@@ -443,7 +415,7 @@ def groebner_basis_of(
         raise ValueError("the seed basis is in another ring or order")
     if not gens:
         return GroebnerBasis(ring, order, ())
-    return _buchberger(ring, gens, order, budget, _eliminate, seed)
+    return _buchberger(ring, gens, order, budget, seed)
 
 
 def syzygy_images(
@@ -482,7 +454,6 @@ def _buchberger(
     gens: list[Polynomial],
     order: MonomialOrder,
     budget: int,
-    eliminate: int = 0,
     seed: GroebnerBasis | None = None,
     tags: Sequence[Polynomial] | None = None,
 ) -> GroebnerBasis | list[Polynomial]:
@@ -544,7 +515,7 @@ def _buchberger(
         if seeded or tracked:
             terms = _reduce(terms, basis, p, pk, steps)
         enter(terms, g.total_degree(), tag, steps)
-    if seeded and len(basis) == len(seeded) and not eliminate and not tracked:
+    if seeded and len(basis) == len(seeded) and not tracked:
         return seed  # every generator lies in the seed's ideal
 
     while pairs.heap:
@@ -566,15 +537,10 @@ def _buchberger(
     if tracked:
         return [ring._poly(pk.unpack_terms(t)) for t in images]
 
-    # an elimination keeps the elements whose lead is free of the first
-    # ``eliminate`` variables; no other lead divides a monomial free of them
-    block = sum(MAX_EXPONENT << pk.shifts[i] for i in range(eliminate))
-    active = [t for t in pairs.active if not leads[t] & block]
-
     # minimalize: drop active elements whose lead another kept lead divides
     # (only inputs can be such: every S-polynomial is reduced by all leads)
     kept: list[int] = []
-    for t in sorted(active, key=lambda t: leads[t] ^ mask):
+    for t in sorted(pairs.active, key=lambda t: leads[t] ^ mask):
         shifted = leads[t] | guard
         if not any((shifted - leads[s]) & guard == guard for s in kept):
             kept.append(t)

@@ -1,13 +1,13 @@
 """Ideal-level operations in F_p[x1..xn]: sums, products, Frobenius bracket
-powers, intersections, colons, elimination ideals, Krull dimension, Hilbert
-numerators and standard monomial bases.
+powers, intersections, colons, the part free of some variables, Krull
+dimension, Hilbert numerators and standard monomial bases.
 
 An Ideal keeps its generator list as given and caches one reduced Groebner
 basis per monomial order.  A sum remembers its two summands, and its basis
 is built from a summand's cached basis in the same order when there is one.
 Intersections and colons come from tracked grevlex runs seeded with such a
-cached basis (``groebner.syzygy_images``), with no elimination order.
-Extensional equality always compares reduced grevlex bases.
+cached basis (``groebner.syzygy_images``).  ``eliminate`` is the one lex
+run.  Extensional equality always compares reduced grevlex bases.
 """
 
 from __future__ import annotations
@@ -24,15 +24,7 @@ from .errors import (
     ZeroColonDivisor,
 )
 from .groebner import DEFAULT_PAIR_BUDGET, GroebnerBasis, groebner_basis_of, syzygy_images
-from .polyring import (
-    GREVLEX,
-    Monomial,
-    MonomialOrder,
-    PolyRing,
-    Polynomial,
-    elimination_order,
-    monomial_div,
-)
+from .polyring import GREVLEX, LEX, Monomial, MonomialOrder, PolyRing, Polynomial, monomial_div
 
 
 def _distinct_monic(polys: Iterable[Polynomial]) -> list[Polynomial]:
@@ -213,7 +205,9 @@ class Ideal:
 
     def eliminate(self, drop: Iterable[str]) -> "Ideal":
         """Generators of self ∩ k[remaining variables], returned in the
-        original ring."""
+        original ring: the elements free of the dropped variables in the
+        reduced lex basis with those variables listed first (Cox, Little &
+        O'Shea, section 3.1)."""
         ring = self.ring
         drop_set = set(drop)
         for name in drop_set:
@@ -223,15 +217,13 @@ class Ideal:
         keep_idx = [i for i, n in enumerate(ring.variables) if n not in drop_set]
         if not keep_idx:
             raise ValueError("cannot eliminate every variable")
-        perm = drop_idx + keep_idx
-        ring2 = PolyRing(
-            ring.p,
-            tuple(ring.variables[i] for i in perm),
-            elimination_order(len(drop_idx)),
-        )
-        gens2 = [g.mapped_to(ring2) for g in self.generators if not g.is_zero]
-        gb2 = groebner_basis_of(ring2, gens2, ring2.order, _eliminate=len(drop_idx))
-        return Ideal(ring, tuple(g.mapped_to(ring) for g in gb2.polys))
+        ring2 = PolyRing(ring.p, tuple(ring.variables[i] for i in drop_idx + keep_idx), LEX)
+        gens2 = [g.mapped_to(ring2) for g in self.generators]
+        # under lex a lead free of the leading variables leaves them out of
+        # every term
+        free = [g for g in groebner_basis_of(ring2, gens2, LEX).polys
+                if not any(g.leading_monomial(LEX)[:len(drop_idx)])]
+        return Ideal(ring, tuple(g.mapped_to(ring) for g in free))
 
     def krull_dimension(self) -> int:
         """Dimension of R/self, read combinatorially off the leading-term

@@ -1,9 +1,10 @@
 """Sparse multivariate polynomial arithmetic over prime fields.
 
 Polynomials are immutable values attached to a PolyRing handle fixing the
-characteristic, the variable names and a monomial order used for printing and
-Groebner computations.  Monomials are plain exponent tuples; coefficients are
-plain ints in [0, p), and a stored term never has coefficient 0.
+characteristic, the variable names and a monomial order, lex or grevlex, used
+for printing and Groebner computations.  Monomials are plain exponent tuples;
+coefficients are plain ints in [0, p), and a stored term never has
+coefficient 0.
 """
 
 from __future__ import annotations
@@ -69,38 +70,26 @@ def monomial_lcm(a: Monomial, b: Monomial) -> Monomial:
     return tuple(x if x > y else y for x, y in zip(a, b))
 
 
-def _grevlex_key(m: Monomial):
-    return (sum(m), tuple(-e for e in reversed(m)))
-
-
 @dataclass(frozen=True)
 class MonomialOrder:
-    """A monomial order: ``lex``, ``grevlex``, or ``elimination`` with a block
-    of leading variables compared first (grevlex within each block)."""
+    """A monomial order: ``lex`` or ``grevlex``.  Under lex, a polynomial
+    whose lead is free of the first k variables is free of them entirely,
+    which ``Ideal.eliminate`` relies on."""
 
     kind: str
-    block: int = 0
 
     def __post_init__(self):
-        if self.kind not in ("lex", "grevlex", "elimination"):
+        if self.kind not in ("lex", "grevlex"):
             raise ValueError(f"unknown order kind {self.kind!r}")
-        if self.kind == "elimination" and self.block < 1:
-            raise ValueError("elimination order needs a positive block size")
 
     def key(self, m: Monomial):
-        if self.kind == "grevlex":
-            return _grevlex_key(m)
         if self.kind == "lex":
             return m
-        return (_grevlex_key(m[: self.block]), _grevlex_key(m[self.block:]))
+        return (sum(m), tuple(-e for e in reversed(m)))
 
 
 GREVLEX = MonomialOrder("grevlex")
 LEX = MonomialOrder("lex")
-
-
-def elimination_order(block: int) -> MonomialOrder:
-    return MonomialOrder("elimination", block)
 
 
 # ---------------------------------------------------------------------------

@@ -68,9 +68,9 @@ def full_colon_f_pure(A):
 
 
 def elimination_intersect(A, B):
-    """A ∩ B by eliminating w from w*A + (1 - w)*B in an elimination order:
-    the route Ideal.intersect took before its tracked grevlex run, kept as a
-    reference."""
+    """A ∩ B by eliminating w from w*A + (1 - w)*B with ``Ideal.eliminate``
+    (one lex run): independent of the tracked grevlex run Ideal.intersect
+    takes, kept as a reference."""
     ring = A.ring
     aux = "w"
     while aux in ring.variables:

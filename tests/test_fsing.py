@@ -33,7 +33,7 @@ from froblab.fsing import (
     socle_lift,
 )
 from froblab.ideals import Ideal
-from froblab.polyring import PolyRing, Polynomial
+from froblab.polyring import GREVLEX, PolyRing, Polynomial
 from froblab.quotients import QuotientPresentation
 from froblab.reports import (
     CLOSED_UP_TO,
@@ -657,13 +657,14 @@ def test_cover_hypotheses_are_checked_once_on_the_determinantal_fixture(monkeypa
     first.  The pipeline shares the basis of defining + I with the
     criterion; its one colon is Fedder's fallback on the fixture.
 
-    The pipeline makes 16 runs, all in grevlex, where the elimination
+    The pipeline makes 15 runs, all in grevlex, where the elimination
     routes made 22, ten of them in an elimination order.  Fedder's colon on
     the fixture now takes three tracked runs, one per minor until the
     certificate, in place of nine intersections (five per minor and four
     pairwise).  The small presentation is the image of defining under
-    x1, x4, x5 -> 0, and one grevlex run of that image replaces the
-    elimination: 22 - 9 + 3 - 1 + 1."""
+    x1, x4, x5 -> 0: one grevlex run of that image replaces the elimination,
+    and the presentation keeps the reduced basis it is given, so it makes
+    no second run: 22 - 9 + 3 - 1 + 1 - 1."""
     spec = load_ring_spec(str(DETERMINANTAL))
     ring = spec.ring()
     runs, colons = _count_runs_and_colons(monkeypatch)
@@ -677,16 +678,17 @@ def test_cover_hypotheses_are_checked_once_on_the_determinantal_fixture(monkeypa
         spec.presentation(ring), spec.coefficient_ideal(ring), spec.twist_poly(ring),
         spec.sop_polys(ring), spec.e_max,
     )
-    assert (len(runs), colons[0]) == (16, 1)
+    assert (len(runs), colons[0]) == (15, 1)
     assert [order for _, order, _ in runs if order.kind != "grevlex"] == []
 
 
 def test_small_presentation_matches_the_elimination_on_permuted_fixtures():
     """The pipeline's small presentation, the reduced grevlex basis of the
-    image of defining under x1, x4, x5 -> 0, prints exactly as the
-    elimination of x1, x4, x5 from defining + I did: on the fixture with its
-    variables listed in the orders of the benchmark's pipeline jobs (drawn
-    from the same fixed seed), and in further orders at p = 3, 5 and 7."""
+    image of defining under x1, x4, x5 -> 0, prints exactly as the reduced
+    grevlex basis of the elimination of x1, x4, x5 from defining + I: on
+    the fixture with its variables listed in the orders of the benchmark's
+    pipeline jobs (drawn from the same fixed seed), and in further orders at
+    p = 3, 5 and 7."""
     text = DETERMINANTAL.read_text()
     names = ["x1", "x2", "x3", "x4", "x5"]
     fixed = random.Random("reference-pipeline-orders")
@@ -710,8 +712,10 @@ def test_small_presentation_matches_the_elimination_on_permuted_fixtures():
             dropped = ["x1", "x4", "x5"]
             small = PolyRing(p, tuple(v for v in ring.variables if v not in dropped))
             eliminated = (spec.presentation(ring).defining + coefficient).eliminate(dropped)
+            mapped = tuple(g.mapped_to(small) for g in eliminated.generators)
+            expected = Ideal(small, mapped).groebner_basis(GREVLEX).polys
             assert report.quotient_route == "eliminated-presentation"
-            assert report.quotient_presentation == tuple(str(g.mapped_to(small)) for g in eliminated.generators)
+            assert report.quotient_presentation == tuple(str(g) for g in expected)
 
 
 def test_pipeline_on_the_regular_instance():

@@ -1,0 +1,28 @@
+"""The package's public names: every name in ``froblab.__all__`` resolves
+on the package, and every public name ``froblab/__init__.py`` imports is
+listed, so a name deleted from one place but not the other fails here."""
+
+import ast
+from pathlib import Path
+
+import froblab
+
+
+def _imported_names():
+    tree = ast.parse(Path(froblab.__file__).read_text())
+    return {
+        alias.asname or alias.name
+        for node in tree.body
+        if isinstance(node, ast.ImportFrom)
+        for alias in node.names
+    }
+
+
+def test_every_listed_name_resolves_on_the_package():
+    assert len(froblab.__all__) == len(set(froblab.__all__))
+    assert [name for name in froblab.__all__ if not hasattr(froblab, name)] == []
+
+
+def test_every_public_name_the_package_imports_is_listed():
+    public = {name for name in _imported_names() if not name.startswith("_")}
+    assert sorted(public - set(froblab.__all__)) == []
