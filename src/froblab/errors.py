@@ -37,7 +37,10 @@ class ExponentOverflow(FroblabError):
 
 
 class BudgetExceeded(FroblabError):
-    """A computation hit its configured work budget before finishing."""
+    """A work limit was hit: one Buchberger run (tracked and lex runs too)
+    formed more S-pairs than ``froblab.groebner.DEFAULT_PAIR_BUDGET``, which
+    governs (``froblab.DEFAULT_PAIR_BUDGET`` is a copy), or an oracle box
+    was too large."""
 
 
 class ZeroColonDivisor(FroblabError):

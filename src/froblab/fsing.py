@@ -18,6 +18,7 @@ from typing import NamedTuple, Sequence
 from .errors import (
     ContextMismatch,
     EvenCharacteristic,
+    ExponentOverflow,
     FroblabError,
     InjectivityFailure,
     InputAssumptionViolation,
@@ -232,6 +233,8 @@ def cover_f_injectivity_criterion(
         raise EvenCharacteristic("use the even-characteristic degeneracy check for p = 2")
     if not sop:
         raise InputAssumptionViolation("an empty system of parameters")
+    if e_max < 0:
+        raise InputAssumptionViolation(f"e_max must be nonnegative, got {e_max}")
     R = context.quotient
     ring = context.ring
     lifted = socle_lift(context, sop[0], sop[1:])
@@ -269,7 +272,7 @@ def cover_f_injectivity_criterion(
     if witness_e is not None:
         try:
             sub["monotonicity_verified"] = member(witness_e + 1)
-        except FroblabError:
+        except ExponentOverflow:
             sub["monotonicity_verified"] = None
     return CriterionReport(
         verdict=NO_FAILURE_UP_TO if witness_e is None else DECISIVE_NOT_F_INJECTIVE,

@@ -70,8 +70,9 @@ from .polyring import (
     monomial_lcm,
 )
 
-# max S-pairs formed before giving up, whether a criterion prunes them or
-# not; runaway inputs become a clean error
+# max S-pairs one Buchberger run (plain, seeded, tracked or lex) forms,
+# pruned or not, before it raises BudgetExceeded; _PairQueue reads it at
+# each update, so this module attribute is the one that governs
 DEFAULT_PAIR_BUDGET = 1_000_000
 
 EXPONENT_BITS = MAX_EXPONENT.bit_length()
@@ -236,9 +237,8 @@ class _PairQueue:
     pops it in exactly that order.
     """
 
-    def __init__(self, pk: Packing, budget: int):
+    def __init__(self, pk: Packing):
         self.pk = pk
-        self.budget = budget
         self.formed = 0  # pairs formed so far, pruned or not
         self.leads: list[int] = []
         self.exponents: list[Monomial] = []  # the leads unpacked, for lcms
@@ -253,8 +253,8 @@ class _PairQueue:
         pk, leads, exponents, active, heap = self.pk, self.leads, self.exponents, self.active, self.heap
         mask, guard, units = pk.mask, pk.guard, pk.units
         self.formed += len(active)
-        if self.formed > self.budget:
-            raise BudgetExceeded(f"S-pair budget of {self.budget} exhausted")
+        if self.formed > DEFAULT_PAIR_BUDGET:
+            raise BudgetExceeded(f"S-pair budget of {DEFAULT_PAIR_BUDGET} exhausted")
         t = len(leads)
         lt = pk.unpack(lead)
 
@@ -375,9 +375,7 @@ class GroebnerBasis:
 
 
 def buchberger(
-    generators: Iterable[Polynomial],
-    order: MonomialOrder | None = None,
-    budget: int = DEFAULT_PAIR_BUDGET,
+    generators: Iterable[Polynomial], order: MonomialOrder | None = None
 ) -> GroebnerBasis:
     """Reduced Groebner basis of the ideal spanned by ``generators``."""
     gens = [g for g in generators if not g.is_zero]
@@ -388,14 +386,13 @@ def buchberger(
         if g.ring != ring:
             raise RingMismatch("generators from different rings")
     order = order or ring.order
-    return _buchberger(ring, gens, order, budget)
+    return _buchberger(ring, gens, order)
 
 
 def groebner_basis_of(
     ring: PolyRing,
     generators: Iterable[Polynomial],
     order: MonomialOrder | None = None,
-    budget: int = DEFAULT_PAIR_BUDGET,
     *,
     seed: GroebnerBasis | None = None,
 ) -> GroebnerBasis:
@@ -415,7 +412,7 @@ def groebner_basis_of(
         raise ValueError("the seed basis is in another ring or order")
     if not gens:
         return GroebnerBasis(ring, order, ())
-    return _buchberger(ring, gens, order, budget, seed)
+    return _buchberger(ring, gens, order, seed)
 
 
 def syzygy_images(
@@ -444,16 +441,13 @@ def syzygy_images(
     if not tags:
         return []
     gens = tags if g is None else [g * t for t in tags]
-    return _buchberger(
-        seed.ring, gens, seed.order, DEFAULT_PAIR_BUDGET, seed=seed, tags=tags,
-    )
+    return _buchberger(seed.ring, gens, seed.order, seed, tags)
 
 
 def _buchberger(
     ring: PolyRing,
     gens: list[Polynomial],
     order: MonomialOrder,
-    budget: int,
     seed: GroebnerBasis | None = None,
     tags: Sequence[Polynomial] | None = None,
 ) -> GroebnerBasis | list[Polynomial]:
@@ -463,7 +457,7 @@ def _buchberger(
     p = ring.p
     pk = Packing(order, ring.nvars)
     mask, guard = pk.mask, pk.guard
-    pairs = _PairQueue(pk, budget)
+    pairs = _PairQueue(pk)
     leads = pairs.leads
     basis: list[tuple] = []  # packed monic divisors (lead, bound, tail)
     # a tracked run keeps each element's nonzero tag, scaled like the

@@ -23,7 +23,7 @@ from .errors import (
     UnitIdeal,
     ZeroColonDivisor,
 )
-from .groebner import DEFAULT_PAIR_BUDGET, GroebnerBasis, groebner_basis_of, syzygy_images
+from .groebner import GroebnerBasis, groebner_basis_of, syzygy_images
 from .polyring import GREVLEX, LEX, Monomial, MonomialOrder, PolyRing, Polynomial, monomial_div
 
 
@@ -96,9 +96,7 @@ class Ideal:
         inside = ", ".join(str(g) for g in self.generators) or "0"
         return f"Ideal({inside})"
 
-    def groebner_basis(
-        self, order: MonomialOrder | None = None, budget: int = DEFAULT_PAIR_BUDGET
-    ) -> GroebnerBasis:
+    def groebner_basis(self, order: MonomialOrder | None = None) -> GroebnerBasis:
         """The reduced basis in ``order``, cached.  A sum's basis is built
         from the larger basis in that order its summands have cached, if
         any: the Buchberger run then forms no pair inside that summand."""
@@ -107,13 +105,13 @@ class Ideal:
         if gb is None:
             cached = [s._gb[order] for s in self._summands if order in s._gb]
             seed = max(cached, key=lambda b: len(b.polys), default=None)
-            gb = groebner_basis_of(self.ring, self.generators, order, budget, seed=seed)
+            gb = groebner_basis_of(self.ring, self.generators, order, seed=seed)
             # setdefault keeps the first basis stored, so every caller shares it
             gb = self._gb.setdefault(order, gb)
         return gb
 
-    def normal_form(self, g: Polynomial, order: MonomialOrder | None = None) -> Polynomial:
-        return self.groebner_basis(order).normal_form(g)
+    def normal_form(self, g: Polynomial) -> Polynomial:
+        return self.groebner_basis().normal_form(g)
 
     def contains(self, g: Polynomial) -> bool:
         return self.groebner_basis(GREVLEX).contains(g)

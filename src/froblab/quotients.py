@@ -16,11 +16,13 @@ from __future__ import annotations
 import itertools
 import random
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from .errors import (
     BudgetExceeded,
+    ExponentOverflow,
     FroblabError,
+    InputAssumptionViolation,
     NotArtinian,
     RingMismatch,
     ZeroElement,
@@ -36,6 +38,7 @@ from .reports import (
 )
 
 DEFAULT_CLOSURE_EMAX = 3
+_PARAMETER_ATTEMPTS = 200  # random sequences suggest_parameter_sequence tries
 
 
 @dataclass(frozen=True)
@@ -54,9 +57,9 @@ class SocleBasis:
 class QuotientPresentation:
     """R = k[x1..xn]/defining with the defining ideal inside (x1..xn)."""
 
-    def __init__(self, ring: PolyRing, defining: Ideal | Iterable[Polynomial]):
+    def __init__(self, ring: PolyRing, defining: Ideal):
         if not isinstance(defining, Ideal):
-            defining = Ideal(ring, tuple(defining))
+            raise TypeError(f"expected Ideal, got {type(defining).__name__}")
         if defining.ring != ring:
             raise RingMismatch("defining ideal lives in a different ring")
         for g in defining.generators:
@@ -183,6 +186,8 @@ class QuotientPresentation:
         depth on a tie; combination_index is that index minus 1.  No
         combination is ever skipped, so the report is never partial.
         """
+        if e_max < 0:
+            raise InputAssumptionViolation(f"e_max must be nonnegative, got {e_max}")
         full = self._regular_sum(parameter.generators)
         regular = full is not None and not full.is_unit()
         soc = self._socle(parameter, full if full is not None else self.defining + parameter)
@@ -232,7 +237,7 @@ class QuotientPresentation:
             # below e_max the kernel loop already formed the depth-(e + 1) target
             bigger = targets[e] if e < e_max else self.defining + parameter.bracket_power(e + 1)
             monotone = bigger.contains(s.frobenius_pow(e + 1))
-        except FroblabError:
+        except ExponentOverflow:
             monotone = None
         witness = ClosureWitness(
             element=str(s), e=e, combination_index=index - 1, coefficients=vec
@@ -315,7 +320,6 @@ def suggest_parameter_sequence(
     count: int,
     seed: int = 0,
     first_inside: Ideal | None = None,
-    attempts: int = 200,
 ) -> list[Polynomial]:
     """Search for a regular sequence of ``count`` random linear combinations
     of the variables (the first element drawn from ``first_inside`` when
@@ -333,7 +337,7 @@ def suggest_parameter_sequence(
                 out = out + g * rng.randrange(p)
         return out
 
-    for _ in range(attempts):
+    for _ in range(_PARAMETER_ATTEMPTS):
         candidate = []
         if first_inside is not None:
             pool = [g for g in first_inside.generators if not g.is_zero]
@@ -347,4 +351,4 @@ def suggest_parameter_sequence(
                 candidate.append(random_combination(variables))
         if presentation.is_regular_sequence(candidate):
             return candidate
-    raise FroblabError(f"no regular sequence of length {count} found in {attempts} attempts")
+    raise FroblabError(f"no regular sequence of length {count} found in {_PARAMETER_ATTEMPTS} attempts")

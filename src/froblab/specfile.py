@@ -40,36 +40,30 @@ class RingSpec:
     def ring(self) -> PolyRing:
         return PolyRing(self.p, self.variables)
 
-    def matrix_polys(self, ring: PolyRing | None = None) -> tuple[tuple[Polynomial, ...], ...]:
-        ring = ring or self.ring()
+    def matrix_polys(self, ring: PolyRing) -> tuple[tuple[Polynomial, ...], ...]:
         return tuple(tuple(ring.parse(entry) for entry in row) for row in self.matrix)
 
-    def relation_polys(self, ring: PolyRing | None = None) -> list[Polynomial]:
+    def relation_polys(self, ring: PolyRing) -> list[Polynomial]:
         """Defining relations: the stated ones, or the minors of the matrix."""
-        ring = ring or self.ring()
         if self.matrix:
             return matrix_minors(self.matrix_polys(ring))
         return [ring.parse(s) for s in self.relations]
 
-    def presentation(self, ring: PolyRing | None = None) -> QuotientPresentation:
-        ring = ring or self.ring()
+    def presentation(self, ring: PolyRing) -> QuotientPresentation:
         return QuotientPresentation(ring, Ideal(ring, tuple(self.relation_polys(ring))))
 
-    def coefficient_ideal(self, ring: PolyRing | None = None) -> Ideal:
+    def coefficient_ideal(self, ring: PolyRing) -> Ideal:
         if self.canonical_ideal is None:
             raise MissingField("the command needs a canonical_ideal entry in the spec file")
-        ring = ring or self.ring()
         return Ideal(ring, tuple(ring.parse(s) for s in self.canonical_ideal))
 
-    def sop_polys(self, ring: PolyRing | None = None) -> list[Polynomial]:
+    def sop_polys(self, ring: PolyRing) -> list[Polynomial]:
         if self.sop is None:
             raise MissingField("the command needs a sop entry in the spec file")
-        ring = ring or self.ring()
         return [ring.parse(s) for s in self.sop]
 
-    def twist_poly(self, ring: PolyRing | None = None) -> Polynomial:
+    def twist_poly(self, ring: PolyRing) -> Polynomial:
         """The twist element; defaults to 1 when the file has no f entry."""
-        ring = ring or self.ring()
         return ring.parse(self.f) if self.f is not None else ring.one()
 
 

@@ -11,7 +11,7 @@ own Gaussian elimination.
 import itertools
 from dataclasses import dataclass
 
-from froblab.errors import FroblabError
+from froblab.errors import ExponentOverflow
 from froblab.ideals import Ideal
 from froblab.polyring import PolyRing, Polynomial, monomial_div
 from froblab.reports import CLOSED_UP_TO, NOT_FROBENIUS_CLOSED, ClosureReport, ClosureWitness
@@ -170,7 +170,7 @@ def closure_sweep_report(presentation, parameter, e_max):
                 try:
                     bigger = Q.defining + parameter.bracket_power(e + 1)
                     monotone = bigger.contains(s.frobenius_pow(e + 1))
-                except FroblabError:
+                except ExponentOverflow:
                     monotone = None
                 witness = ClosureWitness(
                     element=str(s), e=e, combination_index=idx, coefficients=vec

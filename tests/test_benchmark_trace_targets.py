@@ -1,10 +1,13 @@
 """The benchmark's trace wraps froblab's functions by name from outside the
 library; a renamed or deleted target would only fail under ``--trace 1``.
-This installs the tracer on a fresh import and checks every target."""
+This installs the tracer on a fresh import and checks every target, and the
+content keys it reads off the arguments of Groebner builds."""
 
 import importlib
 import sys
 from pathlib import Path
+
+import pytest
 
 BENCH = Path(__file__).resolve().parent.parent / "bench"
 TARGET_COUNT = 36
@@ -14,34 +17,17 @@ def _froblab_modules() -> dict:
     return {k: v for k, v in sys.modules.items() if k == "froblab" or k.startswith("froblab.")}
 
 
-def test_every_trace_target_is_wrapped_and_restored(monkeypatch):
+@pytest.fixture
+def bench(monkeypatch):
+    """(the bench ``run`` module, the bench ``spans`` module, a fresh froblab
+    import); the modules imported before are put back afterwards."""
     monkeypatch.syspath_prepend(str(BENCH))
     bench_names = ("run", "spans", "workloads", "checks", "gens")
     before = {name: sys.modules.get(name) for name in bench_names}
     saved = _froblab_modules()
     try:
         run = importlib.import_module("run")
-        spans = importlib.import_module("spans")
-        api = run.fresh_import()
-        places = []
-        for targets in spans.TARGETS.values():
-            for place in targets:
-                owner = api.modules[place[0]]
-                if len(place) == 3:
-                    owner = getattr(owner, place[1])
-                places.append((owner, place[-1], owner.__dict__[place[-1]]))
-        assert len(places) == TARGET_COUNT
-
-        tracer = spans.Tracer(api.modules)
-        tracer.install()
-        try:
-            assert len(tracer._saved) == TARGET_COUNT
-            for owner, attr, original in places:
-                assert owner.__dict__[attr].__wrapped__ is original, attr
-        finally:
-            tracer.uninstall()
-        for owner, attr, original in places:
-            assert owner.__dict__[attr] is original, attr
+        yield run, importlib.import_module("spans"), run.fresh_import()
     finally:
         for name in _froblab_modules():
             del sys.modules[name]
@@ -51,3 +37,45 @@ def test_every_trace_target_is_wrapped_and_restored(monkeypatch):
                 sys.modules.pop(name, None)
             else:
                 sys.modules[name] = module
+
+
+def test_every_trace_target_is_wrapped_and_restored(bench):
+    _, spans, api = bench
+    places = []
+    for targets in spans.TARGETS.values():
+        for place in targets:
+            owner = api.modules[place[0]]
+            if len(place) == 3:
+                owner = getattr(owner, place[1])
+            places.append((owner, place[-1], owner.__dict__[place[-1]]))
+    assert len(places) == TARGET_COUNT
+
+    tracer = spans.Tracer(api.modules)
+    tracer.install()
+    try:
+        assert len(tracer._saved) == TARGET_COUNT
+        for owner, attr, original in places:
+            assert owner.__dict__[attr].__wrapped__ is original, attr
+    finally:
+        tracer.uninstall()
+    for owner, attr, original in places:
+        assert owner.__dict__[attr] is original, attr
+
+
+def test_build_keys_read_the_ring_order_and_generators(bench):
+    """``Tracer.build_keys`` takes a build's order from its positional
+    arguments, so an order passed by keyword would be keyed as the ring's
+    own.  A grevlex sum on a lex ring, seeded with a summand's basis, and a
+    ``buchberger`` call in grevlex must both key as grevlex."""
+    _, spans, api = bench
+    F = api.froblab
+    ring = F.PolyRing(5, ("x", "y", "z"), F.LEX)
+    X = F.Ideal(ring, (ring.parse("x^2 - y*z"),))
+    Y = F.Ideal(ring, (ring.parse("y^2 - x*z"), ring.parse("0"), ring.parse("z^3 - x")))
+    X.groebner_basis(F.GREVLEX)
+    gens = (ring.parse("x*y - z"), ring.parse("y^3 - x"))
+    with spans.Tracer(api.modules) as tracer:
+        (X + Y).groebner_basis(F.GREVLEX)
+        F.buchberger(gens, F.GREVLEX)
+    nonzero = tuple(g for g in X.generators + Y.generators if not g.is_zero)
+    assert tracer.build_keys() == [(ring, F.GREVLEX, nonzero), (ring, F.GREVLEX, gens)]

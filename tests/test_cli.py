@@ -186,6 +186,16 @@ def test_emax_flag_overrides_the_file(capsys):
     assert envelope["input"]["flags"]["e_max"] == 1
 
 
+def test_negative_emax_is_rejected(capsys):
+    for argv in (["fclosure", CUSP, "--emax", "-1"], ["pipeline", DET, "--emax", "-2"]):
+        code, out = run_cli(capsys, argv)
+        assert code == 1
+        envelope = json.loads(out)
+        jsonschema.validate(envelope, SCHEMA)
+        assert envelope["result"] is None
+        assert envelope["error"]["code"] == "InputAssumptionViolation"
+
+
 def test_module_execution_matches_in_process_output():
     proc = subprocess.run(
         [sys.executable, "-m", "froblab.cli", "dim", DET],

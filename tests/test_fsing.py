@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 import froblab
 from froblab import fsing, groebner
 from froblab.errors import (
+    BudgetExceeded,
     ContextMismatch,
     EvenCharacteristic,
     ExponentOverflow,
@@ -253,21 +254,38 @@ def test_criterion_zero_twist_is_decisively_degenerate():
     assert report.sub_results["monotonicity_verified"] is True
 
 
-def test_criterion_monotonicity_probe_lets_foreign_errors_through(monkeypatch):
-    """Only froblab errors turn the probe at witness_e + 1 into null; any
-    other exception is a fault and must reach the caller."""
+def _zero_twist_criterion_failing_above_one(monkeypatch, error):
+    """The criterion at e_max = 1 with the zero twist, which decides at
+    witness_e = 1, with every bracket power above 1 raising ``error``: only
+    the probe at witness_e + 1 = 2 forms one."""
     ctx = _regular_context(3, "0")
     ring = ctx.ring
     bracket_power = Ideal.bracket_power
 
     def failing_above_one(self, e):
         if e > 1:
-            raise RuntimeError("fault inside the probe")
+            raise error
         return bracket_power(self, e)
 
     monkeypatch.setattr(Ideal, "bracket_power", failing_above_one)
+    return cover_f_injectivity_criterion(ctx, [ring.parse("x"), ring.parse("y")], 1)
+
+
+def test_criterion_monotonicity_probe_lets_foreign_errors_through(monkeypatch):
+    """Only an ExponentOverflow turns the probe at witness_e + 1 into null:
+    a fault, or a BudgetExceeded that stopped the probe's Buchberger run,
+    must reach the caller."""
     with pytest.raises(RuntimeError, match="fault inside the probe"):
-        cover_f_injectivity_criterion(ctx, [ring.parse("x"), ring.parse("y")], 1)
+        _zero_twist_criterion_failing_above_one(monkeypatch, RuntimeError("fault inside the probe"))
+    with pytest.raises(BudgetExceeded):
+        _zero_twist_criterion_failing_above_one(monkeypatch, BudgetExceeded("S-pair budget exhausted"))
+
+
+def test_criterion_monotonicity_probe_reports_an_overflow_as_unknown(monkeypatch):
+    report = _zero_twist_criterion_failing_above_one(monkeypatch, ExponentOverflow("too deep"))
+    assert report.verdict == DECISIVE_NOT_F_INJECTIVE
+    assert report.witness_e == 1
+    assert report.sub_results["monotonicity_verified"] is None
 
 
 def test_criterion_rejects_bad_parameters():
@@ -275,6 +293,8 @@ def test_criterion_rejects_bad_parameters():
     ring = ctx.ring
     with pytest.raises(InputAssumptionViolation):
         cover_f_injectivity_criterion(ctx, [], 2)
+    with pytest.raises(InputAssumptionViolation):
+        cover_f_injectivity_criterion(ctx, [ring.parse("x"), ring.parse("y")], -1)
     with pytest.raises(NotRegularSequence):
         cover_f_injectivity_criterion(ctx, [ring.parse("x"), ring.parse("x")], 2)
     p2ring = PolyRing(2, ("x", "y"))
@@ -513,6 +533,33 @@ def test_fedder_skips_candidates_of_degree_above_n_on_the_fixture(monkeypatch):
     )
     assert report.ambient_f_pure and report.quotient_f_pure
     assert report.conclusion_status == "supported-by-evidence"
+
+
+@pytest.mark.parametrize("run", ["colon", "intersect", "eliminate", "pipeline"])
+def test_the_pair_budget_reaches_every_run_on_the_fixture(monkeypatch, run):
+    """With the inputs' grevlex bases cached under the default budget, a
+    budget of one S-pair stops a colon, an intersection, an elimination and
+    the whole pipeline: each Buchberger run, tracked or lex, forms its pairs
+    through the queue that reads groebner.DEFAULT_PAIR_BUDGET."""
+    spec = load_ring_spec(str(DETERMINANTAL))
+    ring = spec.ring()
+    presentation = spec.presentation(ring)
+    defining = presentation.defining
+    coefficient = spec.coefficient_ideal(ring)
+    total = defining + coefficient
+    for ideal in (defining, coefficient, total):
+        ideal.groebner_basis(GREVLEX)
+    calls = {
+        "colon": lambda: defining.colon(coefficient),
+        "intersect": lambda: defining.intersect(coefficient),
+        "eliminate": lambda: total.eliminate(["x1", "x4", "x5"]),
+        "pipeline": lambda: run_cover_pipeline(
+            presentation, coefficient, spec.twist_poly(ring), spec.sop_polys(ring), spec.e_max
+        ),
+    }
+    monkeypatch.setattr(groebner, "DEFAULT_PAIR_BUDGET", 1)
+    with pytest.raises(BudgetExceeded):
+        calls[run]()
 
 
 @st.composite

@@ -155,24 +155,28 @@ def test_determinism_across_runs():
         assert [str(g) for g in buchberger(gens).polys] == first
 
 
-def test_budget_exhaustion_raises():
+def test_budget_exhaustion_raises(monkeypatch):
     R = PolyRing(7, ("x", "y", "z"))
     gens = [R.parse("x^3 + y^2 + z"), R.parse("y^3 + z^2 + x"), R.parse("z^3 + x^2 + y")]
-    with pytest.raises(BudgetExceeded):
-        buchberger(gens, budget=1)
+    with monkeypatch.context() as m:
+        m.setattr(groebner, "DEFAULT_PAIR_BUDGET", 1)
+        with pytest.raises(BudgetExceeded):
+            buchberger(gens)
     # the same system finishes under the default budget
     assert buchberger(gens).polys
 
 
-def test_tracked_runs_keep_the_pair_budget():
+def test_tracked_runs_keep_the_pair_budget(monkeypatch):
     """A tracked run forms its pairs through the same queue, so the budget
     stops it; under the default budget the same colon (P : g) finishes, with
     images h such that h*g lies in P, some of them outside P."""
     R = PolyRing(7, ("x", "y", "z"))
     seed = buchberger([R.parse("x^3*y + y^2*z"), R.parse("x*y^3 + x*z^2")])
     g = R.parse("x*y + z^2")
-    with pytest.raises(BudgetExceeded):
-        groebner._buchberger(R, [g], GREVLEX, 1, seed=seed, tags=[R.one()])
+    with monkeypatch.context() as m:
+        m.setattr(groebner, "DEFAULT_PAIR_BUDGET", 1)
+        with pytest.raises(BudgetExceeded):
+            syzygy_images(seed, [R.one()], g)
     images = syzygy_images(seed, [R.one()], g)
     assert all(seed.contains(h * g) for h in images)
     assert not all(seed.contains(h) for h in images)
@@ -198,7 +202,7 @@ def test_contains_and_leading_monomials():
 def _queue(*leads_and_sugars):
     """A pair queue over x, y, z in grevlex, fed packed leads in turn."""
     pk = Packing(GREVLEX, 3)
-    pairs = _PairQueue(pk, budget=100)
+    pairs = _PairQueue(pk)
     for lead, sugar in leads_and_sugars:
         pairs.add(pk.pack(lead), sugar)
     return pairs
@@ -208,11 +212,18 @@ def _queued(pairs):
     return sorted((i, j) for _, _, i, j in pairs.heap)
 
 
-def test_pair_update_criterion_m():
+def test_pair_update_criterion_m(monkeypatch):
     # lcm(xy, y^2) = xy^2 properly divides lcm(x^2, y^2) = x^2y^2
-    pairs = _queue(((2, 0, 0), 2), ((1, 1, 0), 2), ((0, 2, 0), 2))
+    leads = (((2, 0, 0), 2), ((1, 1, 0), 2), ((0, 2, 0), 2))
+    pairs = _queue(*leads)
     assert _queued(pairs) == [(0, 1), (1, 2)]
     assert pairs.formed == 3
+    # the budget counts formed pairs, pruned ones too, and may be reached
+    monkeypatch.setattr(groebner, "DEFAULT_PAIR_BUDGET", 3)
+    assert _queue(*leads).formed == 3
+    monkeypatch.setattr(groebner, "DEFAULT_PAIR_BUDGET", 2)
+    with pytest.raises(BudgetExceeded):
+        _queue(*leads)
 
 
 def test_pair_update_criterion_f_and_the_b_k_exceptions():
@@ -300,7 +311,7 @@ def test_a_generator_whose_lead_divides_a_seed_lead_retires_that_element():
         assert got.polys == groebner_basis_of(R, gens, order).polys
         _assert_certified(got, gens)
     pk = Packing(GREVLEX, 2)
-    pairs = _PairQueue(pk, budget=100)
+    pairs = _PairQueue(pk)
     pairs.add_processed(pk.pack((2, 0)), 2)
     pairs.add_processed(pk.pack((0, 2)), 2)
     assert (pairs.active, pairs.formed, pairs.heap) == ([0, 1], 0, [])
@@ -344,15 +355,17 @@ def test_seed_in_another_order_is_rejected():
         groebner_basis_of(R, [R.parse("x - y")], GREVLEX, seed=seed)
 
 
-def test_seeded_build_exhausts_the_budget():
+def test_seeded_build_exhausts_the_budget(monkeypatch):
     R = PolyRing(7, ("x", "y", "z"))
     X = Ideal(R, (R.parse("x^3 + y^2 + z"),))
     Y = Ideal(R, (R.parse("y^3 + z^2 + x"), R.parse("z^3 + x^2 + y")))
     X.groebner_basis()
-    with pytest.raises(BudgetExceeded):
-        (X + Y).groebner_basis(budget=1)
-    with pytest.raises(BudgetExceeded):
-        groebner_basis_of(R, X.generators + Y.generators, GREVLEX, budget=1, seed=X.groebner_basis())
+    with monkeypatch.context() as m:
+        m.setattr(groebner, "DEFAULT_PAIR_BUDGET", 1)
+        with pytest.raises(BudgetExceeded):
+            (X + Y).groebner_basis()
+        with pytest.raises(BudgetExceeded):
+            groebner_basis_of(R, X.generators + Y.generators, GREVLEX, seed=X.groebner_basis())
     assert (X + Y).groebner_basis().polys == buchberger(X.generators + Y.generators).polys
 
 

@@ -10,7 +10,14 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from froblab import ideals
-from froblab.errors import BudgetExceeded, FroblabError, NotArtinian, ZeroElement
+from froblab.errors import (
+    BudgetExceeded,
+    ExponentOverflow,
+    FroblabError,
+    InputAssumptionViolation,
+    NotArtinian,
+    ZeroElement,
+)
 from froblab.groebner import GroebnerBasis
 from froblab.ideals import Ideal
 from froblab.linalg import Echelon, nullspace, rref
@@ -50,6 +57,9 @@ def test_presentation_rejects_units_in_defining():
     R = PolyRing(3, ("x", "y"))
     with pytest.raises(FroblabError):
         QuotientPresentation(R, _ideal(R, "x + 1"))
+    # the defining ideal must be an Ideal, not a generator list
+    with pytest.raises(TypeError):
+        QuotientPresentation(R, (R.parse("x*y"),))
 
 
 def test_normal_form_and_dimension():
@@ -263,21 +273,38 @@ def test_closure_witness_on_the_cusp():
     assert (Q.defining + _ideal(R, "x").bracket_power(1)).contains(R.parse("y").frobenius_pow(1))
 
 
-def test_closure_monotonicity_probe_lets_foreign_errors_through(monkeypatch):
-    """Only froblab errors turn the probe at e + 1 into null; any other
-    exception is a fault and must reach the caller."""
+def _cusp_closure_failing_above_one(monkeypatch, error):
+    """The closure test of (x) on the cusp over F_5 at e_max = 1, with every
+    bracket power above 1 raising ``error``: only the probe at e + 1 = 2
+    forms one."""
     R = PolyRing(5, ("x", "y"))
     Q = QuotientPresentation(R, _ideal(R, "y^2 - x^3"))
     bracket_power = Ideal.bracket_power
 
     def failing_above_one(self, e):
         if e > 1:
-            raise RuntimeError("fault inside the probe")
+            raise error
         return bracket_power(self, e)
 
     monkeypatch.setattr(Ideal, "bracket_power", failing_above_one)
+    return Q.frobenius_closure_test(_ideal(R, "x"), e_max=1)
+
+
+def test_closure_monotonicity_probe_lets_foreign_errors_through(monkeypatch):
+    """Only an ExponentOverflow turns the probe at e + 1 into null: a fault,
+    or a BudgetExceeded that stopped the probe's Buchberger run, must reach
+    the caller."""
     with pytest.raises(RuntimeError, match="fault inside the probe"):
-        Q.frobenius_closure_test(_ideal(R, "x"), e_max=1)
+        _cusp_closure_failing_above_one(monkeypatch, RuntimeError("fault inside the probe"))
+    with pytest.raises(BudgetExceeded):
+        _cusp_closure_failing_above_one(monkeypatch, BudgetExceeded("S-pair budget exhausted"))
+
+
+def test_closure_monotonicity_probe_reports_an_overflow_as_unknown(monkeypatch):
+    report = _cusp_closure_failing_above_one(monkeypatch, ExponentOverflow("too deep"))
+    assert report.verdict == NOT_FROBENIUS_CLOSED
+    assert report.witness.e == 1
+    assert report.monotonicity_verified is None
 
 
 def test_closure_witness_with_socle_dimension_six():
@@ -309,6 +336,8 @@ def test_closure_depth_zero_is_vacuous():
     report = Q.frobenius_closure_test(_ideal(R, "x^2"), e_max=0)
     assert report.verdict == CLOSED_UP_TO
     assert report.combinations_tested == 0
+    with pytest.raises(InputAssumptionViolation):
+        Q.frobenius_closure_test(_ideal(R, "x^2"), e_max=-1)
 
 
 def _outcome(run):
