@@ -38,9 +38,8 @@ class ExponentOverflow(FroblabError):
 
 class BudgetExceeded(FroblabError):
     """A work limit was hit: one Buchberger run (tracked and lex runs too)
-    formed more S-pairs than ``froblab.groebner.DEFAULT_PAIR_BUDGET``, which
-    governs (``froblab.DEFAULT_PAIR_BUDGET`` is a copy), or an oracle box
-    was too large."""
+    formed more S-pairs than ``froblab.groebner.DEFAULT_PAIR_BUDGET``, or an
+    oracle box was too large."""
 
 
 class ZeroColonDivisor(FroblabError):

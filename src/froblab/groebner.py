@@ -8,14 +8,26 @@ serve as reducers).  A run may start from a seed, the cached reduced basis
 of an ideal inside the one wanted, as Singular's ``std(I, f)`` does: its
 elements enter as already processed, active and with no pairs among
 themselves, since a reduced basis already meets Buchberger's criterion,
-and each generator enters reduced against the basis so far.  Pairs are
-selected by sugar degree (Giovini et al. 1991), then by lcm in the monomial
-order, then by index.  An input's sugar is its total degree; a pair (i, j)
-with lcm L has sugar max(sugar_i + deg L - deg lead_i, sugar_j + deg L -
-deg lead_j), which its reduced S-polynomial inherits.  Output is the
-reduced monic basis after full interreduction, sorted by descending leading
-monomial, which is unique for the ideal and order, so it depends neither on
-generator permutation, nor on the pair strategy, nor on a seed.
+and each generator enters reduced against the basis so far.  An untracked
+run skips, by identity, the generators the seed was built from and the
+seed's own elements: they lie in the seed's ideal and would reduce to
+zero.  Pairs are selected by sugar degree (Giovini et al. 1991), then by
+lcm in the monomial order, then by index.  An input's sugar is its total
+degree; a pair (i, j) with lcm L has sugar max(sugar_i + deg L - deg
+lead_i, sugar_j + deg L - deg lead_j), which its reduced S-polynomial
+inherits.  Output is the reduced monic basis after full interreduction,
+sorted by descending leading monomial, which is unique for the ideal and
+order, so it depends neither on generator permutation, nor on the pair
+strategy, nor on a seed.
+
+A run on homogeneous inputs may stop at a degree D: it takes no generator,
+seed element or pair of degree above D.  For homogeneous inputs sugar is
+degree and every S-polynomial reduces within its degree, so the run ends
+with the elements of degree at most D of the reduced basis, a D-Groebner
+basis (Becker & Weispfenning, *Groebner Bases*, section 10.2; Singular's
+``degBound``).  It decides the normal forms of homogeneous polynomials of
+degree at most D exactly, since a lead of higher degree divides none of
+their terms.
 
 A tracked run (``syzygy_images``) is the same loop on a seed of P plus
 generators g*t_k, for one fixed g and tags t_k.  Each element f also
@@ -53,7 +65,7 @@ way out; the rest of the package only sees exponent tuples.
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from operator import mul
 from typing import Iterable, Sequence
@@ -341,11 +353,20 @@ def s_polynomial(f: Polynomial, g: Polynomial, order: MonomialOrder | None = Non
 
 @dataclass(frozen=True)
 class GroebnerBasis:
-    """A reduced monic Groebner basis, sorted by descending leading monomial."""
+    """A reduced monic Groebner basis, sorted by descending leading monomial.
+
+    With ``degree`` set, it holds only the elements of degree at most
+    ``degree`` of a homogeneous ideal's reduced basis, and decides only
+    homogeneous polynomials of degree at most ``degree``.  ``generators``
+    are the polynomials the run was built from, which a run seeded with
+    this basis skips.
+    """
 
     ring: PolyRing
     order: MonomialOrder
     polys: tuple[Polynomial, ...]
+    degree: int | None = None
+    generators: tuple[Polynomial, ...] = field(default=(), compare=False, repr=False)
 
     @cached_property
     def _prepared(self) -> tuple:
@@ -361,6 +382,9 @@ class GroebnerBasis:
     def normal_form(self, g: Polynomial) -> Polynomial:
         if g.ring != self.ring:
             raise RingMismatch("polynomial from a different ring")
+        if self.degree is not None and not (g.is_homogeneous() and g.total_degree() <= self.degree):
+            raise ValueError(f"a basis through degree {self.degree} decides only homogeneous "
+                             f"polynomials of degree at most {self.degree}")
         if not self.polys:
             return g
         pk, divisors = self._prepared
@@ -395,24 +419,33 @@ def groebner_basis_of(
     order: MonomialOrder | None = None,
     *,
     seed: GroebnerBasis | None = None,
+    degree: int | None = None,
 ) -> GroebnerBasis:
     """Like ``buchberger`` but tolerates an empty generator list (zero ideal).
 
-    A ``seed`` is the reduced basis, in the same ring and order, of an ideal
-    inside the one the generators span, such as a summand's cached basis:
-    the run starts from it and never forms the pairs among its elements.
-    The result is the same reduced basis as without it.
+    A ``seed`` is the complete reduced basis, in the same ring and order, of
+    an ideal inside the one the generators span, such as a summand's cached
+    basis: the run starts from it, never forms the pairs among its elements
+    and skips the generators it was built from.  The result is the same
+    reduced basis as without it.
+
+    With ``degree``, every generator and seed element must be homogeneous,
+    and the run stops at that degree (see the module docstring).  The
+    result records ``degree`` unless the run left nothing out, in which
+    case it is the complete basis.
     """
     order = order or ring.order
     gens = [g for g in generators if not g.is_zero]
     for g in gens:
         if g.ring != ring:
             raise RingMismatch("generator from a different ring")
-    if seed is not None and (seed.ring != ring or seed.order != order):
-        raise ValueError("the seed basis is in another ring or order")
+    if seed is not None and (seed.ring != ring or seed.order != order or seed.degree is not None):
+        raise ValueError("the seed basis is in another ring or order, or is bounded by a degree")
+    if degree is not None and not all(g.is_homogeneous() for g in gens + list(seed.polys if seed else ())):
+        raise ValueError("a run bounded by a degree needs homogeneous generators and seed")
     if not gens:
         return GroebnerBasis(ring, order, ())
-    return _buchberger(ring, gens, order, seed)
+    return _buchberger(ring, gens, order, seed, degree=degree)
 
 
 def syzygy_images(
@@ -450,10 +483,13 @@ def _buchberger(
     order: MonomialOrder,
     seed: GroebnerBasis | None = None,
     tags: Sequence[Polynomial] | None = None,
+    *,
+    degree: int | None = None,
 ) -> GroebnerBasis | list[Polynomial]:
-    """The reduced basis of (seed) + (gens); with ``tags``, where gens[k] is
-    g*tags[k] for one fixed g, a tracked run that returns the images of the
-    syzygies instead (see ``syzygy_images``)."""
+    """The reduced basis of (seed) + (gens), through ``degree`` if given;
+    with ``tags``, where gens[k] is g*tags[k] for one fixed g, a tracked run
+    that returns the images of the syzygies instead (see
+    ``syzygy_images``)."""
     p = ring.p
     pk = Packing(order, ring.nvars)
     mask, guard = pk.mask, pk.guard
@@ -495,24 +531,40 @@ def _buchberger(
                 carried[divisor[0]] = {m: v * inv % p for m, v in tag.items()}
 
     # a seed's elements enter as processed, already packed by an equal
-    # Packing; the generators then enter reduced against the basis so far
+    # Packing; the generators then enter reduced against the basis so far.
+    # An untracked run skips the generators known to lie in the seed's
+    # ideal.  Whatever lies above ``degree`` stays out, and the run is then
+    # truncated.
+    limit = float("inf") if degree is None else degree
     seeded = seed.polys if seed is not None else ()
-    if seeded:
-        for g, divisor in zip(seeded, seed._prepared[1]):
-            pairs.add_processed(divisor[0], g.total_degree())
+    known = {id(g) for g in seed.generators + seeded} if seeded and not tracked else ()
+    truncated = False
+    for g, divisor in zip(seeded, seed._prepared[1] if seeded else ()):
+        sugar = g.total_degree()
+        if sugar > limit:
+            truncated = True
+        else:
+            pairs.add_processed(divisor[0], sugar)
             basis.append(divisor)
     for k, g in enumerate(gens):
+        if id(g) in known:
+            continue
+        sugar = g.total_degree()
+        if sugar > limit:
+            truncated = True
+            continue
         terms = pk.pack_terms(g._terms)
         steps = tag = None
         if tracked:
             steps, tag = [], pk.pack_terms(tags[k]._terms)
         if seeded or tracked:
             terms = _reduce(terms, basis, p, pk, steps)
-        enter(terms, g.total_degree(), tag, steps)
-    if seeded and len(basis) == len(seeded) and not tracked:
+        enter(terms, sugar, tag, steps)
+    if seeded and len(basis) == len(seeded) and not (tracked or truncated):
         return seed  # every generator lies in the seed's ideal
 
-    while pairs.heap:
+    # the heap pops by sugar first, so the pairs left are all above degree
+    while pairs.heap and pairs.heap[0][0] <= limit:
         sugar, lcm, i, j = pairs.pop()
         # S-polynomial: the leads cancel, leaving qi*tail_i - qj*tail_j
         _, bi, ti = basis[i]
@@ -547,4 +599,5 @@ def _buchberger(
         terms = {lead: 1}
         terms.update(_reduce(tail, others, p, pk))
         polys.append(ring._poly(pk.unpack_terms(terms)))
-    return GroebnerBasis(ring, order, tuple(polys))
+    truncated = truncated or bool(pairs.heap)
+    return GroebnerBasis(ring, order, tuple(polys), degree if truncated else None, tuple(gens))

@@ -8,7 +8,9 @@ represents residue classes by normal forms against the defining ideal's
 grevlex basis.  A form x is a nonzerodivisor modulo a homogeneous ideal J
 exactly when the Hilbert series of S/(J + x) is (1 - t^deg x) times that of
 S/J, and both are read off the leading terms of grevlex bases; only
-inhomogeneous inputs build the colon (J : x).
+inhomogeneous inputs build the colon (J : x).  Likewise the Frobenius
+closure test asks its homogeneous targets only about homogeneous powers of
+known degree, so it builds their bases only through that degree.
 """
 
 from __future__ import annotations
@@ -185,6 +187,14 @@ class QuotientPresentation:
         smallest base-p index over the kernels of all depths, at the smallest
         depth on a tie; combination_index is that index minus 1.  No
         combination is ever skipped, so the report is never partial.
+
+        When defining and the parameters are homogeneous, so are the socle
+        basis and the witness, whose coordinates lie in one graded piece of
+        a kernel; the depth-e target is asked only about the b_i**q, of
+        degree at most q*max(deg b_i), so its basis is built only through
+        that degree (``Ideal.basis_through``).  The monotonicity probe's
+        power has at most the next depth's degree, so it reuses that
+        depth's basis.
         """
         if e_max < 0:
             raise InputAssumptionViolation(f"e_max must be nonnegative, got {e_max}")
@@ -196,11 +206,12 @@ class QuotientPresentation:
 
         best: tuple[int, int, tuple[int, ...]] | None = None  # (index, e, coefficients)
         if r and e_max:
+            top = max(b.total_degree() for b in soc.basis)
             # every bracket power is formed up front, as the sweep did, so one
             # that leaves the exponent field raises whatever the witness
             targets = [self.defining + parameter.bracket_power(e) for e in range(1, e_max + 1)]
             for e, target in enumerate(targets, 1):
-                gb = target.groebner_basis(GREVLEX)
+                gb = target.basis_through(p ** e * top)
                 rows: dict[Monomial, list[int]] = {}
                 for j, b in enumerate(soc.basis):
                     for m, c in gb.normal_form(b.frobenius_pow(e))._terms.items():
@@ -236,7 +247,8 @@ class QuotientPresentation:
         try:
             # below e_max the kernel loop already formed the depth-(e + 1) target
             bigger = targets[e] if e < e_max else self.defining + parameter.bracket_power(e + 1)
-            monotone = bigger.contains(s.frobenius_pow(e + 1))
+            power = s.frobenius_pow(e + 1)
+            monotone = bigger.basis_through(power.total_degree()).contains(power)
         except ExponentOverflow:
             monotone = None
         witness = ClosureWitness(

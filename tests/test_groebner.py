@@ -391,3 +391,106 @@ def test_seeded_sum_forms_fewer_pairs(monkeypatch):
     assert (defining + parameter).groebner_basis().polys == unseeded.polys
     seeded = queues[-1].formed
     assert seeded < alone
+
+
+def _reduced_terms(monkeypatch):
+    """Record the packed term dict of every ``_reduce`` call."""
+    seen = []
+    reduce = groebner._reduce
+
+    def recorded(terms, *args, **kwargs):
+        seen.append(dict(terms))
+        return reduce(terms, *args, **kwargs)
+
+    monkeypatch.setattr(groebner, "_reduce", recorded)
+    return seen
+
+
+@pytest.mark.parametrize("trial", range(6))
+def test_a_seeded_sum_reduces_none_of_the_seed_summands_generators(monkeypatch, trial):
+    """X + Y seeded with X's cached basis, (X^[p] + Y) seeded with the image
+    basis that the bracket power carries, and (X + Y) + Z seeded with the
+    basis of X + Y: no generator of the seeding summand reaches ``_reduce``
+    (none of its generators' packed terms is ever reduced), and each sum
+    gets the unseeded basis."""
+    rng = random.Random(f"skip:{trial}")
+    R = PolyRing(rng.choice((3, 5, 7)), ("x", "y", "z"))
+    pk = Packing(GREVLEX, R.nvars)
+
+    def ideal(count):
+        return Ideal(R, tuple(_random_poly(rng, R, max_degree=2) for _ in range(count)))
+
+    X, Y, Z = ideal(3), ideal(2), ideal(2)
+    X.groebner_basis()
+    cases = [(X, X + Y), (X.bracket_power(1), X.bracket_power(1) + Y)]
+    XY = X + Y
+    XY.groebner_basis()
+    cases.append((XY, XY + Z))
+    seen = _reduced_terms(monkeypatch)
+    for summand, total in cases:
+        seen.clear()
+        gb = total.groebner_basis()
+        skipped = [pk.pack_terms(g._terms) for g in summand.generators if not g.is_zero]
+        assert seen and not [terms for terms in skipped if terms in seen]
+        assert gb.polys == groebner_basis_of(R, total.generators, GREVLEX).polys
+
+
+def test_a_tracked_run_still_reduces_the_seeds_generators():
+    """A generator that reduces to zero yields an image, so a tracked run
+    skips none: P ∩ P is P, from P's own generators as tags."""
+    R = PolyRing(5, ("x", "y"))
+    P = Ideal(R, (R.parse("x^2 - y"), R.parse("x*y")))
+    gb = P.groebner_basis()
+    images = syzygy_images(gb, P.generators)
+    assert Ideal(R, tuple(images)) == P
+
+
+# -- runs bounded by a degree ----------------------------------------------------
+
+
+def test_a_bounded_run_keeps_the_elements_through_its_degree():
+    """(x^2 - y*z, x*y^2 - z^3): the reduced grevlex basis has elements in
+    degrees 2, 3 and 4 (y^3*z - x*z^3 from the pair); through degree 3 the
+    run stops before that pair and records its degree."""
+    R = PolyRing(7, ("x", "y", "z"))
+    gens = [R.parse("x^2 - y*z"), R.parse("x*y^2 - z^3")]
+    full = groebner_basis_of(R, gens, GREVLEX)
+    bounded = groebner_basis_of(R, gens, GREVLEX, degree=3)
+    assert max(g.total_degree() for g in full.polys) > 3
+    assert bounded.degree == 3
+    assert bounded.polys == tuple(g for g in full.polys if g.total_degree() <= 3)
+    # enough degree leaves nothing out: the complete basis, with no degree
+    assert groebner_basis_of(R, gens, GREVLEX, degree=20) == full
+
+
+def test_a_bounded_basis_rejects_what_it_cannot_decide():
+    R = PolyRing(7, ("x", "y", "z"))
+    gens = [R.parse("x^2 - y*z"), R.parse("x*y^2 - z^3")]
+    bounded = groebner_basis_of(R, gens, GREVLEX, degree=3)
+    assert bounded.contains(R.parse("x^3 - x*y*z"))
+    with pytest.raises(ValueError):
+        bounded.normal_form(R.parse("y^3*z - x*z^3"))  # above the degree
+    with pytest.raises(ValueError):
+        bounded.contains(R.parse("x^2 - y*z + x"))  # inhomogeneous
+    with pytest.raises(ValueError):
+        groebner_basis_of(R, [R.parse("x^2 - y")], GREVLEX, degree=3)
+    seed = groebner_basis_of(R, [R.parse("x^2 - y")], GREVLEX)
+    with pytest.raises(ValueError):  # an inhomogeneous seed
+        groebner_basis_of(R, [R.parse("z^2")], GREVLEX, seed=seed, degree=3)
+    with pytest.raises(ValueError):  # a bounded seed
+        groebner_basis_of(R, [R.parse("z^2")], GREVLEX, seed=bounded)
+
+
+def test_basis_through_keeps_one_bounded_basis_and_prefers_the_complete_one():
+    R = PolyRing(7, ("x", "y", "z"))
+    X = Ideal(R, (R.parse("x^2 - y*z"),))
+    I = X + Ideal(R, (R.parse("x*y^2 - z^3"),))
+    X.groebner_basis()
+    low = I.basis_through(3)
+    assert low.degree == 3 and I.basis_through(2) is low
+    # through degree 4 the pairs of higher degree, which reduce to zero,
+    # are left out; through 20 none is, so the basis is the complete one
+    assert I.basis_through(4).degree == 4
+    high = I.basis_through(20)
+    assert high.degree is None and I.groebner_basis() is high
+    assert I.basis_through(30) is high

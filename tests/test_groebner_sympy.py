@@ -1,8 +1,8 @@
 """The Buchberger engine checked against sympy's, an independent route that
-works offline: reduced bases in grevlex and lex, the parts of ideals free
-of some variables, and normal forms must all agree, and sympy confirms
-Fedder certificates from both routes: a product-power candidate and an
-element of the colon.
+works offline: reduced bases in grevlex and lex, bases bounded by a degree,
+the parts of ideals free of some variables, and normal forms must all
+agree, and sympy confirms Fedder certificates from both routes: a
+product-power candidate and an element of the colon.
 
 sympy's lex Buchberger needs 20-40 s on cyclic-5 and katsura-4, so the lex
 basis of katsura-4 comes from sympy's grevlex basis by FGLM, and cyclic-5 is
@@ -21,7 +21,7 @@ sympy = pytest.importorskip("sympy")
 import froblab  # noqa: E402
 import support  # noqa: E402
 from froblab.fsing import _fedder_certificate  # noqa: E402
-from froblab.groebner import buchberger  # noqa: E402
+from froblab.groebner import buchberger, groebner_basis_of  # noqa: E402
 from froblab.ideals import Ideal  # noqa: E402
 from froblab.polyring import GREVLEX, LEX, PolyRing  # noqa: E402
 from froblab.specfile import load_ring_spec  # noqa: E402
@@ -194,6 +194,49 @@ def test_seeded_closure_targets_match_sympy(case):
     syms = sympy.symbols(defining.ring.variables)
     _, expected = sympy_basis(target.generators, syms, p, "grevlex")
     assert froblab_set(target.groebner_basis().polys) == expected
+
+
+def random_forms(rng, ring, count, degrees, terms):
+    """``count`` nonzero homogeneous polynomials, each of a degree drawn
+    from ``degrees`` with up to ``terms`` random terms."""
+    polys = []
+    while len(polys) < count:
+        d = rng.choice(degrees)
+        g = ring.zero()
+        for _ in range(terms):
+            exps = [0] * ring.nvars
+            for _ in range(d):
+                exps[rng.randrange(ring.nvars)] += 1
+            g = g + ring.monomial(exps, rng.randrange(1, ring.p))
+        if not g.is_zero:
+            polys.append(g)
+    return polys
+
+
+@pytest.mark.parametrize("p", PRIMES)
+def test_bounded_bases_match_sympy_through_their_degree(p):
+    """Random homogeneous ideals, built through degree D from scratch and
+    seeded with a summand's basis: the elements are those of degree at most
+    D of sympy's reduced grevlex basis, and normal forms of homogeneous
+    polynomials of degree at most D agree with the complete basis."""
+    rng = random.Random(f"bounded:{p}")
+    ring = PolyRing(p, ("x", "y", "z", "w"))
+    syms = sympy.symbols(ring.variables)
+    truncated = 0
+    for _ in range(3):
+        gens = random_forms(rng, ring, 3, (2, 3), 4)
+        basis, _ = sympy_basis(gens, syms, p, "grevlex")
+        full = Ideal(ring, tuple(gens)).groebner_basis()
+        for D in range(2, 6):
+            expected = frozenset(term_set(g, p) for g in basis.polys if g.total_degree() <= D)
+            seeded = Ideal(ring, tuple(gens[:1])) + Ideal(ring, tuple(gens[1:]))
+            seeded._summands[0].groebner_basis()
+            for bounded in (groebner_basis_of(ring, gens, GREVLEX, degree=D), seeded.basis_through(D)):
+                assert froblab_set(bounded.polys) == expected
+                truncated += bounded.degree == D
+                for f in random_forms(rng, ring, 4, range(D + 1), 5):
+                    assert bounded.normal_form(f) == full.normal_form(f)
+    assert truncated
 
 
 def _determinantal_fixture():
