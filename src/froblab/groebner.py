@@ -58,16 +58,32 @@ the union of all guard bits, ``lead`` divides ``m`` iff
 difference ``^ guard``.  A field never wraps silently: a product that sets
 a guard bit raises ExponentOverflow.  A reduction step checks all of its
 products at once, as the quotient times the fieldwise maximum of the
-divisor's tail.  Polynomials are packed on the way in and unpacked on the
-way out; the rest of the package only sees exponent tuples.
+divisor's tail.  The lcm of two packed monomials is their fieldwise
+maximum, found by the same guard-bit test, and its degree is one field of
+its product with a constant that has a 1 in every exponent field, which
+holds while the two degrees sum to less than 2^17 (``Packing.lcm``); the
+pair update thus unpacks no lead below that.  Polynomials are packed on the
+way in and unpacked on the way out; the rest of the package only sees
+exponent tuples.  One ``Packing`` serves each (order, number of variables).
+
+A run reduces against its basis list, which only grows at its end, so it
+keeps one memo for the length of the run: a monomial maps to the index of
+the first element whose lead divides it, or to ~n when none of the first n
+does, and a later reduction of that monomial starts its scan there.  Every
+step, and so every basis and every tracked run's log, is the one a scan
+from the start gives.  Normal forms and the final interreduction scan from
+the start.  The interreduction goes smallest lead first, against the
+elements already reduced, and the returned ``GroebnerBasis`` keeps their
+packed divisors, which normal forms and seeded runs use as they are.
 """
 
 from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass, field
-from functools import cached_property
-from operator import mul
+from functools import cache
+from itertools import islice
+from operator import lshift, mul
 from typing import Iterable, Sequence
 
 from .errors import BudgetExceeded, ExponentOverflow, RingMismatch
@@ -88,12 +104,13 @@ from .polyring import (
 DEFAULT_PAIR_BUDGET = 1_000_000
 
 EXPONENT_BITS = MAX_EXPONENT.bit_length()
+FIELD_LIMIT = 1 << (EXPONENT_BITS + 1)  # one field with its guard bit overflows here
 
 
 class Packing:
     """The packed-monomial layout of one monomial order on ``nvars`` variables."""
 
-    __slots__ = ("units", "shifts", "mask", "guard", "exponents")
+    __slots__ = ("units", "shifts", "mask", "guard", "exponents", "degree", "ones", "top")
 
     def __init__(self, order: MonomialOrder, nvars: int):
         graded = order.kind == "grevlex"
@@ -105,10 +122,14 @@ class Packing:
         self.exponents = sum(MAX_EXPONENT << s for s in self.shifts)
         self.guard = sum(1 << (s + EXPONENT_BITS) for s in self.shifts)
         self.mask = self.exponents if graded else 0
-        degree = 1 << (width * nvars) if graded else 0
+        # the unit of the degree field (0 under lex)
+        self.degree = degree = 1 << (width * nvars) if graded else 0
         self.units = tuple(1 << s | degree for s in self.shifts)
         if graded:
             self.guard |= degree << (EXPONENT_BITS + (nvars - 1).bit_length())
+        # m * ones holds the sum of m's exponent fields in the field at top
+        self.ones = sum(1 << s for s in self.shifts)
+        self.top = width * (nvars - 1)
 
     def pack(self, m: Monomial) -> int:
         return sum(map(mul, m, self.units))
@@ -123,6 +144,28 @@ class Packing:
     def unpack_terms(self, terms: dict) -> dict:
         shifts = self.shifts
         return {tuple((m >> s) & MAX_EXPONENT for s in shifts): c for m, c in terms.items()}
+
+    def lcm(self, a: int, b: int, degrees: int) -> tuple[int, int]:
+        """(packed lcm, its total degree) of packed monomials a and b whose
+        total degrees sum to ``degrees``.
+
+        The guard bits of (a | guard) - b mark the fields where a >= b, as in
+        ``divisor``.  The degree of the lcm is the field at ``top`` of
+        lcm * ones: each field of that product sums some exponent fields of
+        the lcm, so below 2^17 = 2^(EXPONENT_BITS + 1) none carries into the
+        next, and the lcm's degree is at most ``degrees``.  From 2^17 on it is
+        summed from the unpacked exponents.
+        """
+        exponents, guard = self.exponents, self.guard
+        a &= exponents
+        b &= exponents
+        keep = ((((a | guard) - b) & guard) >> EXPONENT_BITS) * MAX_EXPONENT
+        lcm = (a & keep) | (b & ~keep)
+        if degrees < FIELD_LIMIT:
+            d = (lcm * self.ones >> self.top) & (FIELD_LIMIT - 1)
+        else:
+            d = sum(map(max, self.unpack(a), self.unpack(b)))
+        return lcm + d * self.degree, d
 
     def divisor(self, terms: dict, p: int) -> tuple:
         """(lead, bound, tail) of the monic multiple of a nonzero packed term
@@ -146,12 +189,21 @@ class Packing:
         return lead, bound, tail
 
 
+# one Packing per (order, nvars): a Packing never changes once built
+_packing = cache(Packing)
+
+
 def _overflow() -> ExponentOverflow:
     return ExponentOverflow(f"an exponent in the Groebner engine exceeds {MAX_EXPONENT}")
 
 
 def _reduce(
-    terms: dict, divisors: Sequence[tuple], p: int, pk: Packing, steps: list | None = None
+    terms: dict,
+    divisors: Sequence[tuple],
+    p: int,
+    pk: Packing,
+    steps: list | None = None,
+    memo: dict | None = None,
 ) -> dict:
     """Full remainder of a packed term dict against monic packed divisors.
 
@@ -162,6 +214,11 @@ def _reduce(
     remainder comes out in descending order.  A ``steps`` list logs each
     step as (divisor lead, multiplier, coefficient), so that terms ==
     sum of coefficient * multiplier * divisor + remainder.
+
+    A ``memo`` serves calls against one list that only grows at its end.  It
+    maps a monomial to the index of its first divisor, or to ~n when none of
+    the first n divisors divides it; a scan starts there and its finding is
+    written back, so the first-divisor rule holds as without it.
     """
     mask, guard = pk.mask, pk.guard
     work = dict(terms)
@@ -175,26 +232,46 @@ def _reduce(
         if not c:
             continue
         shifted = m | guard
-        for lead, bound, tail in divisors:
-            q = shifted - lead
-            if q & guard == guard:
-                q ^= guard
-                if (q + bound) & guard:
-                    raise _overflow()
-                if steps is not None:
-                    steps.append((lead, q, c))
-                c = p - c
-                for tm, tc in tail.items():
-                    mm = q + tm
-                    v = work.get(mm)
-                    if v is None:
-                        work[mm] = c * tc % p
-                        push(heap, -(mm ^ mask))
-                    else:
-                        work[mm] = (v + c * tc) % p
-                break
+        if memo is None:
+            for lead, bound, tail in divisors:
+                q = shifted - lead
+                if q & guard == guard:
+                    break
+            else:
+                remainder[m] = c
+                continue
         else:
-            remainder[m] = c
+            i = memo.get(m, -1)
+            if i >= 0:
+                lead, bound, tail = divisors[i]
+                q = shifted - lead
+            else:
+                # none of the first ~i divides m: scan on from there
+                i = ~i
+                for lead, bound, tail in islice(divisors, i, None) if i else divisors:
+                    q = shifted - lead
+                    if q & guard == guard:
+                        memo[m] = i
+                        break
+                    i += 1
+                else:
+                    memo[m] = ~i
+                    remainder[m] = c
+                    continue
+        q ^= guard
+        if (q + bound) & guard:
+            raise _overflow()
+        if steps is not None:
+            steps.append((lead, q, c))
+        c = p - c
+        for tm, tc in tail.items():
+            mm = q + tm
+            v = work.get(mm)
+            if v is None:
+                work[mm] = c * tc % p
+                push(heap, -(mm ^ mask))
+            else:
+                work[mm] = (v + c * tc) % p
     return remainder
 
 
@@ -212,7 +289,7 @@ def _power_below_p(f: Polynomial, n: int) -> Polynomial:
     """
     ring = f.ring
     p = ring.p
-    pk = Packing(LEX, ring.nvars)
+    pk = _packing(LEX, ring.nvars)
     guard = pk.guard
     bound = min(p, MAX_EXPONENT + 1)
     offset = sum((MAX_EXPONENT + 1 - bound) << s for s in pk.shifts)
@@ -246,14 +323,16 @@ class _PairQueue:
 
     Elements are numbered in the order ``add`` receives their packed leads.
     A queued pair is (sugar, lcm ^ mask, i, j) with i < j, so the heap
-    pops it in exactly that order.
+    pops it in exactly that order.  Lcms, their degrees and the sugars come
+    from the packed leads and their degrees (``Packing.lcm``); no lead is
+    unpacked per pair unless two leads' degrees sum to 2^17 or more.
     """
 
     def __init__(self, pk: Packing):
         self.pk = pk
         self.formed = 0  # pairs formed so far, pruned or not
         self.leads: list[int] = []
-        self.exponents: list[Monomial] = []  # the leads unpacked, for lcms
+        self.degrees: list[int] = []  # total degree of each lead
         self.sugars: list[int] = []
         self.active: list[int] = []  # elements whose lead no later lead divides
         self.heap: list[tuple] = []
@@ -262,29 +341,27 @@ class _PairQueue:
         """Enter a new element with this packed lead and sugar: form its
         pairs with the active elements, keep those that criteria M and F
         spare, and drop the queued pairs that criterion B_k makes redundant."""
-        pk, leads, exponents, active, heap = self.pk, self.leads, self.exponents, self.active, self.heap
-        mask, guard, units = pk.mask, pk.guard, pk.units
+        pk, leads, degrees, sugars, active, heap = (
+            self.pk, self.leads, self.degrees, self.sugars, self.active, self.heap)
+        mask, guard, lcm_of = pk.mask, pk.guard, pk.lcm
         self.formed += len(active)
         if self.formed > DEFAULT_PAIR_BUDGET:
             raise BudgetExceeded(f"S-pair budget of {DEFAULT_PAIR_BUDGET} exhausted")
         t = len(leads)
-        lt = pk.unpack(lead)
+        deg = sum(pk.unpack(lead))
 
-        def pack_lcm(i: int) -> int:
-            """Packed lcm(lead_i, lead_t)."""
-            return sum(map(mul, map(max, exponents[i], lt), units))
-
-        # computed for every active i, and on demand for the others
-        lcm_with = {i: pack_lcm(i) for i in active}
+        # (lcm(lead_i, lead_t), its degree) for every active i, and on
+        # demand for the others
+        lcm_with = {i: lcm_of(leads[i], lead, degrees[i] + deg) for i in active}
 
         def lcm_t(i: int) -> int:
-            lcm = lcm_with.get(i)
-            return pack_lcm(i) if lcm is None else lcm
+            found = lcm_with.get(i)
+            return (found or lcm_of(leads[i], lead, degrees[i] + deg))[0]
 
         # M and F on the new pairs (i, t), ascending by (lcm, i): a proper
         # divisor of an lcm sorts before it, and equal lcms sit together
         minimal: list[tuple] = []  # (lcm, i, coprime) per surviving distinct lcm
-        for key, i in sorted([(lcm ^ mask, i) for i, lcm in lcm_with.items()]):
+        for key, i in sorted([(lcm ^ mask, i) for i, (lcm, _) in lcm_with.items()]):
             lcm = key ^ mask
             if minimal and minimal[-1][0] == lcm:
                 # F keeps one pair per lcm, none if any is coprime.  A coprime
@@ -292,9 +369,11 @@ class _PairQueue:
                 # members' leads, and an active lead has no older multiple.
                 continue
             shifted = lcm | guard
-            if any((shifted - m[0]) & guard == guard for m in minimal):
-                continue  # M: another new lcm properly divides this one
-            minimal.append((lcm, i, lcm == leads[i] + lead))
+            for other, _, _ in minimal:
+                if (shifted - other) & guard == guard:
+                    break  # M: another new lcm properly divides this one
+            else:
+                minimal.append((lcm, i, lcm == leads[i] + lead))
 
         # B_k: lead_t divides the lcm of a queued pair (i, j) and that lcm
         # differs from both lcm(i, t) and lcm(j, t)
@@ -307,19 +386,17 @@ class _PairQueue:
             heap[:] = queued
             heapq.heapify(heap)
 
-        deg = sum(lt)
         for lcm, i, coprime in minimal:
             if not coprime:
-                # from the exponents: unpacking the packed lcm costs more
-                d = sum(map(max, exponents[i], lt))
-                s = max(self.sugars[i] + d - sum(exponents[i]), sugar + d - deg)
+                d = lcm_with[i][1]
+                s = max(sugars[i] + d - degrees[i], sugar + d - deg)
                 heapq.heappush(heap, (s, lcm ^ mask, i, t))
 
         active[:] = [i for i in active if ((leads[i] | guard) - lead) & guard != guard]
         active.append(t)
         leads.append(lead)
-        exponents.append(lt)
-        self.sugars.append(sugar)
+        degrees.append(deg)
+        sugars.append(sugar)
 
     def add_processed(self, lead: int, sugar: int) -> None:
         """Enter an element of a seed: active, with no pairs formed.  The
@@ -328,7 +405,7 @@ class _PairQueue:
         in."""
         self.active.append(len(self.leads))
         self.leads.append(lead)
-        self.exponents.append(self.pk.unpack(lead))
+        self.degrees.append(sum(self.pk.unpack(lead)))
         self.sugars.append(sugar)
 
     def pop(self) -> tuple:
@@ -367,13 +444,19 @@ class GroebnerBasis:
     polys: tuple[Polynomial, ...]
     degree: int | None = None
     generators: tuple[Polynomial, ...] = field(default=(), compare=False, repr=False)
+    # the polys as packed monic divisors (``Packing.divisor``), in the same
+    # order; a run hands over its own, and they are packed here otherwise
+    divisors: tuple[tuple, ...] = field(default=None, compare=False, repr=False)
 
-    @cached_property
-    def _prepared(self) -> tuple:
-        """The basis packed for reduction: (packing, divisors)."""
-        pk = Packing(self.order, self.ring.nvars)
-        p = self.ring.p
-        return pk, tuple(pk.divisor(pk.pack_terms(g._terms), p) for g in self.polys)
+    def __post_init__(self):
+        if self.divisors is None:
+            pk, p = self.packing, self.ring.p
+            divisors = tuple(pk.divisor(pk.pack_terms(g._terms), p) for g in self.polys)
+            object.__setattr__(self, "divisors", divisors)
+
+    @property
+    def packing(self) -> Packing:
+        return _packing(self.order, self.ring.nvars)
 
     @property
     def leading_monomials(self) -> tuple:
@@ -387,8 +470,8 @@ class GroebnerBasis:
                              f"polynomials of degree at most {self.degree}")
         if not self.polys:
             return g
-        pk, divisors = self._prepared
-        reduced = _reduce(pk.pack_terms(g._terms), divisors, self.ring.p, pk)
+        pk = self.packing
+        reduced = _reduce(pk.pack_terms(g._terms), self.divisors, self.ring.p, pk)
         return self.ring._poly(pk.unpack_terms(reduced))
 
     def contains(self, g: Polynomial) -> bool:
@@ -396,6 +479,25 @@ class GroebnerBasis:
 
     def is_unit_ideal(self) -> bool:
         return len(self.polys) == 1 and not any(self.polys[0].leading_monomial(self.order))
+
+    def frobenius_image(self, e: int, generators: tuple[Polynomial, ...]) -> "GroebnerBasis":
+        """The basis of the images g**(p**e), recording ``generators``.
+
+        It is the reduced basis of the image ideal in the same order:
+        Frobenius is additive and fixes F_p, and m -> m**(p**e) preserves the
+        monomial order and divisibility of monomials.  With q = p**e, each
+        packed divisor is scaled field by field, times q, with its
+        coefficients kept, since c**q = c in F_p, and a basis through degree
+        D gives one through D*q.  Raises ExponentOverflow when an image
+        exponent leaves the exponent field.
+        """
+        q = self.ring.p ** e
+        polys = tuple(g.frobenius_pow(e) for g in self.polys)
+        divisors = tuple(
+            (lead * q, bound * q, {m * q: c for m, c in tail.items()}) for lead, bound, tail in self.divisors
+        )
+        degree = None if self.degree is None else self.degree * q
+        return GroebnerBasis(self.ring, self.order, polys, degree, generators, divisors)
 
 
 def buchberger(
@@ -491,11 +593,12 @@ def _buchberger(
     that returns the images of the syzygies instead (see
     ``syzygy_images``)."""
     p = ring.p
-    pk = Packing(order, ring.nvars)
+    pk = _packing(order, ring.nvars)
     mask, guard = pk.mask, pk.guard
     pairs = _PairQueue(pk)
     leads = pairs.leads
     basis: list[tuple] = []  # packed monic divisors (lead, bound, tail)
+    memo: dict[int, int] = {}  # a monomial's first divisor in basis (see _reduce)
     # a tracked run keeps each element's nonzero tag, scaled like the
     # element, by its lead: every element enters reduced, so no two leads
     # are equal
@@ -539,7 +642,7 @@ def _buchberger(
     seeded = seed.polys if seed is not None else ()
     known = {id(g) for g in seed.generators + seeded} if seeded and not tracked else ()
     truncated = False
-    for g, divisor in zip(seeded, seed._prepared[1] if seeded else ()):
+    for g, divisor in zip(seeded, seed.divisors if seeded else ()):
         sugar = g.total_degree()
         if sugar > limit:
             truncated = True
@@ -558,7 +661,7 @@ def _buchberger(
         if tracked:
             steps, tag = [], pk.pack_terms(tags[k]._terms)
         if seeded or tracked:
-            terms = _reduce(terms, basis, p, pk, steps)
+            terms = _reduce(terms, basis, p, pk, steps, memo)
         enter(terms, sugar, tag, steps)
     if seeded and len(basis) == len(seeded) and not (tracked or truncated):
         return seed  # every generator lies in the seed's ideal
@@ -578,7 +681,7 @@ def _buchberger(
             s[mm] = (s.get(mm, 0) - c) % p
         # logged as two steps, the S-polynomial's tag is qi*tag_i - qj*tag_j
         steps = [(leads[i], qi, p - 1), (leads[j], qj, 1)] if tracked else None
-        enter(_reduce(s, basis, p, pk, steps), sugar, {}, steps)
+        enter(_reduce(s, basis, p, pk, steps, memo), sugar, {}, steps)
 
     if tracked:
         return [ring._poly(pk.unpack_terms(t)) for t in images]
@@ -591,13 +694,18 @@ def _buchberger(
         if not any((shifted - leads[s]) & guard == guard for s in kept):
             kept.append(t)
 
-    # interreduce tails against the other kept elements; the leads stay
+    # interreduce tails, smallest lead first, against the elements already
+    # reduced: only a smaller lead can divide a tail term.  The leads stay.
+    reduced: list[tuple] = []
     polys = []
-    for t in sorted(kept, key=lambda t: leads[t] ^ mask, reverse=True):
+    for t in kept:
         lead, _, tail = basis[t]
-        others = [basis[s] for s in kept if s != t]
-        terms = {lead: 1}
-        terms.update(_reduce(tail, others, p, pk))
-        polys.append(ring._poly(pk.unpack_terms(terms)))
+        tail = _reduce(tail, reduced, p, pk)
+        exponents = pk.unpack_terms(tail)
+        # the divisor's bound (see Packing.divisor), from the exponents at hand
+        bound = sum(map(lshift, map(max, zip(*exponents)), pk.shifts))
+        reduced.append((lead, bound, tail))
+        polys.append(ring._poly({pk.unpack(lead): 1, **exponents}))
     truncated = truncated or bool(pairs.heap)
-    return GroebnerBasis(ring, order, tuple(polys), degree if truncated else None, tuple(gens))
+    return GroebnerBasis(ring, order, tuple(reversed(polys)), degree if truncated else None, tuple(gens),
+                         tuple(reversed(reduced)))

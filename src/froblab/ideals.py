@@ -167,20 +167,18 @@ class Ideal:
         """The Frobenius bracket power with generators g**(p**e).
 
         Every basis already cached on self carries over as its Frobenius
-        image, which is the reduced basis of the bracket power in the same
-        order: Frobenius is additive and fixes F_p, and m -> m**(p**e)
-        preserves the monomial order and divisibility of monomials.  A basis
-        whose image leaves the exponent field is not carried over.
+        image (``GroebnerBasis.frobenius_image``), which is the reduced basis
+        of the bracket power in the same order.  A basis whose image leaves
+        the exponent field is not carried over.
         """
         if e < 0:
             raise ValueError("negative bracket power")
         power = Ideal(self.ring, tuple(g.frobenius_pow(e) for g in self.generators))
         for order, gb in self._gb.items():
             try:
-                polys = tuple(g.frobenius_pow(e) for g in gb.polys)
+                power._gb[order] = gb.frobenius_image(e, power.generators)
             except ExponentOverflow:
                 continue  # left to a Buchberger run, which raises as before
-            power._gb[order] = GroebnerBasis(self.ring, order, polys, generators=power.generators)
         return power
 
     def intersect(self, other: "Ideal") -> "Ideal":

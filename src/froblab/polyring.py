@@ -123,7 +123,7 @@ class PolyRing:
         return len(self.variables)
 
     def __eq__(self, other) -> bool:
-        return (
+        return self is other or (
             isinstance(other, PolyRing)
             and self.p == other.p
             and self.variables == other.variables

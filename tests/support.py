@@ -39,6 +39,32 @@ def random_poly(rng, ring, max_degree=3, terms=3):
     return poly
 
 
+def cyclic(n):
+    """Cyclic-n as (variable names, polynomial texts)."""
+    names = tuple(f"x{i}" for i in range(1, n + 1))
+    polys = [
+        " + ".join("*".join(names[(i + j) % n] for j in range(k)) for i in range(n))
+        for k in range(1, n)
+    ]
+    polys.append("*".join(names) + " - 1")
+    return names, polys
+
+
+def katsura(n):
+    """Katsura-n in u0..un as (variable names, polynomial texts)."""
+    names = tuple(f"u{i}" for i in range(n + 1))
+
+    def u(k):
+        return names[abs(k)] if abs(k) <= n else None
+
+    polys = []
+    for m in range(n):
+        terms = [f"{u(l)}*{u(m - l)}" for l in range(-n, n + 1) if u(l) and u(m - l)]
+        polys.append(" + ".join(terms) + f" - {names[m]}")
+    polys.append(names[0] + "".join(f" + 2*{v}" for v in names[1:]) + " - 1")
+    return names, polys
+
+
 def generic_minors(n, p):
     """The ideal of 2 x 2 minors of the generic 2 x n matrix over F_p, whose
     entries are the variables x1..x(2n), row by row."""

@@ -1,5 +1,6 @@
 """Tests for the Buchberger engine: reduced bases, normal forms, selection
-determinism, the work budget, and runs seeded with a summand's basis."""
+determinism, the work budget, the packed divisors a basis carries, the
+reducer memo, and runs seeded with a summand's basis."""
 
 import random
 
@@ -7,11 +8,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import support
 from froblab import groebner
 from froblab.errors import BudgetExceeded, RingMismatch
 from froblab.groebner import (
     Packing,
     _PairQueue,
+    _reduce,
     buchberger,
     groebner_basis_of,
     s_polynomial,
@@ -256,6 +259,84 @@ def test_pairs_pop_by_sugar_then_lcm_then_index():
     # a higher sugar on yz puts its pair last
     pairs = _queue(((1, 1, 0), 2), ((2, 0, 0), 2), ((0, 1, 1), 4))
     assert [pairs.pop()[2:] for _ in range(2)] == [(0, 1), (0, 2)]
+
+
+@pytest.mark.parametrize(
+    "system, pops", [(support.cyclic(5), 112), (support.katsura(4), 30), (support.katsura(5), 68)],
+    ids=["cyclic-5", "katsura-4", "katsura-5"],
+)
+def test_standard_systems_pop_a_fixed_number_of_pairs(monkeypatch, system, pops):
+    """The pairs popped in grevlex at p = 32003, as counted when the pair
+    update still unpacked every lead: the update on packed ints selects the
+    same pairs."""
+    popped = []
+
+    class Counted(_PairQueue):
+        def pop(self):
+            popped.append(None)
+            return super().pop()
+
+    monkeypatch.setattr(groebner, "_PairQueue", Counted)
+    names, texts = system
+    R = PolyRing(32003, names)
+    buchberger([R.parse(t) for t in texts])
+    assert len(popped) == pops
+
+
+# -- packed divisors and the reducer memo --------------------------------------
+
+
+def _repacked(gb):
+    pk = Packing(gb.order, gb.ring.nvars)
+    return tuple(pk.divisor(pk.pack_terms(g._terms), gb.ring.p) for g in gb.polys)
+
+
+@pytest.mark.parametrize("trial", range(4))
+def test_a_basis_carries_the_packed_divisors_of_its_polys(trial):
+    """Plain, seeded and lex runs, bounded runs and the bases that
+    ``bracket_power`` carries over hand on packed divisors equal to those
+    their polys pack to."""
+    rng = random.Random(f"divisors:{trial}")
+    for order in (GREVLEX, LEX):
+        R = PolyRing(rng.choice((3, 5, 7)), ("x", "y", "z"), order)
+        A = Ideal(R, tuple(_random_poly(rng, R, max_degree=2) for _ in range(3)))
+        B = Ideal(R, tuple(_random_poly(rng, R, max_degree=2) for _ in range(2)))
+        bases = [A.groebner_basis(order), (A + B).groebner_basis(order)]
+        bases += [A.bracket_power(e)._gb[order] for e in (1, 2)]
+        for gb in bases:
+            assert gb.divisors == _repacked(gb)
+    R = PolyRing(7, ("x", "y", "z"))
+    gens = [R.parse("x^2 - y*z"), R.parse("x*y^2 - z^3")]
+    bounded = groebner_basis_of(R, gens, GREVLEX, degree=3)
+    image = bounded.frobenius_image(1, tuple(g.frobenius_pow(1) for g in gens))
+    assert (bounded.degree, image.degree) == (3, 21)
+    assert image.polys == groebner_basis_of(R, image.generators, GREVLEX, degree=21).polys
+    for gb in (bounded, image):
+        assert gb.divisors == _repacked(gb)
+
+
+@pytest.mark.parametrize("order", (GREVLEX, LEX))
+def test_reduce_with_a_shared_memo_matches_reduce_without(order):
+    """One memo kept over a divisor list that grows at its end, as a run
+    keeps it, gives the remainders and step logs of reductions without."""
+    rng = random.Random(f"memo:{order.kind}")
+    R = PolyRing(7, ("x", "y", "z"), order)
+    pk = Packing(order, R.nvars)
+    divisors: list = []
+    memo: dict = {}
+    for _ in range(40):
+        g = _random_poly(rng, R, max_degree=4, terms=6)
+        if g.is_zero:
+            continue
+        terms = pk.pack_terms(g._terms)
+        plain_steps, memo_steps = [], []
+        plain = _reduce(terms, divisors, R.p, pk, plain_steps)
+        remembered = _reduce(terms, divisors, R.p, pk, memo_steps, memo)
+        assert list(remembered.items()) == list(plain.items())
+        assert memo_steps == plain_steps
+        divisors.append(pk.divisor(terms, R.p))
+    # the memo has answered with a divisor and with a count of non-divisors
+    assert min(memo.values()) < 0 <= max(memo.values())
 
 
 # -- seeded runs ---------------------------------------------------------------

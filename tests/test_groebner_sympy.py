@@ -30,30 +30,6 @@ ORDERS = {"grevlex": GREVLEX, "lex": LEX}
 PRIMES = (3, 5, 7, 13, 32003)
 
 
-def cyclic(n):
-    names = tuple(f"x{i}" for i in range(1, n + 1))
-    polys = [
-        " + ".join("*".join(names[(i + j) % n] for j in range(k)) for i in range(n))
-        for k in range(1, n)
-    ]
-    polys.append("*".join(names) + " - 1")
-    return names, polys
-
-
-def katsura(n):
-    names = tuple(f"u{i}" for i in range(n + 1))
-
-    def u(k):
-        return names[abs(k)] if abs(k) <= n else None
-
-    polys = []
-    for m in range(n):
-        terms = [f"{u(l)}*{u(m - l)}" for l in range(-n, n + 1) if u(l) and u(m - l)]
-        polys.append(" + ".join(terms) + f" - {names[m]}")
-    polys.append(names[0] + "".join(f" + 2*{v}" for v in names[1:]) + " - 1")
-    return names, polys
-
-
 def random_system(rng, ring, count, degree, terms):
     """``count`` polynomials, each with up to ``terms`` random terms of
     degree at most ``degree``."""
@@ -88,7 +64,7 @@ def sympy_basis(polys, syms, p, order):
     return basis, frozenset(term_set(g, p) for g in basis.polys)
 
 
-@pytest.mark.parametrize("system", [cyclic(5), katsura(4)], ids=["cyclic-5", "katsura-4"])
+@pytest.mark.parametrize("system", [support.cyclic(5), support.katsura(4)], ids=["cyclic-5", "katsura-4"])
 def test_standard_systems_match_sympy_in_grevlex(system):
     names, texts = system
     ring = PolyRing(32003, names)
@@ -99,7 +75,7 @@ def test_standard_systems_match_sympy_in_grevlex(system):
 
 
 def test_katsura_4_matches_sympy_in_lex():
-    names, texts = katsura(4)
+    names, texts = support.katsura(4)
     ring = PolyRing(32003, names, LEX)
     gens = [ring.parse(t) for t in texts]
     syms = sympy.symbols(names)

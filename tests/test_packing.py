@@ -1,13 +1,14 @@
 """Properties of the packed monomials inside the Groebner engine, for lex
-and grevlex: order, divisibility, round trips and the overflow guard."""
+and grevlex: order, divisibility, lcms, round trips and the overflow
+guard."""
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from froblab.errors import ExponentOverflow
 from froblab.groebner import GroebnerBasis, Packing, buchberger
-from froblab.polyring import GREVLEX, LEX, MAX_EXPONENT, PolyRing, monomial_div
+from froblab.polyring import GREVLEX, LEX, MAX_EXPONENT, PolyRing, monomial_div, monomial_lcm
 
 
 @st.composite
@@ -50,6 +51,20 @@ def test_packed_divisibility_and_quotient_match_monomial_div(case):
             assert (difference & guard == guard) == (expected is not None)
             if expected is not None:
                 assert difference ^ guard == pk.pack(expected)
+
+
+# three full fields: the degrees sum past 2^17, where the lcm's degree field
+# sum would carry into the next field, so it is summed from the exponents
+@example((LEX, 3, [(MAX_EXPONENT, MAX_EXPONENT, 0), (0, 1, MAX_EXPONENT)]))
+@example((GREVLEX, 3, [(MAX_EXPONENT, MAX_EXPONENT, 0), (0, 1, MAX_EXPONENT)]))
+@given(order_and_monomials())
+def test_packed_lcm_and_its_degree_match_monomial_lcm(case):
+    order, nvars, monomials = case
+    pk = Packing(order, nvars)
+    for a in monomials:
+        for b in monomials:
+            lcm = monomial_lcm(a, b)
+            assert pk.lcm(pk.pack(a), pk.pack(b), sum(a) + sum(b)) == (pk.pack(lcm), sum(lcm))
 
 
 @given(order_and_monomials())
