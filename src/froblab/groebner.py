@@ -1,24 +1,62 @@
 """Buchberger's algorithm and multivariate division over prime fields.
 
-S-pairs are kept by the Gebauer-Moeller update (Gebauer & Moeller 1988):
-when an element h joins the basis, its new pairs pass criteria M and F,
-queued pairs that h makes redundant are dropped (criterion B_k), and the
-elements whose leads lead(h) divides form no further pairs (they still
-serve as reducers).  A run may start from a seed, the cached reduced basis
-of an ideal inside the one wanted, as Singular's ``std(I, f)`` does: its
-elements enter as already processed, active and with no pairs among
-themselves, since a reduced basis already meets Buchberger's criterion,
-and each generator enters reduced against the basis so far.  An untracked
-run skips, by identity, the generators the seed was built from and the
-seed's own elements: they lie in the seed's ideal and would reduce to
-zero.  Pairs are selected by sugar degree (Giovini et al. 1991), then by
-lcm in the monomial order, then by index.  An input's sugar is its total
-degree; a pair (i, j) with lcm L has sugar max(sugar_i + deg L - deg
-lead_i, sugar_j + deg L - deg lead_j), which its reduced S-polynomial
-inherits.  Output is the reduced monic basis after full interreduction,
-sorted by descending leading monomial, which is unique for the ideal and
-order, so it depends neither on generator permutation, nor on the pair
-strategy, nor on a seed.
+A run takes one of two loops, which return the same reduced basis.  A plain
+run, with no seed, no tags and no degree bound, in grevlex, of at most as
+many generators as variables, one of which has more than two terms, takes
+the signature loop; every other run takes the pair loop.  Most S-pairs of a
+plain run reduce to zero, and signatures predict those reductions from
+syzygies the run already knows.  The rest of the rule keeps the pair loop
+where the prediction does not pay.  More generators than variables are
+never a regular sequence, so their non-Koszul syzygies still surface as
+zero reductions, and the pair loop's chain criterion finds those more
+cheaply.  The S-polynomials and remainders of binomials are binomials, so a
+spared reduction saves a few term operations, less than the J-pair's
+bookkeeping costs.  In lex a run often passes through long chains of
+elements, each lead dividing the one before: the pair loop stops pairing
+an element once its lead is divided, while the signature loop pairs every
+element with every earlier one.  A seeded run would queue many J-pairs
+only to prune them after queueing, and a tracked run needs the tag of
+every zero reduction.
+
+The pair loop keeps S-pairs by the Gebauer-Moeller update (Gebauer &
+Moeller 1988): when an element h joins the basis, its new pairs pass
+criteria M and F, queued pairs that h makes redundant are dropped
+(criterion B_k), and the elements whose leads lead(h) divides form no
+further pairs (they still serve as reducers).  A run may start from a seed,
+the cached reduced basis of an ideal inside the one wanted, as Singular's
+``std(I, f)`` does: its elements enter as already processed, active and
+with no pairs among themselves, since a reduced basis already meets
+Buchberger's criterion, and each generator enters reduced against the basis
+so far.  An untracked run skips, by identity, the generators the seed was
+built from and the seed's own elements: they lie in the seed's ideal and
+would reduce to zero.  Pairs are selected by sugar degree (Giovini et al.
+1991), then by lcm in the monomial order, then by index.  An input's sugar
+is its total degree; a pair (i, j) with lcm L has sugar
+max(sugar_i + deg L - deg lead_i, sugar_j + deg L - deg lead_j), which its
+reduced S-polynomial inherits.  Output is the reduced monic basis after
+full interreduction, sorted by descending leading monomial, which is unique
+for the ideal and order, so it depends neither on generator permutation,
+nor on the pair strategy, nor on a seed.
+
+The signature loop uses the criteria of Faugère's F5 (ISSAC 2002) in the
+form of Gao, Volny & Wang (Math. Comp. 85, 2016).  Each element f carries
+a signature t*e_i, the leading term of a u with u*F = f over the generators
+F; signatures compare in the Schreyer order, first t*lead(f_i) in the run's
+order, then i.  Generator i enters the queue at signature e_i, and each new
+element f forms with every earlier g the J-pair (L/lead_f)*f or
+(L/lead_g)*g, where L = lcm(lead_f, lead_g), whichever has the larger
+signature; none when the two are equal.  Entries pop by signature, then by
+lcm.  An element is reduced fully, but only by multiples q*g of strictly
+smaller signature, so it keeps its signature.  A J-pair is dropped when a
+known syzygy's signature divides its own: each zero reduction's, and each
+new element's Koszul signature with every earlier element,
+max(lead_g*sig_f, lead_f*sig_g), kept minimal per index.  It is also
+dropped when it is covered: some element g with sig_g dividing its
+signature T has (T/sig_g)*lead_g below L.  So only the first entry of a
+signature is reduced: the next meets the first's zero reduction, or is
+covered by the first's element or by what covered the first.  Every J-pair
+formed is charged to the pair budget.  The loop ends in the pair loop's
+minimalization and interreduction, so it returns the pair loop's basis.
 
 A run on homogeneous inputs may stop at a degree D: it takes no generator,
 seed element or pair of degree above D.  For homogeneous inputs sugar is
@@ -29,7 +67,7 @@ basis (Becker & Weispfenning, *Groebner Bases*, section 10.2; Singular's
 degree at most D exactly, since a lead of higher degree divides none of
 their terms.
 
-A tracked run (``syzygy_images``) is the same loop on a seed of P plus
+A tracked run (``syzygy_images``) is the pair loop on a seed of P plus
 generators g*t_k, for one fixed g and tags t_k.  Each element f also
 carries a tag t, with f - g*t in P: each reduction step logs (divisor,
 multiplier, coefficient), and the tag follows from the log.  An element
@@ -65,6 +103,9 @@ holds while the two degrees sum to less than 2^17 (``Packing.lcm``); the
 pair update thus unpacks no lead below that.  Polynomials are packed on the
 way in and unpacked on the way out; the rest of the package only sees
 exponent tuples.  One ``Packing`` serves each (order, number of variables).
+A signature t*e_i is one int, t*lead(f_i) in a layout with wider fields
+(``_signature_packing``) and i below it, so that ints compare as
+signatures do and no signature overflows where the polynomials do not.
 
 A run reduces against its basis list, which only grows at its end, so it
 keeps one memo for the length of the run: a monomial maps to the index of
@@ -84,7 +125,7 @@ from dataclasses import dataclass, field
 from functools import cache
 from itertools import islice
 from operator import lshift, mul
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 from .errors import BudgetExceeded, ExponentOverflow, RingMismatch
 from .polyring import (
@@ -98,35 +139,38 @@ from .polyring import (
     monomial_lcm,
 )
 
-# max S-pairs one Buchberger run (plain, seeded, tracked or lex) forms,
-# pruned or not, before it raises BudgetExceeded; _PairQueue reads it at
-# each update, so this module attribute is the one that governs
+# max pairs one Buchberger run forms, the pair loop's S-pairs or the
+# signature loop's J-pairs, pruned or not, before it raises BudgetExceeded;
+# both loops read it at each update, so this module attribute is the one
+# that governs
 DEFAULT_PAIR_BUDGET = 1_000_000
 
 EXPONENT_BITS = MAX_EXPONENT.bit_length()
-FIELD_LIMIT = 1 << (EXPONENT_BITS + 1)  # one field with its guard bit overflows here
 
 
 class Packing:
-    """The packed-monomial layout of one monomial order on ``nvars`` variables."""
+    """The packed-monomial layout of one monomial order on ``nvars`` variables,
+    with ``bits`` value bits in each exponent field."""
 
-    __slots__ = ("units", "shifts", "mask", "guard", "exponents", "degree", "ones", "top")
+    __slots__ = ("bits", "largest", "units", "shifts", "mask", "guard", "exponents", "degree", "ones", "top")
 
-    def __init__(self, order: MonomialOrder, nvars: int):
+    def __init__(self, order: MonomialOrder, nvars: int, bits: int = EXPONENT_BITS):
         graded = order.kind == "grevlex"
-        width = EXPONENT_BITS + 1
+        self.bits = bits
+        self.largest = largest = (1 << bits) - 1  # the largest exponent a field holds
+        width = bits + 1
         # exponent fields fill from the least significant end, each topped by
         # a guard bit: x1 first under grevlex, xn first under lex; grevlex
         # puts its degree field, wide enough for the degree sum, above them
         self.shifts = tuple(width * (i if graded else nvars - 1 - i) for i in range(nvars))
-        self.exponents = sum(MAX_EXPONENT << s for s in self.shifts)
-        self.guard = sum(1 << (s + EXPONENT_BITS) for s in self.shifts)
+        self.exponents = sum(largest << s for s in self.shifts)
+        self.guard = sum(1 << (s + bits) for s in self.shifts)
         self.mask = self.exponents if graded else 0
         # the unit of the degree field (0 under lex)
         self.degree = degree = 1 << (width * nvars) if graded else 0
         self.units = tuple(1 << s | degree for s in self.shifts)
         if graded:
-            self.guard |= degree << (EXPONENT_BITS + (nvars - 1).bit_length())
+            self.guard |= degree << (bits + (nvars - 1).bit_length())
         # m * ones holds the sum of m's exponent fields in the field at top
         self.ones = sum(1 << s for s in self.shifts)
         self.top = width * (nvars - 1)
@@ -135,15 +179,16 @@ class Packing:
         return sum(map(mul, m, self.units))
 
     def unpack(self, packed: int) -> Monomial:
-        return tuple((packed >> s) & MAX_EXPONENT for s in self.shifts)
+        largest = self.largest
+        return tuple((packed >> s) & largest for s in self.shifts)
 
     def pack_terms(self, terms: dict) -> dict:
         units = self.units
         return {sum(map(mul, m, units)): c for m, c in terms.items()}
 
     def unpack_terms(self, terms: dict) -> dict:
-        shifts = self.shifts
-        return {tuple((m >> s) & MAX_EXPONENT for s in shifts): c for m, c in terms.items()}
+        shifts, largest = self.shifts, self.largest
+        return {tuple((m >> s) & largest for s in shifts): c for m, c in terms.items()}
 
     def lcm(self, a: int, b: int, degrees: int) -> tuple[int, int]:
         """(packed lcm, its total degree) of packed monomials a and b whose
@@ -152,17 +197,18 @@ class Packing:
         The guard bits of (a | guard) - b mark the fields where a >= b, as in
         ``divisor``.  The degree of the lcm is the field at ``top`` of
         lcm * ones: each field of that product sums some exponent fields of
-        the lcm, so below 2^17 = 2^(EXPONENT_BITS + 1) none carries into the
-        next, and the lcm's degree is at most ``degrees``.  From 2^17 on it is
-        summed from the unpacked exponents.
+        the lcm, so below 2^(bits + 1) none carries into the next, and the
+        lcm's degree is at most ``degrees``.  From there on it is summed from
+        the unpacked exponents.
         """
-        exponents, guard = self.exponents, self.guard
+        exponents, guard, bits = self.exponents, self.guard, self.bits
         a &= exponents
         b &= exponents
-        keep = ((((a | guard) - b) & guard) >> EXPONENT_BITS) * MAX_EXPONENT
+        keep = ((((a | guard) - b) & guard) >> bits) * self.largest
         lcm = (a & keep) | (b & ~keep)
-        if degrees < FIELD_LIMIT:
-            d = (lcm * self.ones >> self.top) & (FIELD_LIMIT - 1)
+        limit = 2 << bits  # one field with its guard bit overflows here
+        if degrees < limit:
+            d = (lcm * self.ones >> self.top) & (limit - 1)
         else:
             d = sum(map(max, self.unpack(a), self.unpack(b)))
         return lcm + d * self.degree, d
@@ -174,7 +220,7 @@ class Packing:
         with zero degree fields, so q + bound sets a guard bit iff some
         q + (tail monomial) does.
         """
-        mask, exponents, guard = self.mask, self.exponents, self.guard
+        mask, exponents, guard, bits, largest = self.mask, self.exponents, self.guard, self.bits, self.largest
         lead = max(terms, key=lambda m: m ^ mask)
         inv = pow(terms[lead], p - 2, p)
         tail = {m: c * inv % p for m, c in terms.items() if m != lead}
@@ -182,9 +228,9 @@ class Packing:
         for m in tail:
             m &= exponents
             # guard bits mark the fields where bound >= m; spread them over
-            # the 16 bits below and keep bound there, m elsewhere (the degree
-            # fields are zero on both sides)
-            keep = ((((bound | guard) - m) & guard) >> EXPONENT_BITS) * MAX_EXPONENT
+            # the value bits below and keep bound there, m elsewhere (the
+            # degree fields are zero on both sides)
+            keep = ((((bound | guard) - m) & guard) >> bits) * largest
             bound = (bound & keep) | (m & ~keep)
         return lead, bound, tail
 
@@ -591,7 +637,25 @@ def _buchberger(
     """The reduced basis of (seed) + (gens), through ``degree`` if given;
     with ``tags``, where gens[k] is g*tags[k] for one fixed g, a tracked run
     that returns the images of the syzygies instead (see
-    ``syzygy_images``)."""
+    ``syzygy_images``).  A plain grevlex run of at most as many generators
+    as variables, not all of them binomials, takes the signature loop, any
+    other run the pair loop (see the module docstring)."""
+    plain = seed is None and tags is None and degree is None
+    if plain and order.kind == "grevlex" and len(gens) <= ring.nvars and any(len(g._terms) > 2 for g in gens):
+        return _signature_loop(ring, gens, order)
+    return _pair_loop(ring, gens, order, seed, tags, degree=degree)
+
+
+def _pair_loop(
+    ring: PolyRing,
+    gens: list[Polynomial],
+    order: MonomialOrder,
+    seed: GroebnerBasis | None = None,
+    tags: Sequence[Polynomial] | None = None,
+    *,
+    degree: int | None = None,
+) -> GroebnerBasis | list[Polynomial]:
+    """``_buchberger`` on S-pairs kept by the Gebauer-Moeller update."""
     p = ring.p
     pk = _packing(order, ring.nvars)
     mask, guard = pk.mask, pk.guard
@@ -686,26 +750,253 @@ def _buchberger(
     if tracked:
         return [ring._poly(pk.unpack_terms(t)) for t in images]
 
-    # minimalize: drop active elements whose lead another kept lead divides
-    # (only inputs can be such: every S-polynomial is reduced by all leads)
-    kept: list[int] = []
-    for t in sorted(pairs.active, key=lambda t: leads[t] ^ mask):
-        shifted = leads[t] | guard
-        if not any((shifted - leads[s]) & guard == guard for s in kept):
-            kept.append(t)
+    truncated = truncated or bool(pairs.heap)
+    return _reduced_basis(ring, order, [basis[t] for t in pairs.active], gens, degree if truncated else None)
+
+
+def _reduced_basis(
+    ring: PolyRing, order: MonomialOrder, elements: list[tuple], gens: list[Polynomial], degree: int | None
+) -> GroebnerBasis:
+    """The reduced basis from the packed monic divisors of a run whose leads
+    generate the ideal's leading monomials."""
+    p = ring.p
+    pk = _packing(order, ring.nvars)
+    mask, guard = pk.mask, pk.guard
+    # minimalize: drop the elements whose lead another kept lead divides
+    kept: list[tuple] = []
+    for element in sorted(elements, key=lambda e: e[0] ^ mask):
+        shifted = element[0] | guard
+        if not any((shifted - lead) & guard == guard for lead, _, _ in kept):
+            kept.append(element)
 
     # interreduce tails, smallest lead first, against the elements already
     # reduced: only a smaller lead can divide a tail term.  The leads stay.
     reduced: list[tuple] = []
     polys = []
-    for t in kept:
-        lead, _, tail = basis[t]
+    for lead, _, tail in kept:
         tail = _reduce(tail, reduced, p, pk)
         exponents = pk.unpack_terms(tail)
         # the divisor's bound (see Packing.divisor), from the exponents at hand
         bound = sum(map(lshift, map(max, zip(*exponents)), pk.shifts))
         reduced.append((lead, bound, tail))
         polys.append(ring._poly({pk.unpack(lead): 1, **exponents}))
-    truncated = truncated or bool(pairs.heap)
-    return GroebnerBasis(ring, order, tuple(reversed(polys)), degree if truncated else None, tuple(gens),
-                         tuple(reversed(reduced)))
+    return GroebnerBasis(ring, order, tuple(reversed(polys)), degree, tuple(gens), tuple(reversed(reduced)))
+
+
+@cache
+def _signature_packing(order: MonomialOrder, nvars: int) -> Packing:
+    """The layout of signature leads: fields of r = max(nvars + 1, 3) slots
+    of EXPONENT_BITS + 1 bits, for ``_widener``.  Its 17r - 1 >= 50 value
+    bits hold every signature of a run: an element's signature is a J-pair's,
+    (lcm / lead_a) * sig_a, whose exponents exceed sig_a's by at most
+    MAX_EXPONENT, so they stay below (elements + 3) * 2^16, and the pair
+    budget keeps the elements below 2^34."""
+    return Packing(order, nvars, (EXPONENT_BITS + 1) * max(nvars + 1, 3) - 1)
+
+
+@cache
+def _widener(pk: Packing, wide: Packing, shift: int) -> Callable[[int], int]:
+    """The map that moves each field of a packed int of ``pk``, exponent
+    fields and grevlex's degree field, to the same field of ``wide``, whose
+    fields are r slots of EXPONENT_BITS + 1 bits, and then shifts it left by
+    ``shift``.
+
+    One product, with a 1 in slot (r - 1)*k for each k < nvars, puts
+    exponent field j in slot j + (r - 1)*k, a different slot for each (j, k)
+    since r - 1 >= nvars, so no two sum; that slot is a multiple of r only
+    for k = j, and a mask keeps those.  The degree field moves by itself.
+    """
+    nvars = len(pk.shifts)
+    slot = EXPONENT_BITS + 1
+    r = (wide.bits + 1) // slot
+    spread = sum(1 << (slot * (r - 1) * k + shift) for k in range(nvars))
+    low = sum(MAX_EXPONENT << (s + shift) for s in wide.shifts)
+    exponents, top, unit = pk.exponents, slot * nvars, wide.degree << shift
+
+    def widen(packed: int) -> int:
+        return ((packed & exponents) * spread & low) + (packed >> top) * unit
+
+    return widen
+
+
+def _regular_reduce(
+    terms: dict,
+    sig: int,
+    divisors: list[tuple],
+    ratios: list[int],
+    p: int,
+    pk: Packing,
+    widen: Callable[[int], int],
+    memo: dict,
+) -> dict:
+    """Full remainder of a packed term dict of signature ``sig`` against the
+    multiples q*g of the divisors whose signature is smaller, which are those
+    with widen(key of q*lead_g) + ratios[g] < sig (see ``_signature_loop``).
+
+    As in ``_reduce``, terms wait in a heap and ``memo`` maps a monomial to
+    its first divisor, or to ~n when none of the first n divides it; from
+    there the scan goes on to the first divisor that passes the signature
+    test as well.
+    """
+    if not divisors:
+        return terms  # the first entry of a run
+    mask, guard = pk.mask, pk.guard
+    work = dict(terms)
+    heap = [-(m ^ mask) for m in work]
+    heapq.heapify(heap)
+    push, pop = heapq.heappush, heapq.heappop
+    remainder: dict = {}
+    n = len(divisors)
+    while heap:
+        key = -pop(heap)
+        m = key ^ mask
+        c = work.pop(m)
+        if not c:
+            continue
+        shifted = m | guard
+        i = memo.get(m, -1)
+        if i < 0:
+            i = ~i
+            while i < n and (shifted - divisors[i][0]) & guard != guard:
+                i += 1
+            memo[m] = i if i < n else ~n
+        if i < n:
+            # a multiple q*g is smaller in signature iff ratios[g] < below
+            below = sig - widen(key)
+            while i < n and (ratios[i] >= below or (shifted - divisors[i][0]) & guard != guard):
+                i += 1
+        if i == n:
+            remainder[m] = c
+            continue
+        lead, bound, tail = divisors[i]
+        q = (shifted - lead) ^ guard
+        if (q + bound) & guard:
+            raise _overflow()
+        c = p - c
+        for tm, tc in tail.items():
+            mm = q + tm
+            v = work.get(mm)
+            if v is None:
+                work[mm] = c * tc % p
+                push(heap, -(mm ^ mask))
+            else:
+                work[mm] = (v + c * tc) % p
+    return remainder
+
+
+def _signature_loop(ring: PolyRing, gens: list[Polynomial], order: MonomialOrder) -> GroebnerBasis:
+    """The reduced basis of (gens) from signatures (see the module docstring)."""
+    p, nvars = ring.p, ring.nvars
+    pk = _packing(order, nvars)
+    mask, guard = pk.mask, pk.guard
+    wide = _signature_packing(order, nvars)
+    smask, sguard = wide.mask, wide.guard
+    # A signature t*e_i is the int ((t*lead(f_i) in ``wide``) ^ smask) << shift
+    # | i, so ints compare as signatures do.  widen(key) moves the fields of a
+    # key m ^ mask to ``wide``, so that widen(key of m) + offset is the
+    # signature m*e_0, and widen(key of m*m') = widen(key of m) + widen(key
+    # of m') - one.  An element g of signature sig_g has the ratio
+    # sig_g - widen(key of lead_g), and a multiple q*g has the signature
+    # widen(key of q*lead_g) + ratio_g.
+    shift = len(gens).bit_length()
+    index = (1 << shift) - 1
+    widen = _widener(pk, wide, shift)
+    one = widen(mask)
+    offset = (smask << shift) - one
+
+    syzygies: list[list[int]] = [[] for _ in gens]  # minimal known syzygy leads, per index
+    covers: list[list[tuple]] = [[] for _ in gens]  # (ratio, signature lead) of the elements, per index
+
+    def known(sig: int) -> bool:
+        """Whether a known syzygy's signature divides sig."""
+        shifted = ((sig >> shift) ^ smask) | sguard
+        for h in syzygies[sig & index]:
+            if (shifted - h) & sguard == sguard:
+                return True
+        return False
+
+    def note(sig: int) -> None:
+        """Record the signature of a syzygy, keeping each index's minimal."""
+        lead = (sig >> shift) ^ smask
+        found = syzygies[sig & index]
+        shifted = lead | sguard
+        for h in found:
+            if (shifted - h) & sguard == sguard:
+                return
+        found[:] = [h for h in found if ((h | sguard) - lead) & sguard != sguard]
+        found.append(lead)
+
+    def covered(sig: int, ratio: int) -> bool:
+        """Whether an element g whose signature divides sig has a larger
+        ratio than the J-pair's element, so (sig / sig_g)*lead_g is below
+        the J-pair's lcm."""
+        shifted = ((sig >> shift) ^ smask) | sguard
+        for e, h in covers[sig & index]:
+            if e > ratio and (shifted - h) & sguard == sguard:
+                return True
+        return False
+
+    basis: list[tuple] = []  # packed monic divisors (lead, bound, tail)
+    widened: list[int] = []  # widen(key of each lead)
+    degrees: list[int] = []  # total degree of each lead
+    ratios: list[int] = []  # signature - widen(key of lead) of each element
+    memo: dict[int, int] = {}
+    # a queued entry is (signature, lcm ^ mask, a, b): the J-pair whose
+    # signature is that of (lcm / lead_a) * element a, or generator b for a = -1
+    inputs = [pk.pack_terms(g._terms) for g in gens]
+    heap = []
+    for i, terms in enumerate(inputs):
+        key = max(m ^ mask for m in terms)
+        heap.append((widen(key) + offset + i, key, -1, i))
+    heapq.heapify(heap)
+    push, pop = heapq.heappush, heapq.heappop
+    formed = 0
+    while heap:
+        sig, key, a, b = pop(heap)
+        if a < 0:
+            terms = inputs[b]
+        elif known(sig) or covered(sig, ratios[a]):
+            continue
+        else:
+            # S-polynomial: the leads cancel, leaving qa*tail_a - qb*tail_b
+            lcm = key ^ mask
+            la, ba, ta = basis[a]
+            lb, bb, tb = basis[b]
+            qa, qb = lcm - la, lcm - lb
+            if (qa + ba) & guard or (qb + bb) & guard:
+                raise _overflow()
+            terms = {qa + m: c for m, c in ta.items()}
+            for m, c in tb.items():
+                mm = qb + m
+                terms[mm] = (terms.get(mm, 0) - c) % p
+        terms = _regular_reduce(terms, sig, basis, ratios, p, pk, widen, memo)
+        if not terms:
+            note(sig)
+            continue
+        divisor = pk.divisor(terms, p)
+        lead = divisor[0]
+        deg = sum(pk.unpack(lead))
+        wk = widen(lead ^ mask)
+        ratio = sig - wk
+        # the Koszul syzygies with the earlier elements first, so that the
+        # J-pairs below meet them
+        for w, e in zip(widened, ratios):
+            if e != ratio:
+                note(w + wk - one + max(e, ratio))
+        formed += len(ratios)
+        if formed > DEFAULT_PAIR_BUDGET:
+            raise BudgetExceeded(f"S-pair budget of {DEFAULT_PAIR_BUDGET} exhausted")
+        t = len(basis)
+        for j, e in enumerate(ratios):
+            if e == ratio:
+                continue  # the two multiples' signatures cancel
+            lk = pk.lcm(basis[j][0], lead, degrees[j] + deg)[0] ^ mask
+            jsig = widen(lk) + max(e, ratio)
+            if not known(jsig):
+                push(heap, (jsig, lk, j, t) if e > ratio else (jsig, lk, t, j))
+        basis.append(divisor)
+        widened.append(wk)
+        degrees.append(deg)
+        ratios.append(ratio)
+        covers[sig & index].append((ratio, (sig >> shift) ^ smask))
+    return _reduced_basis(ring, order, basis, gens, None)

@@ -8,7 +8,7 @@ from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
-from hypothesis import assume, example, given, settings
+from hypothesis import assume, event, example, given, settings
 from hypothesis import strategies as st
 
 import froblab
@@ -484,6 +484,52 @@ def test_fedder_matches_the_full_colon_on_generated_ideals(A):
     _assert_fedder_matches_the_full_colon(A)
 
 
+@st.composite
+def graded_complete_intersections(draw):
+    """(R = S/A, J) with J = (x, y) a homogeneous system of parameters of R:
+    a cone over a plane cubic in x, y, z with z^3 in it, over F_p for p in
+    {3, 5, 7, 11}, or two quadrics in x, y, z, w led by z^2 and w^2 whose
+    restrictions to x = y = 0 meet only at the origin, for p in {3, 5} (at
+    p = 7 one verdict takes up to a second)."""
+    nvars = draw(st.sampled_from((3, 4)))
+    p = draw(st.sampled_from((3, 5, 7, 11) if nvars == 3 else (3, 5)))
+    ring = PolyRing(p, ("x", "y", "z", "w")[:nvars])
+    coefficient = st.integers(0, p - 1)
+
+    def form(degree, lead):
+        monomials = [m for m in itertools.product(range(degree + 1), repeat=nvars) if sum(m) == degree]
+        g = ring.monomial(lead, draw(st.integers(1, p - 1)))
+        for m in monomials:
+            if m != lead:
+                g = g + ring.monomial(m, draw(coefficient))
+        return g
+
+    if nvars == 3:
+        A = Ideal(ring, (form(3, (0, 0, 3)),))
+    else:
+        A = Ideal(ring, (form(2, (0, 0, 2, 0)), form(2, (0, 0, 0, 2))))
+    J = _ideal(ring, "x", "y")
+    assume(QuotientPresentation(ring, A + J).dimension == 0)
+    return QuotientPresentation(ring, A), J
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(graded_complete_intersections())
+def test_fedder_matches_the_closure_test_at_depth_one_on_complete_intersections(case):
+    """R is a homogeneous complete intersection, so Cohen-Macaulay and
+    Gorenstein, and J is a full homogeneous system of parameters, so
+    regular.  F-pure implies F-injective, and on a Gorenstein ring the two
+    agree (Fedder 1983, Lemma 3.3).  R is F-injective iff no nonzero socle
+    element s of R/J has s^p in J^[p]: the kernel of Frobenius on H^d_m(R)
+    meets the socle, which is the image of R/J's, through R/J^[p] ->
+    H^d_m(R), which is injective.  So Fedder's verdict is the closure
+    test's at e = 1."""
+    Q, J = case
+    verdict = fedder_f_pure(Q)
+    event(f"F-pure: {verdict}")
+    assert verdict == (Q.frobenius_closure_test(J, e_max=1).verdict == CLOSED_UP_TO)
+
+
 def _count_candidates(monkeypatch):
     """Count the c-subsets Fedder draws and its calls of _power_below_p."""
     calls = {"subsets": 0, "power_below_p": 0}
@@ -539,8 +585,9 @@ def test_fedder_skips_candidates_of_degree_above_n_on_the_fixture(monkeypatch):
 def test_the_pair_budget_reaches_every_run_on_the_fixture(monkeypatch, run):
     """With the inputs' grevlex bases cached under the default budget, a
     budget of one S-pair stops a colon, an intersection, an elimination and
-    the whole pipeline: each Buchberger run, tracked or lex, forms its pairs
-    through the queue that reads groebner.DEFAULT_PAIR_BUDGET."""
+    the whole pipeline: each Buchberger run, tracked or lex, charges the
+    pairs it forms to groebner.DEFAULT_PAIR_BUDGET, whichever loop it
+    takes."""
     spec = load_ring_spec(str(DETERMINANTAL))
     ring = spec.ring()
     presentation = spec.presentation(ring)

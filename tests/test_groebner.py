@@ -5,7 +5,7 @@ reducer memo, and runs seeded with a summand's basis."""
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import support
@@ -261,14 +261,15 @@ def test_pairs_pop_by_sugar_then_lcm_then_index():
     assert [pairs.pop()[2:] for _ in range(2)] == [(0, 1), (0, 2)]
 
 
-@pytest.mark.parametrize(
-    "system, pops", [(support.cyclic(5), 112), (support.katsura(4), 30), (support.katsura(5), 68)],
-    ids=["cyclic-5", "katsura-4", "katsura-5"],
-)
-def test_standard_systems_pop_a_fixed_number_of_pairs(monkeypatch, system, pops):
-    """The pairs popped in grevlex at p = 32003, as counted when the pair
-    update still unpacked every lead: the update on packed ints selects the
-    same pairs."""
+STANDARD_SYSTEMS = {"cyclic-5": support.cyclic(5), "katsura-4": support.katsura(4), "katsura-5": support.katsura(5)}
+
+
+@pytest.mark.parametrize("name, pops", [("cyclic-5", 112), ("katsura-4", 30), ("katsura-5", 68)], ids=STANDARD_SYSTEMS)
+def test_standard_systems_pop_a_fixed_number_of_pairs(monkeypatch, name, pops):
+    """The pairs the pair loop pops in grevlex at p = 32003, as counted when
+    the pair update still unpacked every lead: the update on packed ints
+    selects the same pairs.  A plain run of these systems takes the
+    signature loop, so the pair loop is called directly."""
     popped = []
 
     class Counted(_PairQueue):
@@ -277,11 +278,131 @@ def test_standard_systems_pop_a_fixed_number_of_pairs(monkeypatch, system, pops)
             return super().pop()
 
     monkeypatch.setattr(groebner, "_PairQueue", Counted)
-    names, texts = system
+    names, texts = STANDARD_SYSTEMS[name]
     R = PolyRing(32003, names)
-    buchberger([R.parse(t) for t in texts])
+    groebner._pair_loop(R, [R.parse(t) for t in texts], R.order)
     assert len(popped) == pops
 
+
+@pytest.mark.parametrize(
+    "name, zeros, pair_zeros", [("cyclic-5", 5, 75), ("katsura-4", 4, 20), ("katsura-5", 7, 50)], ids=STANDARD_SYSTEMS
+)
+def test_plain_standard_runs_reduce_few_pairs_to_zero(monkeypatch, name, zeros, pair_zeros):
+    """A plain run in grevlex at p = 32003 takes the signature loop, whose
+    J-pairs reduce to zero 5, 4 and 7 times, where the pair loop's S-pairs
+    do 75, 20 and 50 times; both loops return one basis."""
+    zero = {"signature": 0, "pair": 0}
+    regular_reduce, reduce = groebner._regular_reduce, groebner._reduce
+
+    def signature_step(terms, *args):
+        remainder = regular_reduce(terms, *args)
+        zero["signature"] += not remainder
+        return remainder
+
+    def pair_step(terms, divisors, p, pk, steps=None, memo=None):
+        # the S-pair reductions are the calls with a memo
+        remainder = reduce(terms, divisors, p, pk, steps, memo)
+        zero["pair"] += memo is not None and not remainder
+        return remainder
+
+    monkeypatch.setattr(groebner, "_regular_reduce", signature_step)
+    monkeypatch.setattr(groebner, "_reduce", pair_step)
+    names, texts = STANDARD_SYSTEMS[name]
+    R = PolyRing(32003, names)
+    gens = [R.parse(t) for t in texts]
+    assert buchberger(gens) == groebner._pair_loop(R, gens, R.order)
+    assert zero == {"signature": zeros, "pair": pair_zeros}
+
+
+def _cyclic(n):
+    names, texts = support.cyclic(n)
+    R = PolyRing(32003, names)
+    return R, [R.parse(t) for t in texts]
+
+
+@st.composite
+def plain_systems(draw):
+    """At most n generators over F_p[x1..xn], n <= 4, in lex or grevlex:
+    random polynomials of degree at most 3, and then one of: nothing, a
+    repeated generator, a scalar multiple, a combination of the others, or a
+    constant."""
+    order = draw(st.sampled_from((LEX, GREVLEX)))
+    p = draw(st.sampled_from((2, 3, 5, 7, 32003)))
+    nvars = draw(st.integers(1, 4))
+    R = PolyRing(p, ("x", "y", "z", "w")[:nvars], order)
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    count = draw(st.integers(1, nvars))
+    gens = [support.random_poly(rng, R, draw(st.integers(1, 3)), draw(st.integers(1, 4))) for _ in range(count)]
+    gens = [g for g in gens if not g.is_zero] or [R.variable("x")]
+    extra = draw(st.sampled_from(("none", "repeated", "multiple", "combination", "constant")))
+    if len(gens) < nvars and extra != "none":
+        g = rng.choice(gens)
+        if extra == "multiple":
+            g = g * rng.randrange(1, p)
+        elif extra == "combination":
+            g = sum((h * support.random_poly(rng, R, 1, 2) for h in gens), R.zero())
+        elif extra == "constant":
+            g = R.one() * rng.randrange(1, p)
+        if not g.is_zero:
+            gens.insert(rng.randrange(len(gens) + 1), g)
+    return R, gens
+
+
+@example(_cyclic(4))
+@example(_cyclic(5))
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(plain_systems())
+def test_the_signature_loop_returns_the_pair_loops_basis(case):
+    """Its packed divisors and recorded generators too, so the basis is the
+    one a plain run returned before it took the signature loop.  Plain runs
+    of binomials and plain lex runs take the pair loop, so here alone the
+    signature loop runs on them."""
+    R, gens = case
+    signature = groebner._signature_loop(R, gens, R.order)
+    pair = groebner._pair_loop(R, gens, R.order)
+    assert signature.polys == pair.polys
+    assert signature.divisors == pair.divisors
+    assert signature.generators == pair.generators
+
+
+
+@pytest.mark.parametrize(
+    "order, texts, loop",
+    [
+        (GREVLEX, ("x^2 + y + z", "y^2 + x*z", "x*y*z - 1"), "_signature_loop"),
+        (LEX, ("x^2 + y + z", "y^2 + x*z", "x*y*z - 1"), "_pair_loop"),
+        (GREVLEX, ("x^2 - y*z", "x*y - z^2", "y^2 - x*z"), "_pair_loop"),
+        (GREVLEX, ("x + y + z", "x*y + z", "x*z + y", "y*z + x"), "_pair_loop"),
+    ],
+    ids=["grevlex", "lex", "binomials", "more-generators-than-variables"],
+)
+def test_a_plain_run_takes_the_signature_loop_only_where_it_pays(monkeypatch, order, texts, loop):
+    """Plain grevlex runs of at most as many generators as variables, not
+    all binomials, take the signature loop; the others take the pair loop,
+    and both return one basis."""
+    taken = []
+    for name in ("_signature_loop", "_pair_loop"):
+        def counted(*args, name=name, run=getattr(groebner, name), **kwargs):
+            taken.append(name)
+            return run(*args, **kwargs)
+
+        monkeypatch.setattr(groebner, name, counted)
+    R = PolyRing(32003, ("x", "y", "z"), order)
+    gens = [R.parse(t) for t in texts]
+    gb = buchberger(gens)
+    assert taken == [loop]
+    assert gb == groebner._pair_loop(R, gens, order)
+
+
+def test_a_long_lex_chain_keeps_the_pair_loop():
+    """In lex, (x^1500 - y^1500, x*y - 1) passes through a chain of about
+    1500 elements, each lead dividing the one before.  The pair loop stops
+    pairing an element once its lead is divided; the signature loop would
+    pair every element with every earlier one and exhaust the pair budget.
+    Since x = 1/y in the quotient, the basis is (x - y^2999, y^3000 - 1)."""
+    R = PolyRing(7, ("x", "y"), LEX)
+    gb = buchberger([R.parse("x^1500 - y^1500"), R.parse("x*y - 1")])
+    assert [str(g) for g in gb.polys] == ["x + 6*y^2999", "y^3000 + 6"]
 
 # -- packed divisors and the reducer memo --------------------------------------
 

@@ -1,11 +1,12 @@
 """Properties of the packed monomials inside the Groebner engine, for lex
-and grevlex: order, divisibility, lcms, round trips and the overflow
-guard."""
+and grevlex: order, divisibility, lcms, round trips, the overflow guard,
+and the wider layout of the signature loop."""
 
 import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
+from froblab import groebner
 from froblab.errors import ExponentOverflow
 from froblab.groebner import GroebnerBasis, Packing, buchberger
 from froblab.polyring import GREVLEX, LEX, MAX_EXPONENT, PolyRing, monomial_div, monomial_lcm
@@ -22,21 +23,40 @@ def order_and_monomials(draw):
     return order, nvars, monomials
 
 
+def _layouts(order, nvars):
+    """The engine's layout and the wider one of signatures."""
+    return Packing(order, nvars), groebner._signature_packing(order, nvars)
+
+
 @given(order_and_monomials())
 def test_packed_order_sorts_like_the_order_key(case):
     order, nvars, monomials = case
-    pk = Packing(order, nvars)
-    assert sorted(monomials, key=lambda m: pk.pack(m) ^ pk.mask) == sorted(monomials, key=order.key)
+    for pk in _layouts(order, nvars):
+        assert sorted(monomials, key=lambda m: pk.pack(m) ^ pk.mask) == sorted(monomials, key=order.key)
 
 
 @given(order_and_monomials())
 def test_pack_unpack_round_trip(case):
     order, nvars, monomials = case
-    pk = Packing(order, nvars)
+    for pk in _layouts(order, nvars):
+        for m in monomials:
+            assert pk.unpack(pk.pack(m)) == m
+        terms = {m: 1 for m in monomials}
+        assert pk.unpack_terms(pk.pack_terms(terms)) == terms
+
+
+@given(order_and_monomials(), st.integers(1, 3))
+def test_widen_moves_each_field_to_the_signature_layout(case, shift):
+    """Keys m ^ mask, as the signature loop widens them, and the packed
+    monomials themselves."""
+    order, nvars, monomials = case
+    pk, wide = _layouts(order, nvars)
+    widen = groebner._widener(pk, wide, shift)
     for m in monomials:
-        assert pk.unpack(pk.pack(m)) == m
-    terms = {m: 1 for m in monomials}
-    assert pk.unpack_terms(pk.pack_terms(terms)) == terms
+        for packed in (pk.pack(m), pk.pack(m) ^ pk.mask):
+            fields = pk.unpack(packed)
+            degree = packed >> (len(fields) * (pk.bits + 1))
+            assert widen(packed) == (sum(f << s for f, s in zip(fields, wide.shifts)) + degree * wide.degree) << shift
 
 
 @given(order_and_monomials())
@@ -116,3 +136,26 @@ def test_buchberger_raises_when_an_s_polynomial_overflows(order, lead, tail):
     h = ring.monomial((lead[0], lead[1] + 1)) - ring.one()
     with pytest.raises(ExponentOverflow):
         buchberger([g, h])
+
+
+@pytest.mark.parametrize("order, lead, tail", OVERFLOW_CASES, ids=["lex", "grevlex"])
+def test_the_signature_loop_raises_when_an_s_polynomial_overflows(order, lead, tail):
+    """A plain run of two binomials takes the pair loop, so the signature
+    loop is called directly."""
+    ring = PolyRing(7, ("x", "y"), order)
+    g = ring.monomial(lead) + ring.monomial(tail)
+    h = ring.monomial((lead[0], lead[1] + 1)) - ring.one()
+    with pytest.raises(ExponentOverflow):
+        groebner._signature_loop(ring, [g, h], order)
+
+
+@pytest.mark.parametrize("texts", [("x^60000 + y^3", "x*y^60000 + 1"), ("x^33000 - y^33000", "x*y - 1")])
+def test_signatures_past_the_exponent_fields_leave_the_basis_unchanged(texts):
+    """The signature loop's Koszul signatures of these reach exponents
+    120000 and 66000 where no polynomial's exponent leaves its field: the
+    wider layout holds them, and the loop returns the pair loop's basis.
+    A plain run of binomials takes the pair loop, so the signature loop is
+    called directly."""
+    ring = PolyRing(7, ("x", "y"))
+    gens = [ring.parse(t) for t in texts]
+    assert groebner._signature_loop(ring, gens, ring.order) == groebner._pair_loop(ring, gens, ring.order)
