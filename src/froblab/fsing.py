@@ -372,7 +372,7 @@ def _fedder_certificate(A: Ideal) -> Polynomial | None:
     # a product's lowest term degree is the sum of its factors'; above n,
     # every term of its (p-1)-th power has degree above n(p-1), so some
     # exponent reaches p and the power lies in m^[p]
-    lowest = {g: min(map(sum, g._terms)) for g in nonzero}
+    lowest = {g: min(sum(m) for m, _ in g.terms()) for g in nonzero}
     subsets = itertools.combinations(nonzero, ring.nvars - A.krull_dimension())
     for subset in itertools.islice(subsets, _CANDIDATE_LIMIT):
         if sum(lowest[g] for g in subset) > ring.nvars:
@@ -395,7 +395,7 @@ def _outside_bracket(h: Polynomial) -> bool:
     """h is outside m^[p] = (x1^p, ..., xn^p) iff some term of h has every
     exponent below p."""
     p = h.ring.p
-    return any(max(m) < p for m in h._terms)
+    return any(max(m) < p for m, _ in h.terms())
 
 
 def _variable_generated(ideal: Ideal) -> list[str] | None:
@@ -403,9 +403,10 @@ def _variable_generated(ideal: Ideal) -> list[str] | None:
     distinct single variable, else None."""
     names = []
     for g in ideal.generators:
-        if len(g._terms) != 1:
+        terms = g.terms()
+        if len(terms) != 1:
             return None
-        (m,) = g._terms
+        ((m, _),) = terms
         nz = [i for i, e in enumerate(m) if e]
         if len(nz) != 1 or m[nz[0]] != 1:
             return None
@@ -451,7 +452,7 @@ def run_cover_pipeline(
         small_ring = PolyRing(ring.p, tuple(keep), GREVLEX)
         dropped = [ring.variables.index(v) for v in drop]
         image = Ideal(small_ring, tuple(
-            ring._poly({m: c for m, c in g._terms.items() if not any(m[i] for i in dropped)})
+            sum((ring.monomial(m, c) for m, c in g.terms() if not any(m[i] for i in dropped)), ring.zero())
             .mapped_to(small_ring)
             for g in presentation.defining.generators
         ))

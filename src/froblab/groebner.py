@@ -79,33 +79,22 @@ which is in P*T.  With g = 1 and tags Q's generators this gives P ∩ Q, and
 with tags 1 the colon (P : g), all in grevlex (Moeller, Mora & Traverso
 1992; Greuel & Pfister, section 1.8).
 
-Inside the engine a monomial is one packed int.  Each exponent has a 16-bit
-field topped by a guard bit; grevlex also has a total-degree field, wide
-enough for the degree sum, topped by its own guard bit.  The field layout
-depends on the order, from the most significant field down:
-
-- lex: x1, x2, ..., xn;
-- grevlex: degree, xn, ..., x1.
-
-Under grevlex ``mask`` holds the value bits of every exponent field (under
-lex it is 0), so ``packed ^ mask`` compares exactly like
-``MonomialOrder.key``.
-The product of two monomials is the sum of their packed ints.  With ``guard``
-the union of all guard bits, ``lead`` divides ``m`` iff
+The engine works on the packed monomials of ``polyring``.  Polynomials
+keep theirs in the grevlex layout, so a grevlex run takes its inputs' terms
+and hands back its outputs' as they are; a lex run repacks its inputs in
+the lex layout and its outputs back (``_repack``).  With ``guard`` the union
+of all guard bits, ``lead`` divides ``m`` iff
 ``((m | guard) - lead) & guard == guard``, and the quotient is that
-difference ``^ guard``.  A field never wraps silently: a product that sets
-a guard bit raises ExponentOverflow.  A reduction step checks all of its
-products at once, as the quotient times the fieldwise maximum of the
-divisor's tail.  The lcm of two packed monomials is their fieldwise
+difference ``^ guard``.  A reduction step checks all of its products at
+once, as the quotient times the fieldwise maximum of the divisor's tail
+(``Packing.bound``).  The lcm of two packed monomials is their fieldwise
 maximum, found by the same guard-bit test, and its degree is one field of
 its product with a constant that has a 1 in every exponent field, which
 holds while the two degrees sum to less than 2^17 (``Packing.lcm``); the
-pair update thus unpacks no lead below that.  Polynomials are packed on the
-way in and unpacked on the way out; the rest of the package only sees
-exponent tuples.  One ``Packing`` serves each (order, number of variables).
-A signature t*e_i is one int, t*lead(f_i) in a layout with wider fields
-(``_signature_packing``) and i below it, so that ints compare as
-signatures do and no signature overflows where the polynomials do not.
+pair update thus unpacks no lead below that.  A signature t*e_i is one
+int, t*lead(f_i) in a layout with wider fields (``_signature_packing``)
+and i below it, so that ints compare as signatures do and no signature
+overflows where the polynomials do not.
 
 A run reduces against its basis list, which only grows at its end, so it
 keeps one memo for the length of the run: a monomial maps to the index of
@@ -124,19 +113,17 @@ import heapq
 from dataclasses import dataclass, field
 from functools import cache
 from itertools import islice
-from operator import lshift, mul
 from typing import Callable, Iterable, Sequence
 
 from .errors import BudgetExceeded, ExponentOverflow, RingMismatch
 from .polyring import (
-    LEX,
+    EXPONENT_BITS,
     MAX_EXPONENT,
-    Monomial,
     MonomialOrder,
+    Packing,
     PolyRing,
     Polynomial,
-    monomial_div,
-    monomial_lcm,
+    _packing,
 )
 
 # max pairs one Buchberger run forms, the pair loop's S-pairs or the
@@ -145,102 +132,16 @@ from .polyring import (
 # that governs
 DEFAULT_PAIR_BUDGET = 1_000_000
 
-EXPONENT_BITS = MAX_EXPONENT.bit_length()
-
-
-class Packing:
-    """The packed-monomial layout of one monomial order on ``nvars`` variables,
-    with ``bits`` value bits in each exponent field."""
-
-    __slots__ = ("bits", "largest", "units", "shifts", "mask", "guard", "exponents", "degree", "ones", "top")
-
-    def __init__(self, order: MonomialOrder, nvars: int, bits: int = EXPONENT_BITS):
-        graded = order.kind == "grevlex"
-        self.bits = bits
-        self.largest = largest = (1 << bits) - 1  # the largest exponent a field holds
-        width = bits + 1
-        # exponent fields fill from the least significant end, each topped by
-        # a guard bit: x1 first under grevlex, xn first under lex; grevlex
-        # puts its degree field, wide enough for the degree sum, above them
-        self.shifts = tuple(width * (i if graded else nvars - 1 - i) for i in range(nvars))
-        self.exponents = sum(largest << s for s in self.shifts)
-        self.guard = sum(1 << (s + bits) for s in self.shifts)
-        self.mask = self.exponents if graded else 0
-        # the unit of the degree field (0 under lex)
-        self.degree = degree = 1 << (width * nvars) if graded else 0
-        self.units = tuple(1 << s | degree for s in self.shifts)
-        if graded:
-            self.guard |= degree << (bits + (nvars - 1).bit_length())
-        # m * ones holds the sum of m's exponent fields in the field at top
-        self.ones = sum(1 << s for s in self.shifts)
-        self.top = width * (nvars - 1)
-
-    def pack(self, m: Monomial) -> int:
-        return sum(map(mul, m, self.units))
-
-    def unpack(self, packed: int) -> Monomial:
-        largest = self.largest
-        return tuple((packed >> s) & largest for s in self.shifts)
-
-    def pack_terms(self, terms: dict) -> dict:
-        units = self.units
-        return {sum(map(mul, m, units)): c for m, c in terms.items()}
-
-    def unpack_terms(self, terms: dict) -> dict:
-        shifts, largest = self.shifts, self.largest
-        return {tuple((m >> s) & largest for s in shifts): c for m, c in terms.items()}
-
-    def lcm(self, a: int, b: int, degrees: int) -> tuple[int, int]:
-        """(packed lcm, its total degree) of packed monomials a and b whose
-        total degrees sum to ``degrees``.
-
-        The guard bits of (a | guard) - b mark the fields where a >= b, as in
-        ``divisor``.  The degree of the lcm is the field at ``top`` of
-        lcm * ones: each field of that product sums some exponent fields of
-        the lcm, so below 2^(bits + 1) none carries into the next, and the
-        lcm's degree is at most ``degrees``.  From there on it is summed from
-        the unpacked exponents.
-        """
-        exponents, guard, bits = self.exponents, self.guard, self.bits
-        a &= exponents
-        b &= exponents
-        keep = ((((a | guard) - b) & guard) >> bits) * self.largest
-        lcm = (a & keep) | (b & ~keep)
-        limit = 2 << bits  # one field with its guard bit overflows here
-        if degrees < limit:
-            d = (lcm * self.ones >> self.top) & (limit - 1)
-        else:
-            d = sum(map(max, self.unpack(a), self.unpack(b)))
-        return lcm + d * self.degree, d
-
-    def divisor(self, terms: dict, p: int) -> tuple:
-        """(lead, bound, tail) of the monic multiple of a nonzero packed term
-        dict.  The tail maps the other monomials to their coefficients.
-        ``bound`` holds the largest exponent of each variable over the tail,
-        with zero degree fields, so q + bound sets a guard bit iff some
-        q + (tail monomial) does.
-        """
-        mask, exponents, guard, bits, largest = self.mask, self.exponents, self.guard, self.bits, self.largest
-        lead = max(terms, key=lambda m: m ^ mask)
-        inv = pow(terms[lead], p - 2, p)
-        tail = {m: c * inv % p for m, c in terms.items() if m != lead}
-        bound = 0
-        for m in tail:
-            m &= exponents
-            # guard bits mark the fields where bound >= m; spread them over
-            # the value bits below and keep bound there, m elsewhere (the
-            # degree fields are zero on both sides)
-            keep = ((((bound | guard) - m) & guard) >> bits) * largest
-            bound = (bound & keep) | (m & ~keep)
-        return lead, bound, tail
-
-
-# one Packing per (order, nvars): a Packing never changes once built
-_packing = cache(Packing)
-
-
 def _overflow() -> ExponentOverflow:
     return ExponentOverflow(f"an exponent in the Groebner engine exceeds {MAX_EXPONENT}")
+
+
+def _repack(terms: dict, source: Packing, target: Packing) -> dict:
+    """A packed term dict of one layout in another; the dict itself when the
+    two are one, as for a grevlex run's inputs and outputs."""
+    if source is target:
+        return terms
+    return {target.pack(source.unpack(m)): c for m, c in terms.items()}
 
 
 def _reduce(
@@ -327,18 +228,19 @@ def _power_below_p(f: Polynomial, n: int) -> Polynomial:
 
     Reduction modulo the monomial ideal m^[p] is a ring map onto S/m^[p], so
     square-and-multiply may drop each product term with an exponent >= p as
-    soon as it arises, and the full power is never formed.  The terms are
-    packed in lex, which has no degree fields; with b = min(p, 2^16), adding
-    2^16 - b to every exponent field of a product sets a guard bit iff some
-    exponent is >= b.  Below p = 2^16 that drops the term; above it the
-    exponent does not fit, as in Polynomial.__mul__.
+    soon as it arises, and the full power is never formed.  With
+    b = min(p, 2^16), adding 2^16 - b to every exponent field of a product
+    sets a guard bit iff some exponent is >= b; the degree field, which
+    never reaches n*2^16 while none is, sets its own only then.  Below
+    p = 2^16 that drops the term; above it the exponent does not fit, as in
+    Polynomial.__mul__.
     """
     ring = f.ring
     p = ring.p
-    pk = _packing(LEX, ring.nvars)
+    pk = ring.packing
     guard = pk.guard
     bound = min(p, MAX_EXPONENT + 1)
-    offset = sum((MAX_EXPONENT + 1 - bound) << s for s in pk.shifts)
+    offset = (MAX_EXPONENT + 1 - bound) * pk.ones
 
     def times(a: dict, b: dict) -> dict:
         out: dict = {}
@@ -352,7 +254,7 @@ def _power_below_p(f: Polynomial, n: int) -> Polynomial:
                     raise _overflow()
         return {m - offset: c % p for m, c in out.items() if c % p}
 
-    base = pk.pack_terms({m: c for m, c in f._terms.items() if max(m) < p})
+    base = {m: c for m, c in f._terms.items() if not (m + offset) & guard}
     result = {0: 1}
     while n:
         if n & 1:
@@ -360,7 +262,7 @@ def _power_below_p(f: Polynomial, n: int) -> Polynomial:
         n >>= 1
         if n:
             base = times(base, base)
-    return ring._poly(pk.unpack_terms(result))
+    return ring._poly(result)
 
 
 class _PairQueue:
@@ -460,20 +362,6 @@ class _PairQueue:
         return sugar, key ^ self.pk.mask, i, j
 
 
-def s_polynomial(f: Polynomial, g: Polynomial, order: MonomialOrder | None = None) -> Polynomial:
-    """The S-polynomial of f and g; both must be nonzero."""
-    if f.ring != g.ring:
-        raise RingMismatch("polynomials from different rings")
-    ring = f.ring
-    order = order or ring.order
-    lf, cf = f.leading_term(order)
-    lg, cg = g.leading_term(order)
-    lcm = monomial_lcm(lf, lg)
-    mf = ring.monomial(monomial_div(lcm, lf), pow(cf, ring.p - 2, ring.p))
-    mg = ring.monomial(monomial_div(lcm, lg), pow(cg, ring.p - 2, ring.p))
-    return mf * f - mg * g
-
-
 @dataclass(frozen=True)
 class GroebnerBasis:
     """A reduced monic Groebner basis, sorted by descending leading monomial.
@@ -490,14 +378,15 @@ class GroebnerBasis:
     polys: tuple[Polynomial, ...]
     degree: int | None = None
     generators: tuple[Polynomial, ...] = field(default=(), compare=False, repr=False)
-    # the polys as packed monic divisors (``Packing.divisor``), in the same
-    # order; a run hands over its own, and they are packed here otherwise
+    # the polys as packed monic divisors (``Packing.divisor``) in the
+    # layout of ``order``, in the same order; a run hands over its own, and
+    # they are made here otherwise
     divisors: tuple[tuple, ...] = field(default=None, compare=False, repr=False)
 
     def __post_init__(self):
         if self.divisors is None:
-            pk, p = self.packing, self.ring.p
-            divisors = tuple(pk.divisor(pk.pack_terms(g._terms), p) for g in self.polys)
+            pk, own, p = self.packing, self.ring.packing, self.ring.p
+            divisors = tuple(pk.divisor(_repack(g._terms, own, pk), p) for g in self.polys)
             object.__setattr__(self, "divisors", divisors)
 
     @property
@@ -516,15 +405,15 @@ class GroebnerBasis:
                              f"polynomials of degree at most {self.degree}")
         if not self.polys:
             return g
-        pk = self.packing
-        reduced = _reduce(pk.pack_terms(g._terms), self.divisors, self.ring.p, pk)
-        return self.ring._poly(pk.unpack_terms(reduced))
+        pk, own = self.packing, self.ring.packing
+        reduced = _reduce(_repack(g._terms, own, pk), self.divisors, self.ring.p, pk)
+        return self.ring._poly(_repack(reduced, pk, own))
 
     def contains(self, g: Polynomial) -> bool:
         return self.normal_form(g).is_zero
 
     def is_unit_ideal(self) -> bool:
-        return len(self.polys) == 1 and not any(self.polys[0].leading_monomial(self.order))
+        return len(self.polys) == 1 and not self.divisors[0][0]
 
     def frobenius_image(self, e: int, generators: tuple[Polynomial, ...]) -> "GroebnerBasis":
         """The basis of the images g**(p**e), recording ``generators``.
@@ -533,15 +422,17 @@ class GroebnerBasis:
         Frobenius is additive and fixes F_p, and m -> m**(p**e) preserves the
         monomial order and divisibility of monomials.  With q = p**e, each
         packed divisor is scaled field by field, times q, with its
-        coefficients kept, since c**q = c in F_p, and a basis through degree
-        D gives one through D*q.  Raises ExponentOverflow when an image
-        exponent leaves the exponent field.
+        coefficients kept, since c**q = c in F_p, the polys are rebuilt from
+        the scaled divisors, and a basis through degree D gives one through
+        D*q.  Raises ExponentOverflow when an image exponent leaves the
+        exponent field.
         """
         q = self.ring.p ** e
-        polys = tuple(g.frobenius_pow(e) for g in self.polys)
+        pk, own = self.packing, self.ring.packing
         divisors = tuple(
-            (lead * q, bound * q, {m * q: c for m, c in tail.items()}) for lead, bound, tail in self.divisors
+            (lead * q, bound * q, pk.scaled(tail, q, pk.bound((lead, bound)))) for lead, bound, tail in self.divisors
         )
+        polys = tuple(self.ring._poly(_repack({lead: 1, **tail}, pk, own)) for lead, _, tail in divisors)
         degree = None if self.degree is None else self.degree * q
         return GroebnerBasis(self.ring, self.order, polys, degree, generators, divisors)
 
@@ -656,9 +547,9 @@ def _pair_loop(
     degree: int | None = None,
 ) -> GroebnerBasis | list[Polynomial]:
     """``_buchberger`` on S-pairs kept by the Gebauer-Moeller update."""
-    p = ring.p
+    p, own = ring.p, ring.packing
     pk = _packing(order, ring.nvars)
-    mask, guard = pk.mask, pk.guard
+    guard = pk.guard
     pairs = _PairQueue(pk)
     leads = pairs.leads
     basis: list[tuple] = []  # packed monic divisors (lead, bound, tail)
@@ -720,10 +611,10 @@ def _pair_loop(
         if sugar > limit:
             truncated = True
             continue
-        terms = pk.pack_terms(g._terms)
+        terms = _repack(g._terms, own, pk)
         steps = tag = None
         if tracked:
-            steps, tag = [], pk.pack_terms(tags[k]._terms)
+            steps, tag = [], _repack(tags[k]._terms, own, pk)
         if seeded or tracked:
             terms = _reduce(terms, basis, p, pk, steps, memo)
         enter(terms, sugar, tag, steps)
@@ -748,7 +639,7 @@ def _pair_loop(
         enter(_reduce(s, basis, p, pk, steps, memo), sugar, {}, steps)
 
     if tracked:
-        return [ring._poly(pk.unpack_terms(t)) for t in images]
+        return [ring._poly(_repack(t, pk, own)) for t in images]
 
     truncated = truncated or bool(pairs.heap)
     return _reduced_basis(ring, order, [basis[t] for t in pairs.active], gens, degree if truncated else None)
@@ -759,7 +650,7 @@ def _reduced_basis(
 ) -> GroebnerBasis:
     """The reduced basis from the packed monic divisors of a run whose leads
     generate the ideal's leading monomials."""
-    p = ring.p
+    p, own = ring.p, ring.packing
     pk = _packing(order, ring.nvars)
     mask, guard = pk.mask, pk.guard
     # minimalize: drop the elements whose lead another kept lead divides
@@ -775,11 +666,8 @@ def _reduced_basis(
     polys = []
     for lead, _, tail in kept:
         tail = _reduce(tail, reduced, p, pk)
-        exponents = pk.unpack_terms(tail)
-        # the divisor's bound (see Packing.divisor), from the exponents at hand
-        bound = sum(map(lshift, map(max, zip(*exponents)), pk.shifts))
-        reduced.append((lead, bound, tail))
-        polys.append(ring._poly({pk.unpack(lead): 1, **exponents}))
+        reduced.append((lead, pk.bound(tail), tail))
+        polys.append(ring._poly(_repack({lead: 1, **tail}, pk, own)))
     return GroebnerBasis(ring, order, tuple(reversed(polys)), degree, tuple(gens), tuple(reversed(reduced)))
 
 
@@ -943,7 +831,7 @@ def _signature_loop(ring: PolyRing, gens: list[Polynomial], order: MonomialOrder
     memo: dict[int, int] = {}
     # a queued entry is (signature, lcm ^ mask, a, b): the J-pair whose
     # signature is that of (lcm / lead_a) * element a, or generator b for a = -1
-    inputs = [pk.pack_terms(g._terms) for g in gens]
+    inputs = [_repack(g._terms, ring.packing, pk) for g in gens]
     heap = []
     for i, terms in enumerate(inputs):
         key = max(m ^ mask for m in terms)

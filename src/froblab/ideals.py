@@ -26,7 +26,7 @@ from .errors import (
     ZeroColonDivisor,
 )
 from .groebner import GroebnerBasis, groebner_basis_of, syzygy_images
-from .polyring import GREVLEX, LEX, Monomial, MonomialOrder, PolyRing, Polynomial, monomial_div
+from .polyring import GREVLEX, LEX, Monomial, MonomialOrder, PolyRing, Polynomial
 
 
 def _distinct_monic(polys: Iterable[Polynomial]) -> list[Polynomial]:
@@ -298,7 +298,7 @@ class Ideal:
         out = [
             m
             for m in itertools.product(*(range(b) for b in bounds))
-            if not any(monomial_div(m, lm) is not None for lm in leads)
+            if not any(all(map(ge, m, lm)) for lm in leads)
         ]
         out.sort(key=self.ring.order.key)
         return out

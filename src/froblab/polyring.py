@@ -2,16 +2,38 @@
 
 Polynomials are immutable values attached to a PolyRing handle fixing the
 characteristic, the variable names and a monomial order, lex or grevlex, used
-for printing and Groebner computations.  Monomials are plain exponent tuples;
-coefficients are plain ints in [0, p), and a stored term never has
-coefficient 0.
+for printing and Groebner computations.  Coefficients are plain ints in
+[0, p), and a stored term never has coefficient 0.
+
+A monomial is one packed int, in the layout of Monagan & Pearce ("Polynomial
+division using dynamic arrays, heaps, and packed exponent vectors", CASC
+2007).  Each exponent has a 16-bit field topped by a guard bit; grevlex also
+has a total-degree field, wide enough for the degree sum, topped by its own
+guard bit.  The field layout depends on the order, from the most significant
+field down:
+
+- lex: x1, x2, ..., xn;
+- grevlex: degree, xn, ..., x1.
+
+Under grevlex ``mask`` holds the value bits of every exponent field (under
+lex it is 0), so ``packed ^ mask`` compares exactly like
+``MonomialOrder.key``.  The product of two monomials is the sum of their
+packed ints, and a field never wraps silently: a product that sets a guard
+bit raises ExponentOverflow.  One ``Packing`` serves each (order, number of
+variables).  Every polynomial keeps its terms in the grevlex layout of its
+number of variables, whatever its ring's order, so the total degree is a
+field and a Frobenius power scales every monomial by one multiplication.
+Exponent tuples appear only at the edge: parsing and printing, ``terms``,
+leading terms, ``monomial`` and ``mapped_to``.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import Sequence, Union
+from functools import cache, reduce
+from operator import mul, or_
+from typing import Iterable, Sequence, Union
 
 from .errors import (
     ExponentOverflow,
@@ -24,6 +46,7 @@ Monomial = tuple[int, ...]
 
 # exponents must fit in 16 bits; overflow is a hard error, never a wraparound
 MAX_EXPONENT = 0xFFFF
+EXPONENT_BITS = MAX_EXPONENT.bit_length()
 MAX_MODULUS = 1 << 31
 
 _IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")
@@ -53,23 +76,6 @@ def check_modulus(p: int) -> None:
         raise ValueError(f"modulus must be prime: {p}")
 
 
-# ---------------------------------------------------------------------------
-# monomial helpers (monomials are exponent tuples)
-
-def monomial_div(num: Monomial, den: Monomial) -> Monomial | None:
-    """num / den, or None when den does not divide num."""
-    out = []
-    for x, y in zip(num, den):
-        if x < y:
-            return None
-        out.append(x - y)
-    return tuple(out)
-
-
-def monomial_lcm(a: Monomial, b: Monomial) -> Monomial:
-    return tuple(x if x > y else y for x, y in zip(a, b))
-
-
 @dataclass(frozen=True)
 class MonomialOrder:
     """A monomial order: ``lex`` or ``grevlex``.  Under lex, a polynomial
@@ -92,13 +98,111 @@ GREVLEX = MonomialOrder("grevlex")
 LEX = MonomialOrder("lex")
 
 
+class Packing:
+    """The packed-monomial layout of one monomial order on ``nvars`` variables,
+    with ``bits`` value bits in each exponent field."""
+
+    __slots__ = ("bits", "largest", "units", "shifts", "mask", "guard", "exponents", "degree", "span", "ones", "top")
+
+    def __init__(self, order: MonomialOrder, nvars: int, bits: int = EXPONENT_BITS):
+        graded = order.kind == "grevlex"
+        self.bits = bits
+        self.largest = largest = (1 << bits) - 1  # the largest exponent a field holds
+        width = bits + 1
+        # exponent fields fill from the least significant end, each topped by
+        # a guard bit: x1 first under grevlex, xn first under lex; grevlex
+        # puts its degree field, wide enough for the degree sum, above them
+        self.shifts = tuple(width * (i if graded else nvars - 1 - i) for i in range(nvars))
+        self.exponents = sum(largest << s for s in self.shifts)
+        self.guard = sum(1 << (s + bits) for s in self.shifts)
+        self.mask = self.exponents if graded else 0
+        # the degree field's shift and unit (0 under lex)
+        self.span = width * nvars
+        self.degree = degree = 1 << self.span if graded else 0
+        self.units = tuple(1 << s | degree for s in self.shifts)
+        if graded:
+            self.guard |= degree << (bits + (nvars - 1).bit_length())
+        # m * ones holds the sum of m's exponent fields in the field at top
+        self.ones = sum(1 << s for s in self.shifts)
+        self.top = width * (nvars - 1)
+
+    def pack(self, m: Sequence[int]) -> int:
+        return sum(map(mul, m, self.units))
+
+    def unpack(self, packed: int) -> Monomial:
+        largest = self.largest
+        return tuple((packed >> s) & largest for s in self.shifts)
+
+    def bound(self, monomials: Iterable[int]) -> int:
+        """The largest exponent of each variable over packed monomials, with
+        zero degree fields: q + bound sets a guard bit iff some q + m does."""
+        exponents, guard, bits, largest = self.exponents, self.guard, self.bits, self.largest
+        bound = 0
+        for m in monomials:
+            m &= exponents
+            # guard bits mark the fields where bound >= m; spread them over
+            # the value bits below and keep bound there, m elsewhere (the
+            # degree fields are zero on both sides)
+            keep = ((((bound | guard) - m) & guard) >> bits) * largest
+            bound = (bound & keep) | (m & ~keep)
+        return bound
+
+    def scaled(self, terms: dict, q: int, bound: int) -> dict:
+        """terms with every monomial raised to the power q, given their
+        ``bound`` or a larger one; raises ExponentOverflow when an exponent
+        times q leaves its field.  The guard bits of (ceiling | guard) -
+        bound mark the fields where bound is at most the ceiling."""
+        guard = self.guard
+        if (((self.largest // q) * self.ones | guard) - bound) & guard != guard:
+            raise ExponentOverflow(f"an exponent times {q} exceeds {self.largest}")
+        return {m * q: c for m, c in terms.items()}
+
+    def lcm(self, a: int, b: int, degrees: int) -> tuple[int, int]:
+        """(packed lcm, its total degree) of packed monomials a and b whose
+        total degrees sum to ``degrees``.
+
+        The guard bits of (a | guard) - b mark the fields where a >= b, as in
+        ``bound``.  The degree of the lcm is the field at ``top`` of
+        lcm * ones: each field of that product sums some exponent fields of
+        the lcm, so below 2^(bits + 1) none carries into the next, and the
+        lcm's degree is at most ``degrees``.  From there on it is summed from
+        the unpacked exponents.
+        """
+        exponents, guard, bits = self.exponents, self.guard, self.bits
+        a &= exponents
+        b &= exponents
+        keep = ((((a | guard) - b) & guard) >> bits) * self.largest
+        lcm = (a & keep) | (b & ~keep)
+        limit = 2 << bits  # one field with its guard bit overflows here
+        if degrees < limit:
+            d = (lcm * self.ones >> self.top) & (limit - 1)
+        else:
+            d = sum(map(max, self.unpack(a), self.unpack(b)))
+        return lcm + d * self.degree, d
+
+    def divisor(self, terms: dict, p: int) -> tuple:
+        """(lead, bound, tail) of the monic multiple of a nonzero packed term
+        dict.  The tail maps the other monomials to their coefficients, and
+        ``bound`` is the tail's (see ``bound``).
+        """
+        lead = max(terms, key=self.mask.__xor__)
+        inv = pow(terms[lead], p - 2, p)
+        tail = {m: c * inv % p for m, c in terms.items() if m != lead}
+        return lead, self.bound(tail), tail
+
+
+# one Packing per (order, nvars): a Packing never changes once built
+_packing = cache(Packing)
+
+
 # ---------------------------------------------------------------------------
 
 
 class PolyRing:
-    """Handle for F_p[variables] with a default monomial order."""
+    """Handle for F_p[variables] with a default monomial order; ``packing``
+    is the layout of its polynomials' monomials."""
 
-    __slots__ = ("p", "variables", "order", "_index")
+    __slots__ = ("p", "variables", "order", "_index", "packing")
 
     def __init__(self, p: int, variables: Sequence[str], order: MonomialOrder = GREVLEX):
         check_modulus(p)
@@ -114,6 +218,7 @@ class PolyRing:
         object.__setattr__(self, "variables", names)
         object.__setattr__(self, "order", order)
         object.__setattr__(self, "_index", {n: i for i, n in enumerate(names)})
+        object.__setattr__(self, "packing", _packing(GREVLEX, len(names)))
 
     def __setattr__(self, name, value):
         raise AttributeError("PolyRing is immutable")
@@ -137,8 +242,15 @@ class PolyRing:
         return f"PolyRing(GF({self.p}), {list(self.variables)}, {self.order.kind})"
 
     def _poly(self, terms: dict) -> "Polynomial":
-        # trusted constructor: terms already reduced, zero coefficients dropped
+        # trusted constructor: terms already packed and reduced, zero
+        # coefficients dropped
         return Polynomial(self, terms)
+
+    def _key(self, order: MonomialOrder | None = None):
+        """The sort key of a packed monomial in ``order``, by default the
+        ring's."""
+        pk = self.packing
+        return pk.mask.__xor__ if (order or self.order).kind == "grevlex" else pk.unpack
 
     def zero(self) -> "Polynomial":
         return self._poly({})
@@ -148,14 +260,12 @@ class PolyRing:
 
     def constant(self, c: int) -> "Polynomial":
         c %= self.p
-        return self._poly({} if c == 0 else {(0,) * self.nvars: c})
+        return self._poly({} if c == 0 else {0: c})
 
     def variable(self, name: str) -> "Polynomial":
         if name not in self._index:
             raise UnknownVariable(name)
-        exps = [0] * self.nvars
-        exps[self._index[name]] = 1
-        return self._poly({tuple(exps): 1})
+        return self._poly({self.packing.units[self._index[name]]: 1})
 
     def monomial(self, exponents: Sequence[int], coefficient: int = 1) -> "Polynomial":
         exps = tuple(exponents)
@@ -167,7 +277,7 @@ class PolyRing:
             if e > MAX_EXPONENT:
                 raise ExponentOverflow(f"exponent {e} exceeds {MAX_EXPONENT}")
         c = coefficient % self.p
-        return self._poly({} if c == 0 else {exps: c})
+        return self._poly({} if c == 0 else {self.packing.pack(exps): c})
 
     def parse(self, text: str) -> "Polynomial":
         return _Parser(self, text).run()
@@ -175,10 +285,8 @@ class PolyRing:
     def format(self, poly: "Polynomial") -> str:
         if not poly._terms:
             return "0"
-        key = self.order.key
         parts = []
-        for m in sorted(poly._terms, key=key, reverse=True):
-            c = poly._terms[m]
+        for m, c in poly.terms():
             factors = []
             if c != 1 or not any(m):
                 factors.append(str(c))
@@ -217,41 +325,37 @@ class Polynomial:
     def terms(self) -> list[tuple[Monomial, int]]:
         """Terms in descending ring order, as (monomial, coefficient) pairs
         with each coefficient an int in [1, p)."""
-        key = self.ring.order.key
-        return [(m, self._terms[m]) for m in sorted(self._terms, key=key, reverse=True)]
+        unpack = self.ring.packing.unpack
+        return [(unpack(m), self._terms[m]) for m in sorted(self._terms, key=self.ring._key(), reverse=True)]
 
     def constant_coefficient(self) -> int:
-        return self._terms.get((0,) * self.ring.nvars, 0)
+        return self._terms.get(0, 0)
 
     def total_degree(self) -> int:
         """-1 for the zero polynomial."""
         if not self._terms:
             return -1
-        return max(sum(m) for m in self._terms)
+        return max(self._terms) >> self.ring.packing.span
 
     def is_homogeneous(self) -> bool:
         """True when every term has the same total degree; the zero
         polynomial is homogeneous."""
-        return len({sum(m) for m in self._terms}) <= 1
+        span = self.ring.packing.span
+        return len({m >> span for m in self._terms}) <= 1
 
     def leading_term(self, order: MonomialOrder | None = None) -> tuple[Monomial, int] | None:
         if not self._terms:
             return None
-        key = (order or self.ring.order).key
-        m = max(self._terms, key=key)
-        return m, self._terms[m]
+        m = max(self._terms, key=self.ring._key(order))
+        return self.ring.packing.unpack(m), self._terms[m]
 
     def leading_monomial(self, order: MonomialOrder | None = None) -> Monomial | None:
         lt = self.leading_term(order)
         return lt[0] if lt else None
 
     def support_variables(self) -> set[str]:
-        used = set()
-        for m in self._terms:
-            for name, e in zip(self.ring.variables, m):
-                if e:
-                    used.add(name)
-        return used
+        used = self.ring.packing.unpack(reduce(or_, self._terms, 0))
+        return {name for name, e in zip(self.ring.variables, used) if e}
 
     def __add__(self, other: "Polynomial") -> "Polynomial":
         self._require_same(other)
@@ -272,14 +376,6 @@ class Polynomial:
     def __sub__(self, other: "Polynomial") -> "Polynomial":
         return self + (-other)
 
-    def _max_exponents(self) -> Monomial:
-        out = [0] * self.ring.nvars
-        for m in self._terms:
-            for i, e in enumerate(m):
-                if e > out[i]:
-                    out[i] = e
-        return tuple(out)
-
     def __mul__(self, other: Union["Polynomial", int]) -> "Polynomial":
         if isinstance(other, int):
             p = self.ring.p
@@ -288,22 +384,18 @@ class Polynomial:
                 return self.ring.zero()
             return self.ring._poly({m: (cc * c) % p for m, cc in self._terms.items()})
         self._require_same(other)
-        if not self._terms or not other._terms:
-            return self.ring.zero()
-        for a, b in zip(self._max_exponents(), other._max_exponents()):
-            if a + b > MAX_EXPONENT:
-                raise ExponentOverflow(f"product exponent {a + b} exceeds {MAX_EXPONENT}")
         p = self.ring.p
         out: dict = {}
+        get = out.get
+        terms = other._terms.items()
         for m1, c1 in self._terms.items():
-            for m2, c2 in other._terms.items():
-                m = tuple(x + y for x, y in zip(m1, m2))
-                v = (out.get(m, 0) + c1 * c2) % p
-                if v:
-                    out[m] = v
-                elif m in out:
-                    del out[m]
-        return self.ring._poly(out)
+            for m2, c2 in terms:
+                m = m1 + m2
+                out[m] = get(m, 0) + c1 * c2
+        # a product exponent past its field sets its guard bit
+        if reduce(or_, out, 0) & self.ring.packing.guard:
+            raise ExponentOverflow(f"a product exponent exceeds {MAX_EXPONENT}")
+        return self.ring._poly({m: c % p for m, c in out.items() if c % p})
 
     __rmul__ = __mul__
 
@@ -321,24 +413,15 @@ class Polynomial:
         return result
 
     def frobenius_pow(self, e: int) -> "Polynomial":
-        """self ** (p**e) via the additive shortcut: scale exponents by p**e
-        and raise coefficients, valid in characteristic p."""
+        """self ** (p**e) via the additive shortcut, valid in characteristic
+        p: scale every monomial by q = p**e, one multiplication of its packed
+        int, and keep the coefficients, since c**q = c in F_p."""
         if e < 0:
             raise ValueError("negative Frobenius power")
         if e == 0:
             return self
-        p = self.ring.p
-        q = p ** e
-        out = {}
-        for m, c in self._terms.items():
-            scaled = []
-            for x in m:
-                xq = x * q
-                if xq > MAX_EXPONENT:
-                    raise ExponentOverflow(f"exponent {xq} exceeds {MAX_EXPONENT}")
-                scaled.append(xq)
-            out[tuple(scaled)] = pow(c, q, p)
-        return self.ring._poly(out)
+        pk = self.ring.packing
+        return self.ring._poly(pk.scaled(self._terms, self.ring.p ** e, pk.bound(self._terms)))
 
     def mapped_to(self, other: PolyRing) -> "Polynomial":
         """Re-express in another ring with the same modulus, matching
@@ -346,19 +429,13 @@ class Polynomial:
         exist in the target ring."""
         if other.p != self.ring.p:
             raise RingMismatch("target ring has a different modulus")
-        positions: list[int | None] = [other._index.get(n) for n in self.ring.variables]
-        out = {}
-        for m, c in self._terms.items():
-            exps = [0] * other.nvars
-            for i, e in enumerate(m):
-                if not e:
-                    continue
-                j = positions[i]
-                if j is None:
-                    raise UnknownVariable(self.ring.variables[i])
-                exps[j] = e
-            out[tuple(exps)] = c
-        return other._poly(out)
+        used = self.support_variables()
+        for name in self.ring.variables:
+            if name in used and name not in other._index:
+                raise UnknownVariable(name)
+        units = [other.packing.units[other._index[n]] if n in other._index else 0 for n in self.ring.variables]
+        unpack = self.ring.packing.unpack
+        return other._poly({sum(map(mul, unpack(m), units)): c for m, c in self._terms.items()})
 
     def __eq__(self, other) -> bool:
         return (

@@ -161,12 +161,11 @@ class QuotientPresentation:
             for v in range(self.ring.nvars):
                 bumped = tuple(e + 1 if i == v else e for i, e in enumerate(m))
                 nf = gb.normal_form(self.ring.monomial(bumped))
-                for mm, c in nf._terms.items():
+                for mm, c in nf.terms():
                     rows[v * n + index[mm]][j] = c
         basis = []
         for coeffs in nullspace(rows, n, self.p):
-            terms = {m: c for m, c in zip(monomials, coeffs) if c}
-            basis.append(self.ring._poly(terms))
+            basis.append(sum((self.ring.monomial(m, c) for m, c in zip(monomials, coeffs) if c), self.ring.zero()))
         basis.sort(key=lambda b: self.ring.order.key(b.leading_monomial()), reverse=True)
         return SocleBasis(parameter, tuple(basis))
 
@@ -214,7 +213,7 @@ class QuotientPresentation:
                 gb = target.basis_through(p ** e * top)
                 rows: dict[Monomial, list[int]] = {}
                 for j, b in enumerate(soc.basis):
-                    for m, c in gb.normal_form(b.frobenius_pow(e))._terms.items():
+                    for m, c in gb.normal_form(b.frobenius_pow(e)).terms():
                         rows.setdefault(m, [0] * r)[j] = c
                 kernel = nullspace(list(rows.values()), r, p)
                 if kernel:
@@ -281,15 +280,15 @@ def artinian_membership_oracle(ideal: Ideal, g: Polynomial) -> bool:
     ring = ideal.ring
     p = ring.p
     n = ring.nvars
-    gens = [f for f in ideal.generators if not f.is_zero]
-    for f in gens:
-        if len(f._terms) == 1 and not any(next(iter(f._terms))):
+    gens = [f.terms() for f in ideal.generators if not f.is_zero]
+    for terms in gens:
+        if len(terms) == 1 and not any(terms[0][0]):
             return True  # a unit generator: everything is a member
     bounds: list[int | None] = [None] * n
-    for f in gens:
-        if len(f._terms) != 1:
+    for terms in gens:
+        if len(terms) != 1:
             continue
-        (m,) = f._terms
+        ((m, _),) = terms
         nz = [i for i, e in enumerate(m) if e]
         if len(nz) == 1:
             i = nz[0]
@@ -310,9 +309,9 @@ def artinian_membership_oracle(ideal: Ideal, g: Polynomial) -> bool:
     box = list(itertools.product(*(range(b) for b in bounds)))
     index = {m: i for i, m in enumerate(box)}
 
-    def truncated(poly_terms: dict, shift: Monomial) -> list[int]:
+    def truncated(poly_terms: list, shift: Monomial) -> list[int]:
         vec = [0] * len(box)
-        for m, c in poly_terms.items():
+        for m, c in poly_terms:
             mm = tuple(x + y for x, y in zip(m, shift))
             slot = index.get(mm)
             if slot is not None:
@@ -321,10 +320,10 @@ def artinian_membership_oracle(ideal: Ideal, g: Polynomial) -> bool:
 
     ech = Echelon(p)
     zero_shift = (0,) * n
-    for f in gens:
+    for terms in gens:
         for alpha in box:
-            ech.add(truncated(f._terms, alpha))
-    return ech.contains(truncated(g._terms, zero_shift))
+            ech.add(truncated(terms, alpha))
+    return ech.contains(truncated(g.terms(), zero_shift))
 
 
 def suggest_parameter_sequence(

@@ -1,6 +1,8 @@
 """Shared helpers for the test suite: random element generators, the
-routes that faster code replaced (kept as references), and an independent
-linear-algebra computation of the socle of (R + I*t)/(J*(R + I*t)).
+routes that faster code replaced (kept as references), polynomial
+arithmetic on exponent tuples (the reference for packed monomials), and an
+independent linear-algebra computation of the socle of
+(R + I*t)/(J*(R + I*t)).
 
 The socle routine here deliberately avoids the package's socle and transfer
 code paths: it builds the module presentation R/J (+) (I/JI)*t directly,
@@ -11,9 +13,9 @@ own Gaussian elimination.
 import itertools
 from dataclasses import dataclass
 
-from froblab.errors import ExponentOverflow
+from froblab.errors import ExponentOverflow, RingMismatch, UnknownVariable
 from froblab.ideals import Ideal
-from froblab.polyring import PolyRing, Polynomial, monomial_div
+from froblab.polyring import PolyRing, Polynomial
 from froblab.reports import CLOSED_UP_TO, NOT_FROBENIUS_CLOSED, ClosureReport, ClosureWitness
 from froblab.specfile import matrix_minors
 
@@ -90,7 +92,7 @@ def full_colon_f_pure(A):
     first certificate, kept as a reference."""
     p = A.ring.p
     colon = A.bracket_power(1).colon(A)
-    return any(all(e < p for e in m) for g in colon.generators for m in g._terms)
+    return any(all(e < p for e in m) for g in colon.generators for m, _ in g.terms())
 
 
 def elimination_intersect(A, B):
@@ -107,6 +109,127 @@ def elimination_intersect(A, B):
     gens += [(one - w) * b.mapped_to(big) for b in B.generators]
     free = Ideal(big, tuple(gens)).eliminate([aux])
     return Ideal(ring, tuple(g.mapped_to(ring) for g in free.generators))
+
+
+# -- tuple arithmetic -----------------------------------------------------------
+# The reference for packed polynomials: a monomial is an exponent tuple and a
+# polynomial a dict from monomials to coefficients in [1, p), as Polynomial
+# held its terms before it packed them.
+
+MAX_EXPONENT = 0xFFFF
+
+
+def monomial_div(num, den):
+    """num / den, or None when den does not divide num."""
+    out = []
+    for x, y in zip(num, den):
+        if x < y:
+            return None
+        out.append(x - y)
+    return tuple(out)
+
+
+def monomial_lcm(a, b):
+    return tuple(x if x > y else y for x, y in zip(a, b))
+
+
+def tuple_terms(f):
+    return dict(f.terms())
+
+
+def from_tuple_terms(ring, terms):
+    poly = ring.zero()
+    for m, c in terms.items():
+        poly = poly + ring.monomial(m, c)
+    return poly
+
+
+def tuple_add(a, b, p):
+    out = dict(a)
+    for m, c in b.items():
+        v = (out.get(m, 0) + c) % p
+        if v:
+            out[m] = v
+        else:
+            out.pop(m, None)
+    return out
+
+
+def tuple_neg(a, p):
+    return {m: p - c for m, c in a.items()}
+
+
+def _max_exponents(terms, nvars):
+    out = [0] * nvars
+    for m in terms:
+        for i, e in enumerate(m):
+            if e > out[i]:
+                out[i] = e
+    return tuple(out)
+
+
+def tuple_mul(a, b, p, nvars):
+    """a * b; raises ExponentOverflow when the largest exponents of one
+    variable in the two factors sum past MAX_EXPONENT."""
+    if not a or not b:
+        return {}
+    for x, y in zip(_max_exponents(a, nvars), _max_exponents(b, nvars)):
+        if x + y > MAX_EXPONENT:
+            raise ExponentOverflow(f"product exponent {x + y} exceeds {MAX_EXPONENT}")
+    out = {}
+    for m1, c1 in a.items():
+        for m2, c2 in b.items():
+            m = tuple(x + y for x, y in zip(m1, m2))
+            v = (out.get(m, 0) + c1 * c2) % p
+            if v:
+                out[m] = v
+            elif m in out:
+                del out[m]
+    return out
+
+
+def tuple_frobenius_pow(a, e, p):
+    """a ** (p**e): exponents scaled by q = p**e, coefficients raised to q."""
+    q = p ** e
+    out = {}
+    for m, c in a.items():
+        scaled = tuple(x * q for x in m)
+        if any(x > MAX_EXPONENT for x in scaled):
+            raise ExponentOverflow(f"exponent {max(scaled)} exceeds {MAX_EXPONENT}")
+        out[scaled] = pow(c, q, p)
+    return out
+
+
+def tuple_mapped_to(a, source, target):
+    """a from the variables named ``source`` to those named ``target``,
+    matched by name; a variable with a positive exponent must be in
+    ``target``."""
+    out = {}
+    for m, c in a.items():
+        exps = [0] * len(target)
+        for name, e in zip(source, m):
+            if e:
+                if name not in target:
+                    raise UnknownVariable(name)
+                exps[target.index(name)] = e
+        out[tuple(exps)] = c
+    return out
+
+
+def s_polynomial(f, g, order=None):
+    """The S-polynomial of nonzero f and g in ``order`` (by default the
+    ring's), by tuple arithmetic."""
+    if f.ring != g.ring:
+        raise RingMismatch("polynomials from different rings")
+    ring = f.ring
+    p, n = ring.p, ring.nvars
+    key = (order or ring.order).key
+    a, b = tuple_terms(f), tuple_terms(g)
+    lf, lg = max(a, key=key), max(b, key=key)
+    lcm = monomial_lcm(lf, lg)
+    left = tuple_mul({monomial_div(lcm, lf): pow(a[lf], p - 2, p)}, a, p, n)
+    right = tuple_mul({monomial_div(lcm, lg): pow(b[lg], p - 2, p)}, b, p, n)
+    return from_tuple_terms(ring, tuple_add(left, tuple_neg(right, p), p))
 
 
 def divide_exactly(h, g):

@@ -2,6 +2,7 @@
 report schema, exit codes, determinism, and error envelopes."""
 
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -204,3 +205,19 @@ def test_module_execution_matches_in_process_output():
     )
     assert proc.returncode == 0
     assert proc.stdout == (GOLDEN / "dim_determinantal.json").read_text(encoding="utf-8")
+
+
+@pytest.mark.parametrize("seed", ["1", "2"])
+@pytest.mark.parametrize(
+    "argv,golden", [(["pipeline", DET], "pipeline_determinantal.json"), (["fpure", CUSP], "fpure_cusp.json")]
+)
+def test_goldens_do_not_depend_on_the_hash_seed(argv, golden, seed):
+    """Polynomial hashes depend on the string hash seed through the ring's
+    variable names, so a code path that iterated a set of polynomials would
+    change these outputs with the seed."""
+    source = str(Path(froblab.__file__).resolve().parent.parent)
+    path = os.pathsep.join(filter(None, [source, os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONHASHSEED": seed, "PYTHONPATH": path}
+    proc = subprocess.run([sys.executable, "-m", "froblab.cli", *argv], capture_output=True, text=True, env=env)
+    assert proc.returncode == 0
+    assert proc.stdout == (GOLDEN / golden).read_text(encoding="utf-8")

@@ -625,8 +625,8 @@ def test_power_below_p_keeps_the_terms_of_the_full_power_below_p(case):
     f, n = case
     p = f.ring.p
     full = f ** n
-    expected = {m: c for m, c in full._terms.items() if all(e < p for e in m)}
-    assert groebner._power_below_p(f, n)._terms == expected
+    expected = {m: c for m, c in full.terms() if all(e < p for e in m)}
+    assert dict(groebner._power_below_p(f, n).terms()) == expected
 
 
 def test_power_below_p_raises_where_an_exponent_does_not_fit():

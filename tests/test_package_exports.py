@@ -1,6 +1,7 @@
-"""The package's public names: every name in ``froblab.__all__`` resolves
-on the package, and every public name ``froblab/__init__.py`` imports is
-listed, so a name deleted from one place but not the other fails here."""
+"""The package's public names and layers: every name in ``froblab.__all__``
+resolves on the package, and every public name ``froblab/__init__.py``
+imports is listed, so a name deleted from one place but not the other fails
+here; and only the modules that define packed monomials read them."""
 
 import ast
 from pathlib import Path
@@ -26,3 +27,15 @@ def test_every_listed_name_resolves_on_the_package():
 def test_every_public_name_the_package_imports_is_listed():
     public = {name for name in _imported_names() if not name.startswith("_")}
     assert sorted(public - set(froblab.__all__)) == []
+
+
+def test_only_polyring_and_groebner_read_packed_terms():
+    """A polynomial's ``_terms`` are packed monomials; every other module
+    reads them through ``terms()``, ``total_degree`` and ``ring.monomial``."""
+    readers = {
+        path.name
+        for path in Path(froblab.__file__).parent.glob("*.py")
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Attribute) and node.attr == "_terms"
+    }
+    assert readers <= {"polyring.py", "groebner.py"}

@@ -1,20 +1,25 @@
 """Tests for monomial orders, parsing, and polynomial arithmetic with int
-coefficients."""
+coefficients, against tuple arithmetic as the reference for packed
+monomials."""
 
 import random
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
+import support
 from froblab.errors import ExponentOverflow, ParseError, RingMismatch, UnknownVariable
+from froblab.groebner import _power_below_p
 from froblab.polyring import (
     GREVLEX,
     LEX,
+    MAX_EXPONENT,
     MonomialOrder,
     PolyRing,
     check_modulus,
-    monomial_div,
-    monomial_lcm,
 )
+from support import monomial_div, monomial_lcm
 
 
 def test_check_modulus():
@@ -239,3 +244,111 @@ def test_int_multiplication_reduces_mod_p():
     for bad in (1.5, "3", (3, 5), None):
         with pytest.raises(TypeError):
             g * bad
+
+
+# -- packed polynomials against tuple arithmetic ----------------------------------
+
+
+@st.composite
+def ring_and_terms(draw):
+    """A ring of 1-8 variables over p in {2, 3, 5, 32003}, in grevlex or
+    lex, and three term dicts over it; exponents near the top of their
+    fields make products and Frobenius powers overflow now and then."""
+    nvars = draw(st.integers(1, 8))
+    p = draw(st.sampled_from((2, 3, 5, 32003)))
+    ring = PolyRing(p, tuple(f"x{i}" for i in range(1, nvars + 1)), draw(st.sampled_from((GREVLEX, LEX))))
+    exponent = st.one_of(st.integers(0, 3), st.integers(0, MAX_EXPONENT))
+    monomials = st.tuples(*[exponent] * nvars)
+    terms = [draw(st.dictionaries(monomials, st.integers(1, p - 1), max_size=4)) for _ in range(3)]
+    return ring, terms
+
+
+def _same_or_both_raise(packed, reference, error=ExponentOverflow):
+    """packed() and reference() raise ``error`` alike, or packed().terms()
+    lists reference()'s term dict in descending ring order."""
+    try:
+        want = reference()
+    except error:
+        with pytest.raises(error):
+            packed()
+        return
+    got = packed()
+    key = got.ring.order.key
+    assert got.terms() == sorted(want.items(), key=lambda t: key(t[0]), reverse=True)
+
+
+@given(ring_and_terms())
+def test_every_polynomial_operation_matches_tuple_arithmetic(case):
+    ring, (a, b, c) = case
+    p, n = ring.p, ring.nvars
+    f, g, h = (support.from_tuple_terms(ring, t) for t in (a, b, c))
+    _same_or_both_raise(lambda: f, lambda: a)
+    _same_or_both_raise(lambda: f + g, lambda: support.tuple_add(a, b, p))
+    _same_or_both_raise(lambda: f - g, lambda: support.tuple_add(a, support.tuple_neg(b, p), p))
+    _same_or_both_raise(lambda: f * g, lambda: support.tuple_mul(a, b, p, n))
+    _same_or_both_raise(lambda: f * g + h, lambda: support.tuple_add(support.tuple_mul(a, b, p, n), c, p))
+    for k in range(4):
+        def power(k=k):
+            out = {(0,) * n: 1}
+            for _ in range(k):
+                out = support.tuple_mul(out, a, p, n)
+            return out
+        _same_or_both_raise(lambda: f ** k, power)
+    for e in range(3):
+        _same_or_both_raise(lambda: f.frobenius_pow(e), lambda: support.tuple_frobenius_pow(a, e, p))
+    names = ring.variables
+    for target in (names[::-1] + ("w",), names[1:] + ("w",)):
+        other = PolyRing(p, target, ring.order)
+        _same_or_both_raise(
+            lambda: f.mapped_to(other), lambda: support.tuple_mapped_to(a, names, target), UnknownVariable)
+    assert f.total_degree() == max(map(sum, a), default=-1)
+    assert f.is_homogeneous() == (len(set(map(sum, a))) <= 1)
+    assert f.support_variables() == {name for m in a for name, e in zip(names, m) if e}
+    assert f.constant_coefficient() == a.get((0,) * n, 0)
+    for order in (GREVLEX, LEX):
+        lead = max(a, key=order.key, default=None)
+        assert f.leading_term(order) == (None if lead is None else (lead, a[lead]))
+    text = str(f)
+    assert ring.parse(text) == f and str(ring.parse(text)) == text
+
+
+@pytest.mark.parametrize("nvars", [1, 8])
+@pytest.mark.parametrize("where", ["first", "last"])
+def test_packed_overflow_boundaries(nvars, where):
+    """A product or Frobenius power whose largest exponent is 65535 returns,
+    one at 65536 raises: in the first and in the last variable, with every
+    other variable present so that a carry into a neighbouring field would
+    show, at one variable (the narrowest grevlex degree field) and at
+    eight."""
+    names = tuple(f"x{i}" for i in range(1, nvars + 1))
+    i = 0 if where == "first" else nvars - 1
+
+    def f(ring, e):
+        exps = [1] * nvars
+        exps[i] = e
+        return ring.monomial(exps) + ring.one()
+
+    for order in (GREVLEX, LEX):
+        for p, below, above in ((3, 21845, None), (2, None, 32768)):
+            ring = PolyRing(p, names, order)
+            a, b = support.tuple_terms(f(ring, 65534)), support.tuple_terms(f(ring, 1))
+            product = f(ring, 65534) * f(ring, 1)
+            assert support.tuple_terms(product) == support.tuple_mul(a, b, p, nvars)
+            assert max(m[i] for m, _ in product.terms()) == MAX_EXPONENT
+            with pytest.raises(ExponentOverflow):
+                f(ring, 65535) * f(ring, 1)
+            if below is not None:
+                image = f(ring, below).frobenius_pow(1)
+                assert support.tuple_terms(image) == support.tuple_frobenius_pow(
+                    support.tuple_terms(f(ring, below)), 1, p)
+                assert max(m[i] for m, _ in image.terms()) == MAX_EXPONENT
+            if above is not None:
+                with pytest.raises(ExponentOverflow):
+                    f(ring, above).frobenius_pow(1)
+    # above p = 2^16 the truncated power keeps an exponent of 65535 and
+    # raises at 65536, where the exponent does not fit
+    ring = PolyRing(65537, names)
+    x = ring.monomial([1 if j == i else 0 for j in range(nvars)])
+    assert _power_below_p(x ** 21845, 3) == x ** MAX_EXPONENT
+    with pytest.raises(ExponentOverflow):
+        _power_below_p(x ** 32768, 2)

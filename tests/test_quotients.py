@@ -234,7 +234,7 @@ def test_socle_matches_colon_computation():
         for g in colon.generators:
             nf = full.normal_form(g)
             vec = [0] * len(mons)
-            for m, c in nf._terms.items():
+            for m, c in nf.terms():
                 vec[where[m]] = c
             if ech.add(vec):
                 count += 1
