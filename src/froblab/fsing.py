@@ -164,6 +164,7 @@ class CoverContext:
 class SocleLift(NamedTuple):
     socle_rep: Polynomial  # generator of the socle of R/(I + tail)
     lift: Polynomial       # its image under multiplication by the first parameter
+    kill: Ideal            # defining + J*I, which kills m*lift but not lift
 
 
 def socle_lift(
@@ -215,7 +216,7 @@ def socle_lift(
             )
     if kill.contains(u):
         raise InjectivityFailure("the lifted socle generator lies in J*I")
-    return SocleLift(z, u)
+    return SocleLift(z, u, kill)
 
 
 def cover_f_injectivity_criterion(
@@ -301,8 +302,7 @@ def even_char_degeneracy_check(
     I = context.coefficient
     J = Ideal(ring, tuple(sop))
 
-    kill = R.defining + J.product(I)
-    kills_coefficient = all(kill.contains(u * g) for g in I.generators)
+    kills_coefficient = all(lifted.kill.contains(u * g) for g in I.generators)
     in_parameters = (R.defining + J).contains(u)
     square_in_bracket = (R.defining + J.bracket_power(1)).contains(u * u)
     if not (kills_coefficient and in_parameters and square_in_bracket):

@@ -96,15 +96,18 @@ int, t*lead(f_i) in a layout with wider fields (``_signature_packing``)
 and i below it, so that ints compare as signatures do and no signature
 overflows where the polynomials do not.
 
-A run reduces against its basis list, which only grows at its end, so it
-keeps one memo for the length of the run: a monomial maps to the index of
-the first element whose lead divides it, or to ~n when none of the first n
-does, and a later reduction of that monomial starts its scan there.  Every
-step, and so every basis and every tracked run's log, is the one a scan
-from the start gives.  Normal forms and the final interreduction scan from
-the start.  The interreduction goes smallest lead first, against the
-elements already reduced, and the returned ``GroebnerBasis`` keeps their
-packed divisors, which normal forms and seeded runs use as they are.
+Every reduction scans its divisor list through a memo, valid while the list
+only grows at its end: a monomial maps to the index of the first element
+whose lead divides it, or to ~n when none of the first n does, and a later
+reduction of that monomial starts its scan there.  Every step, and so every
+basis and every tracked run's log, is the one a scan from the start gives.
+A run keeps one memo for its basis list, the final interreduction one for
+its list of reduced elements, and each normal form a fresh one.  The
+interreduction goes smallest lead first, against the elements already
+reduced, and the returned ``GroebnerBasis`` keeps their packed divisors,
+which normal forms and seeded runs use as they are.  Both loops build
+S-polynomials through ``_s_polynomial`` and charge the pairs they form to
+the budget through ``_charge``.
 """
 
 from __future__ import annotations
@@ -149,23 +152,24 @@ def _reduce(
     divisors: Sequence[tuple],
     p: int,
     pk: Packing,
+    memo: dict,
     steps: list | None = None,
-    memo: dict | None = None,
 ) -> dict:
     """Full remainder of a packed term dict against monic packed divisors.
 
-    ``divisors`` holds (lead, bound, tail) triples from ``Packing.divisor``,
-    scanned in list order; the first whose lead divides the largest remaining
-    term is used.  Terms wait in a heap keyed ``-(m ^ mask)``; a term
-    cancelled to zero keeps its heap entry and is skipped when popped.  The
-    remainder comes out in descending order.  A ``steps`` list logs each
-    step as (divisor lead, multiplier, coefficient), so that terms ==
+    ``divisors`` holds (lead, bound, tail) triples from ``Packing.divisor``;
+    the first in list order whose lead divides the largest remaining term is
+    used.  Terms wait in a heap keyed ``-(m ^ mask)``; a term cancelled to
+    zero keeps its heap entry and is skipped when popped.  The remainder
+    comes out in descending order.  A ``steps`` list logs each step as
+    (divisor lead, multiplier, coefficient), so that terms ==
     sum of coefficient * multiplier * divisor + remainder.
 
-    A ``memo`` serves calls against one list that only grows at its end.  It
-    maps a monomial to the index of its first divisor, or to ~n when none of
-    the first n divisors divides it; a scan starts there and its finding is
-    written back, so the first-divisor rule holds as without it.
+    The ``memo`` serves calls against one list that only grows at its end;
+    a fresh dict serves any list.  It maps a monomial to the index of its
+    first divisor, or to ~n when none of the first n divisors divides it; a
+    scan starts there and its finding is written back, so the first-divisor
+    rule holds as it would without it.
     """
     mask, guard = pk.mask, pk.guard
     work = dict(terms)
@@ -179,32 +183,23 @@ def _reduce(
         if not c:
             continue
         shifted = m | guard
-        if memo is None:
-            for lead, bound, tail in divisors:
+        i = memo.get(m, -1)
+        if i >= 0:
+            lead, bound, tail = divisors[i]
+            q = shifted - lead
+        else:
+            # none of the first ~i divides m: scan on from there
+            i = ~i
+            for lead, bound, tail in islice(divisors, i, None) if i else divisors:
                 q = shifted - lead
                 if q & guard == guard:
+                    memo[m] = i
                     break
+                i += 1
             else:
+                memo[m] = ~i
                 remainder[m] = c
                 continue
-        else:
-            i = memo.get(m, -1)
-            if i >= 0:
-                lead, bound, tail = divisors[i]
-                q = shifted - lead
-            else:
-                # none of the first ~i divides m: scan on from there
-                i = ~i
-                for lead, bound, tail in islice(divisors, i, None) if i else divisors:
-                    q = shifted - lead
-                    if q & guard == guard:
-                        memo[m] = i
-                        break
-                    i += 1
-                else:
-                    memo[m] = ~i
-                    remainder[m] = c
-                    continue
         q ^= guard
         if (q + bound) & guard:
             raise _overflow()
@@ -220,6 +215,29 @@ def _reduce(
             else:
                 work[mm] = (v + c * tc) % p
     return remainder
+
+
+def _s_polynomial(a: tuple, b: tuple, lcm: int, p: int, guard: int) -> dict:
+    """The S-polynomial (lcm/lead_a)*a - (lcm/lead_b)*b of two monic packed
+    divisors with packed lcm ``lcm``: the leads cancel, leaving
+    qa*tail_a - qb*tail_b."""
+    la, ba, ta = a
+    lb, bb, tb = b
+    qa, qb = lcm - la, lcm - lb
+    if (qa + ba) & guard or (qb + bb) & guard:
+        raise _overflow()
+    s = {qa + m: c for m, c in ta.items()}
+    for m, c in tb.items():
+        mm = qb + m
+        s[mm] = (s.get(mm, 0) - c) % p
+    return s
+
+
+def _charge(formed: int) -> None:
+    """Raise BudgetExceeded once a run has formed more than the budget's
+    pairs, pruned or not."""
+    if formed > DEFAULT_PAIR_BUDGET:
+        raise BudgetExceeded(f"S-pair budget of {DEFAULT_PAIR_BUDGET} exhausted")
 
 
 def _power_below_p(f: Polynomial, n: int) -> Polynomial:
@@ -293,8 +311,7 @@ class _PairQueue:
             self.pk, self.leads, self.degrees, self.sugars, self.active, self.heap)
         mask, guard, lcm_of = pk.mask, pk.guard, pk.lcm
         self.formed += len(active)
-        if self.formed > DEFAULT_PAIR_BUDGET:
-            raise BudgetExceeded(f"S-pair budget of {DEFAULT_PAIR_BUDGET} exhausted")
+        _charge(self.formed)
         t = len(leads)
         deg = sum(pk.unpack(lead))
 
@@ -406,7 +423,7 @@ class GroebnerBasis:
         if not self.polys:
             return g
         pk, own = self.packing, self.ring.packing
-        reduced = _reduce(_repack(g._terms, own, pk), self.divisors, self.ring.p, pk)
+        reduced = _reduce(_repack(g._terms, own, pk), self.divisors, self.ring.p, pk, {})
         return self.ring._poly(_repack(reduced, pk, own))
 
     def contains(self, g: Polynomial) -> bool:
@@ -616,7 +633,7 @@ def _pair_loop(
         if tracked:
             steps, tag = [], _repack(tags[k]._terms, own, pk)
         if seeded or tracked:
-            terms = _reduce(terms, basis, p, pk, steps, memo)
+            terms = _reduce(terms, basis, p, pk, memo, steps)
         enter(terms, sugar, tag, steps)
     if seeded and len(basis) == len(seeded) and not (tracked or truncated):
         return seed  # every generator lies in the seed's ideal
@@ -624,19 +641,10 @@ def _pair_loop(
     # the heap pops by sugar first, so the pairs left are all above degree
     while pairs.heap and pairs.heap[0][0] <= limit:
         sugar, lcm, i, j = pairs.pop()
-        # S-polynomial: the leads cancel, leaving qi*tail_i - qj*tail_j
-        _, bi, ti = basis[i]
-        _, bj, tj = basis[j]
-        qi, qj = lcm - leads[i], lcm - leads[j]
-        if (qi + bi) & guard or (qj + bj) & guard:
-            raise _overflow()
-        s = {qi + m: c for m, c in ti.items()}
-        for m, c in tj.items():
-            mm = qj + m
-            s[mm] = (s.get(mm, 0) - c) % p
+        s = _s_polynomial(basis[i], basis[j], lcm, p, guard)
         # logged as two steps, the S-polynomial's tag is qi*tag_i - qj*tag_j
-        steps = [(leads[i], qi, p - 1), (leads[j], qj, 1)] if tracked else None
-        enter(_reduce(s, basis, p, pk, steps, memo), sugar, {}, steps)
+        steps = [(leads[i], lcm - leads[i], p - 1), (leads[j], lcm - leads[j], 1)] if tracked else None
+        enter(_reduce(s, basis, p, pk, memo, steps), sugar, {}, steps)
 
     if tracked:
         return [ring._poly(_repack(t, pk, own)) for t in images]
@@ -661,11 +669,13 @@ def _reduced_basis(
             kept.append(element)
 
     # interreduce tails, smallest lead first, against the elements already
-    # reduced: only a smaller lead can divide a tail term.  The leads stay.
+    # reduced: only a smaller lead can divide a tail term.  The leads stay,
+    # and ``reduced`` only grows at its end, so one memo serves the loop.
     reduced: list[tuple] = []
+    memo: dict[int, int] = {}
     polys = []
     for lead, _, tail in kept:
-        tail = _reduce(tail, reduced, p, pk)
+        tail = _reduce(tail, reduced, p, pk, memo)
         reduced.append((lead, pk.bound(tail), tail))
         polys.append(ring._poly(_repack({lead: 1, **tail}, pk, own)))
     return GroebnerBasis(ring, order, tuple(reversed(polys)), degree, tuple(gens), tuple(reversed(reduced)))
@@ -846,17 +856,7 @@ def _signature_loop(ring: PolyRing, gens: list[Polynomial], order: MonomialOrder
         elif known(sig) or covered(sig, ratios[a]):
             continue
         else:
-            # S-polynomial: the leads cancel, leaving qa*tail_a - qb*tail_b
-            lcm = key ^ mask
-            la, ba, ta = basis[a]
-            lb, bb, tb = basis[b]
-            qa, qb = lcm - la, lcm - lb
-            if (qa + ba) & guard or (qb + bb) & guard:
-                raise _overflow()
-            terms = {qa + m: c for m, c in ta.items()}
-            for m, c in tb.items():
-                mm = qb + m
-                terms[mm] = (terms.get(mm, 0) - c) % p
+            terms = _s_polynomial(basis[a], basis[b], key ^ mask, p, guard)
         terms = _regular_reduce(terms, sig, basis, ratios, p, pk, widen, memo)
         if not terms:
             note(sig)
@@ -872,8 +872,7 @@ def _signature_loop(ring: PolyRing, gens: list[Polynomial], order: MonomialOrder
             if e != ratio:
                 note(w + wk - one + max(e, ratio))
         formed += len(ratios)
-        if formed > DEFAULT_PAIR_BUDGET:
-            raise BudgetExceeded(f"S-pair budget of {DEFAULT_PAIR_BUDGET} exhausted")
+        _charge(formed)
         t = len(basis)
         for j, e in enumerate(ratios):
             if e == ratio:

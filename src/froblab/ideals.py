@@ -246,22 +246,19 @@ class Ideal:
         return Ideal(ring, tuple(g.mapped_to(ring) for g in free))
 
     def krull_dimension(self) -> int:
-        """Dimension of R/self, read combinatorially off the leading-term
-        ideal as the largest variable set meeting no leading support."""
-        gb = self.groebner_basis(GREVLEX)
-        if gb.is_unit_ideal():
+        """Dimension of R/self, which is that of S/in(self): the order of
+        the pole at t = 1 of K(t)/(1 - t)^n, so n less the number of times
+        (1 - t) divides the cached ``hilbert_numerator`` K (Bigatti 1997).
+        While K(1) = 0, K is replaced by K/(1 - t), the prefix sums of K
+        without its last coefficient."""
+        numerator = self.hilbert_numerator()
+        if not numerator:
             raise UnitIdeal("the unit ideal has no Krull dimension")
-        supports = [
-            frozenset(i for i, e in enumerate(lm) if e)
-            for lm in gb.leading_monomials
-        ]
-        n = self.ring.nvars
-        for size in range(n, -1, -1):
-            for combo in itertools.combinations(range(n), size):
-                u = set(combo)
-                if not any(s <= u for s in supports):
-                    return size
-        raise AssertionError("unreachable: the empty set is always independent")
+        dimension = self.ring.nvars
+        while not sum(numerator):
+            numerator = list(itertools.accumulate(numerator[:-1]))
+            dimension -= 1
+        return dimension
 
     def hilbert_numerator(self) -> list[int]:
         """The numerator K(t) of HS(S/in(self)) = K(t)/(1 - t)^n, as its

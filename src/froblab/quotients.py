@@ -72,7 +72,6 @@ class QuotientPresentation:
                 )
         self.ring = ring
         self.defining = defining
-        self._dimension: int | None = None
 
     @property
     def p(self) -> int:
@@ -84,9 +83,7 @@ class QuotientPresentation:
 
     @property
     def dimension(self) -> int:
-        if self._dimension is None:
-            self._dimension = self.defining.krull_dimension()
-        return self._dimension
+        return self.defining.krull_dimension()
 
     def __repr__(self) -> str:
         gens = ", ".join(str(g) for g in self.defining.generators) or "0"

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 from froblab.errors import ExponentOverflow, RingMismatch, UnknownVariable
 from froblab.ideals import Ideal
-from froblab.polyring import PolyRing, Polynomial
+from froblab.polyring import GREVLEX, PolyRing, Polynomial
 from froblab.reports import CLOSED_UP_TO, NOT_FROBENIUS_CLOSED, ClosureReport, ClosureWitness
 from froblab.specfile import matrix_minors
 
@@ -93,6 +93,25 @@ def full_colon_f_pure(A):
     p = A.ring.p
     colon = A.bracket_power(1).colon(A)
     return any(all(e < p for e in m) for g in colon.generators for m, _ in g.terms())
+
+
+def krull_dimension_by_subsets(ideal):
+    """Dimension of R/ideal as the size of the largest set of variables
+    that holds the support of no leading monomial of the grevlex basis, by
+    a search over variable subsets, largest first: the route
+    Ideal.krull_dimension took before it read the Hilbert numerator, kept
+    as a reference.  None for the unit ideal, whose lead 1 has empty
+    support."""
+    supports = [
+        frozenset(i for i, e in enumerate(lm) if e)
+        for lm in ideal.groebner_basis(GREVLEX).leading_monomials
+    ]
+    n = ideal.ring.nvars
+    for size in range(n, -1, -1):
+        for combo in itertools.combinations(range(n), size):
+            if not any(s <= set(combo) for s in supports):
+                return size
+    return None
 
 
 def elimination_intersect(A, B):

@@ -165,6 +165,37 @@ def test_text_mode_emits_flat_lines(capsys):
     assert "true" in out
 
 
+def test_text_mode_prints_the_error_line(capsys):
+    code, out = run_cli(capsys, ["pipeline", CUSP, "--text"])
+    assert code == 1
+    assert out == (
+        "froblab pipeline on cusp_f5.ring\n"
+        "error[MissingField]: the command needs a canonical_ideal entry in the spec file\n"
+    )
+
+
+def test_text_mode_prints_the_assumptions_and_the_seconds(capsys):
+    """cover-check in text mode prints one line per result key, nested
+    values as JSON, then one per assumption of the golden envelope, then
+    the seconds of --timings."""
+    envelope = json.loads((GOLDEN / "cover_check_regular_f2.json").read_text(encoding="utf-8"))
+    code, out = run_cli(capsys, ["cover-check", REG2, "--text", "--timings"])
+    assert code == 0
+    lines = out.splitlines()
+    assert lines[:6] == [
+        "froblab cover-check on regular_f2.ring",
+        'details: {"lift": "x", "lift_in_parameter_ideal": true, "lift_multiplies_coefficient_ideal_into_JI": true, '
+        '"lift_square_in_bracket_power": true, "socle_rep": "1"}',
+        "e_max: null",
+        "level: decisive",
+        "verdict: P2_DEGENERATE",
+        "witness_e: null",
+    ]
+    assert envelope["assumptions"] and lines[6:-1] == [f"assumption: {note}" for note in envelope["assumptions"]]
+    label, seconds = lines[-1].split(": ")
+    assert label == "seconds" and float(seconds) >= 0
+
+
 def test_membership_ideal_override(capsys):
     argv = [
         "membership", DET,
@@ -197,11 +228,21 @@ def test_negative_emax_is_rejected(capsys):
         assert envelope["error"]["code"] == "InputAssumptionViolation"
 
 
+def _child_env(**extra):
+    """The environment for ``python -m froblab.cli`` in a child process: the
+    source directory of the imported package goes first on PYTHONPATH, so
+    the child runs the same code without an install."""
+    source = str(Path(froblab.__file__).resolve().parent.parent)
+    path = os.pathsep.join(filter(None, [source, os.environ.get("PYTHONPATH")]))
+    return {**os.environ, **extra, "PYTHONPATH": path}
+
+
 def test_module_execution_matches_in_process_output():
     proc = subprocess.run(
         [sys.executable, "-m", "froblab.cli", "dim", DET],
         capture_output=True,
         text=True,
+        env=_child_env(),
     )
     assert proc.returncode == 0
     assert proc.stdout == (GOLDEN / "dim_determinantal.json").read_text(encoding="utf-8")
@@ -215,9 +256,7 @@ def test_goldens_do_not_depend_on_the_hash_seed(argv, golden, seed):
     """Polynomial hashes depend on the string hash seed through the ring's
     variable names, so a code path that iterated a set of polynomials would
     change these outputs with the seed."""
-    source = str(Path(froblab.__file__).resolve().parent.parent)
-    path = os.pathsep.join(filter(None, [source, os.environ.get("PYTHONPATH")]))
-    env = {**os.environ, "PYTHONHASHSEED": seed, "PYTHONPATH": path}
+    env = _child_env(PYTHONHASHSEED=seed)
     proc = subprocess.run([sys.executable, "-m", "froblab.cli", *argv], capture_output=True, text=True, env=env)
     assert proc.returncode == 0
     assert proc.stdout == (GOLDEN / golden).read_text(encoding="utf-8")

@@ -844,3 +844,40 @@ def test_pipeline_requires_odd_characteristic():
     pres = QuotientPresentation(ring, Ideal(ring, ()))
     with pytest.raises(EvenCharacteristic):
         run_cover_pipeline(pres, _ideal(ring, "x"), ring.one(), [ring.parse("x")], 1)
+
+
+def test_pipeline_withholds_the_conclusion_when_fedder_fails_without_a_witness():
+    """F_3[x,y,z]/(z^2 - x^3 - y^3) and its quotient by x are not F-pure,
+    yet with e_max = 0 neither the criterion nor the closure probe has an
+    exponent to find a witness at, so no check is decisive and none
+    supports the conclusion."""
+    ring = PolyRing(3, ("x", "y", "z"))
+    pres = QuotientPresentation(ring, _ideal(ring, "z^2 - x^3 - y^3"))
+    report = run_cover_pipeline(pres, _ideal(ring, "x"), ring.one(), [ring.parse("x"), ring.parse("y")], 0)
+    assert not report.ambient_f_pure and not report.quotient_f_pure
+    assert report.criterion.verdict == NO_FAILURE_UP_TO
+    assert report.closure.verdict == CLOSED_UP_TO
+    assert report.conclusion_status == "hypotheses-not-met"
+
+
+@pytest.mark.parametrize(
+    "coefficient, sop, status",
+    [
+        (("x + y",), ("x + y", "z"), "supported-by-evidence"),
+        (("x^2",), ("x^2", "y"), "decisive-counterexample"),
+        (("x", "x"), ("x", "y"), "decisive-counterexample"),
+    ],
+    ids=["not-a-monomial", "not-linear", "repeated-variable"],
+)
+def test_pipeline_keeps_the_ambient_presentation_unless_distinct_variables_generate(coefficient, sop, status):
+    """On F_3[x,y,z]/(z^2 - x*y), a coefficient ideal generated by a
+    binomial, by the square of a variable or by one variable twice is not
+    generated by distinct variables, so the closure probe runs modulo
+    defining + I in the ambient ring."""
+    ring = PolyRing(3, ("x", "y", "z"))
+    pres = QuotientPresentation(ring, _ideal(ring, "z^2 - x*y"))
+    report = run_cover_pipeline(
+        pres, _ideal(ring, *coefficient), ring.one(), [ring.parse(t) for t in sop], 1
+    )
+    assert report.quotient_route == "ambient-presentation"
+    assert report.conclusion_status == status

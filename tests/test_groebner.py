@@ -298,10 +298,11 @@ def test_plain_standard_runs_reduce_few_pairs_to_zero(monkeypatch, name, zeros, 
         zero["signature"] += not remainder
         return remainder
 
-    def pair_step(terms, divisors, p, pk, steps=None, memo=None):
-        # the S-pair reductions are the calls with a memo
-        remainder = reduce(terms, divisors, p, pk, steps, memo)
-        zero["pair"] += memo is not None and not remainder
+    def pair_step(terms, divisors, p, pk, memo, steps=None):
+        # the final interreduction of either loop also calls _reduce, but
+        # no element of these bases is a monomial, so no tail reduces to zero
+        remainder = reduce(terms, divisors, p, pk, memo, steps)
+        zero["pair"] += not remainder
         return remainder
 
     monkeypatch.setattr(groebner, "_regular_reduce", signature_step)
@@ -438,7 +439,8 @@ def test_a_basis_carries_the_packed_divisors_of_its_polys(trial):
 @pytest.mark.parametrize("order", (GREVLEX, LEX))
 def test_reduce_with_a_shared_memo_matches_reduce_without(order):
     """One memo kept over a divisor list that grows at its end, as a run
-    keeps it, gives the remainders and step logs of reductions without."""
+    keeps it, gives the remainders and step logs of reductions that each
+    start from a fresh memo, as a normal form does."""
     rng = random.Random(f"memo:{order.kind}")
     R = PolyRing(7, ("x", "y", "z"), order)
     pk = Packing(order, R.nvars)
@@ -450,8 +452,8 @@ def test_reduce_with_a_shared_memo_matches_reduce_without(order):
             continue
         terms = {pk.pack(m): c for m, c in g.terms()}
         plain_steps, memo_steps = [], []
-        plain = _reduce(terms, divisors, R.p, pk, plain_steps)
-        remembered = _reduce(terms, divisors, R.p, pk, memo_steps, memo)
+        plain = _reduce(terms, divisors, R.p, pk, {}, plain_steps)
+        remembered = _reduce(terms, divisors, R.p, pk, memo, memo_steps)
         assert list(remembered.items()) == list(plain.items())
         assert memo_steps == plain_steps
         divisors.append(pk.divisor(terms, R.p))

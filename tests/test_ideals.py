@@ -7,6 +7,7 @@ import itertools
 import math
 import random
 import threading
+import time
 
 import pytest
 from hypothesis import example, given, settings
@@ -308,6 +309,44 @@ def test_krull_dimension():
     assert _ideal(R, "x", "y").krull_dimension() == 0
     with pytest.raises(UnitIdeal):
         _ideal(R, "x", "x + 1").krull_dimension()
+
+
+@st.composite
+def binomial_ideals(draw):
+    """Up to four monomials and binomials over F_p in one to six
+    variables, with exponents at most 2.  A binomial may have a constant
+    term, so some draws give the unit ideal."""
+    p = draw(st.sampled_from((2, 3, 5, 7)))
+    ring = PolyRing(p, tuple(f"x{i}" for i in range(1, draw(st.integers(1, 6)) + 1)))
+    term = st.tuples(st.tuples(*[st.integers(0, 2)] * ring.nvars), st.integers(1, p - 1))
+    polys = draw(st.lists(st.lists(term, min_size=1, max_size=2), max_size=4))
+    return Ideal(ring, tuple(sum((ring.monomial(m, c) for m, c in terms), ring.zero()) for terms in polys))
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(binomial_ideals())
+@example(_ideal(PolyRing(3, ("x", "y")), "x*y - 1", "x"))
+def test_krull_dimension_agrees_with_the_subset_search(ideal):
+    """n less the order of the zero of the Hilbert numerator at t = 1 is
+    the dimension that the search over variable subsets finds, and the
+    unit ideal raises."""
+    expected = support.krull_dimension_by_subsets(ideal)
+    if expected is None:
+        with pytest.raises(UnitIdeal):
+            ideal.krull_dimension()
+    else:
+        assert ideal.krull_dimension() == expected
+
+
+def test_krull_dimension_of_many_disjoint_binomials_is_fast():
+    """F_3[x1..x30] modulo x_{2i+1}*x_{2i+2} + x_{2i+1}^2, i < 15, has
+    dimension 15; a search over variable subsets takes seconds from about
+    20 variables on, the numerator milliseconds."""
+    R = PolyRing(3, tuple(f"x{i}" for i in range(1, 31)))
+    A = _ideal(R, *(f"x{2 * i + 1}*x{2 * i + 2} + x{2 * i + 1}^2" for i in range(15)))
+    started = time.perf_counter()
+    assert A.krull_dimension() == 15
+    assert time.perf_counter() - started < 1.0
 
 
 @st.composite
