@@ -38,8 +38,9 @@ class ExponentOverflow(FroblabError):
 
 class BudgetExceeded(FroblabError):
     """A work limit was hit: one Buchberger run (tracked and lex runs too)
-    formed more S-pairs than ``froblab.groebner.DEFAULT_PAIR_BUDGET``, or an
-    oracle box was too large."""
+    formed more pairs, the pair loop's S-pairs or the signature loop's
+    J-pairs, than ``froblab.groebner.DEFAULT_PAIR_BUDGET``, or an oracle box
+    was too large."""
 
 
 class ZeroColonDivisor(FroblabError):

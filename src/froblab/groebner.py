@@ -96,18 +96,23 @@ int, t*lead(f_i) in a layout with wider fields (``_signature_packing``)
 and i below it, so that ints compare as signatures do and no signature
 overflows where the polynomials do not.
 
-Every reduction scans its divisor list through a memo, valid while the list
-only grows at its end: a monomial maps to the index of the first element
-whose lead divides it, or to ~n when none of the first n does, and a later
-reduction of that monomial starts its scan there.  Every step, and so every
-basis and every tracked run's log, is the one a scan from the start gives.
-A run keeps one memo for its basis list, the final interreduction one for
-its list of reduced elements, and each normal form a fresh one.  The
-interreduction goes smallest lead first, against the elements already
-reduced, and the returned ``GroebnerBasis`` keeps their packed divisors,
-which normal forms and seeded runs use as they are.  Both loops build
-S-polynomials through ``_s_polynomial`` and charge the pairs they form to
-the budget through ``_charge``.
+One heap division loop (Monagan & Pearce, CASC 2007), ``_reduce``, serves
+both Buchberger loops, normal forms and the final interreduction.  It
+scans its divisor list through a memo, valid while the list only grows at
+its end: a monomial maps to the index of the first element whose lead
+divides it, or to ~n when none of the first n does, and a later reduction
+of that monomial starts its scan there.  Every step, and so every basis
+and every tracked run's log, is the one a scan from the start gives.  The
+signature loop passes an optional signature bound, and a term is then
+reduced by the first element from its memo entry on whose multiple has a
+smaller signature, or stays in the remainder when none has.  A run keeps
+one memo for its basis list, the final interreduction one for its list of
+reduced elements, and each normal form a fresh one.  The interreduction
+goes smallest lead first, against the elements already reduced, and the
+returned ``GroebnerBasis`` keeps their packed divisors, which normal forms
+and seeded runs use as they are.  Both loops build S-polynomials through
+``_s_polynomial`` and charge the pairs they form to the budget through
+``_charge``.
 """
 
 from __future__ import annotations
@@ -115,7 +120,6 @@ from __future__ import annotations
 import heapq
 from dataclasses import dataclass, field
 from functools import cache
-from itertools import islice
 from typing import Callable, Iterable, Sequence
 
 from .errors import BudgetExceeded, ExponentOverflow, RingMismatch
@@ -154,6 +158,7 @@ def _reduce(
     pk: Packing,
     memo: dict,
     steps: list | None = None,
+    signature: tuple | None = None,
 ) -> dict:
     """Full remainder of a packed term dict against monic packed divisors.
 
@@ -170,37 +175,46 @@ def _reduce(
     first divisor, or to ~n when none of the first n divisors divides it; a
     scan starts there and its finding is written back, so the first-divisor
     rule holds as it would without it.
+
+    A ``signature`` (sig, ratios, widen) from ``_signature_loop`` bounds a
+    reduction of terms of signature sig to the multiples q*g of smaller
+    signature, those with widen(key of q*lead_g) + ratios[g] < sig: from a
+    term's first divisor the scan goes on to the first that passes this test
+    as well, and a term that none passes stays in the remainder.
     """
     mask, guard = pk.mask, pk.guard
+    if signature is not None:
+        sig, ratios, widen = signature
     work = dict(terms)
     heap = [-(m ^ mask) for m in work]
     heapq.heapify(heap)
     push, pop = heapq.heappush, heapq.heappop
     remainder: dict = {}
+    n = len(divisors)
     while heap:
-        m = -pop(heap) ^ mask
+        key = -pop(heap)
+        m = key ^ mask
         c = work.pop(m)
         if not c:
             continue
         shifted = m | guard
         i = memo.get(m, -1)
-        if i >= 0:
-            lead, bound, tail = divisors[i]
-            q = shifted - lead
-        else:
+        if i < 0:
             # none of the first ~i divides m: scan on from there
             i = ~i
-            for lead, bound, tail in islice(divisors, i, None) if i else divisors:
-                q = shifted - lead
-                if q & guard == guard:
-                    memo[m] = i
-                    break
+            while i < n and (shifted - divisors[i][0]) & guard != guard:
                 i += 1
-            else:
-                memo[m] = ~i
-                remainder[m] = c
-                continue
-        q ^= guard
+            memo[m] = i if i < n else ~n
+        if signature is not None and i < n:
+            # a multiple q*g is smaller in signature iff ratios[g] < below
+            below = sig - widen(key)
+            while i < n and (ratios[i] >= below or (shifted - divisors[i][0]) & guard != guard):
+                i += 1
+        if i == n:
+            remainder[m] = c
+            continue
+        lead, bound, tail = divisors[i]
+        q = (shifted - lead) ^ guard
         if (q + bound) & guard:
             raise _overflow()
         if steps is not None:
@@ -237,7 +251,7 @@ def _charge(formed: int) -> None:
     """Raise BudgetExceeded once a run has formed more than the budget's
     pairs, pruned or not."""
     if formed > DEFAULT_PAIR_BUDGET:
-        raise BudgetExceeded(f"S-pair budget of {DEFAULT_PAIR_BUDGET} exhausted")
+        raise BudgetExceeded(f"pair budget of {DEFAULT_PAIR_BUDGET} exhausted")
 
 
 def _power_below_p(f: Polynomial, n: int) -> Polynomial:
@@ -717,71 +731,6 @@ def _widener(pk: Packing, wide: Packing, shift: int) -> Callable[[int], int]:
     return widen
 
 
-def _regular_reduce(
-    terms: dict,
-    sig: int,
-    divisors: list[tuple],
-    ratios: list[int],
-    p: int,
-    pk: Packing,
-    widen: Callable[[int], int],
-    memo: dict,
-) -> dict:
-    """Full remainder of a packed term dict of signature ``sig`` against the
-    multiples q*g of the divisors whose signature is smaller, which are those
-    with widen(key of q*lead_g) + ratios[g] < sig (see ``_signature_loop``).
-
-    As in ``_reduce``, terms wait in a heap and ``memo`` maps a monomial to
-    its first divisor, or to ~n when none of the first n divides it; from
-    there the scan goes on to the first divisor that passes the signature
-    test as well.
-    """
-    if not divisors:
-        return terms  # the first entry of a run
-    mask, guard = pk.mask, pk.guard
-    work = dict(terms)
-    heap = [-(m ^ mask) for m in work]
-    heapq.heapify(heap)
-    push, pop = heapq.heappush, heapq.heappop
-    remainder: dict = {}
-    n = len(divisors)
-    while heap:
-        key = -pop(heap)
-        m = key ^ mask
-        c = work.pop(m)
-        if not c:
-            continue
-        shifted = m | guard
-        i = memo.get(m, -1)
-        if i < 0:
-            i = ~i
-            while i < n and (shifted - divisors[i][0]) & guard != guard:
-                i += 1
-            memo[m] = i if i < n else ~n
-        if i < n:
-            # a multiple q*g is smaller in signature iff ratios[g] < below
-            below = sig - widen(key)
-            while i < n and (ratios[i] >= below or (shifted - divisors[i][0]) & guard != guard):
-                i += 1
-        if i == n:
-            remainder[m] = c
-            continue
-        lead, bound, tail = divisors[i]
-        q = (shifted - lead) ^ guard
-        if (q + bound) & guard:
-            raise _overflow()
-        c = p - c
-        for tm, tc in tail.items():
-            mm = q + tm
-            v = work.get(mm)
-            if v is None:
-                work[mm] = c * tc % p
-                push(heap, -(mm ^ mask))
-            else:
-                work[mm] = (v + c * tc) % p
-    return remainder
-
-
 def _signature_loop(ring: PolyRing, gens: list[Polynomial], order: MonomialOrder) -> GroebnerBasis:
     """The reduced basis of (gens) from signatures (see the module docstring)."""
     p, nvars = ring.p, ring.nvars
@@ -857,7 +806,7 @@ def _signature_loop(ring: PolyRing, gens: list[Polynomial], order: MonomialOrder
             continue
         else:
             terms = _s_polynomial(basis[a], basis[b], key ^ mask, p, guard)
-        terms = _regular_reduce(terms, sig, basis, ratios, p, pk, widen, memo)
+        terms = _reduce(terms, basis, p, pk, memo, signature=(sig, ratios, widen))
         if not terms:
             note(sig)
             continue

@@ -415,13 +415,16 @@ class Polynomial:
     def frobenius_pow(self, e: int) -> "Polynomial":
         """self ** (p**e) via the additive shortcut, valid in characteristic
         p: scale every monomial by q = p**e, one multiplication of its packed
-        int, and keep the coefficients, since c**q = c in F_p."""
+        int, and keep the coefficients, since c**q = c in F_p.  The exponents'
+        bound is taken only when the total degree times q leaves the field;
+        below that every exponent times q fits."""
         if e < 0:
             raise ValueError("negative Frobenius power")
         if e == 0:
             return self
-        pk = self.ring.packing
-        return self.ring._poly(pk.scaled(self._terms, self.ring.p ** e, pk.bound(self._terms)))
+        pk, q = self.ring.packing, self.ring.p ** e
+        bound = 0 if self.total_degree() * q <= MAX_EXPONENT else pk.bound(self._terms)
+        return self.ring._poly(pk.scaled(self._terms, q, bound))
 
     def mapped_to(self, other: PolyRing) -> "Polynomial":
         """Re-express in another ring with the same modulus, matching

@@ -229,7 +229,6 @@ class QuotientPresentation:
                 verdict=CLOSED_UP_TO,
                 e_max=e_max,
                 witness=None,
-                partial=False,
                 regular_sequence_verified=regular,
                 socle_dimension=r,
                 combinations_tested=p ** r - 1 if r and e_max else 0,
@@ -254,7 +253,6 @@ class QuotientPresentation:
             verdict=NOT_FROBENIUS_CLOSED,
             e_max=e_max,
             witness=witness,
-            partial=False,
             regular_sequence_verified=regular,
             socle_dimension=r,
             combinations_tested=index,

@@ -46,9 +46,6 @@ class ClosureReport:
     verdict: str
     e_max: int
     witness: ClosureWitness | None
-    # always False: every socle combination is decided; kept because schema
-    # froblab-report/1 lists the field
-    partial: bool
     regular_sequence_verified: bool
     socle_dimension: int
     # combinations an exhaustive sweep in itertools.product order decides up
@@ -75,7 +72,9 @@ class ClosureReport:
             "level": self.level,
             "e_max": self.e_max,
             "witness": self.witness.to_dict() if self.witness else None,
-            "partial": self.partial,
+            # every socle combination is decided, so no report is partial;
+            # schema froblab-report/1 lists the field
+            "partial": False,
             "regular_sequence_verified": self.regular_sequence_verified,
             "socle_dimension": self.socle_dimension,
             "combinations_tested": self.combinations_tested,

@@ -317,7 +317,6 @@ def closure_sweep_report(presentation, parameter, e_max):
             verdict=NOT_FROBENIUS_CLOSED if witness else CLOSED_UP_TO,
             e_max=e_max,
             witness=witness,
-            partial=False,
             regular_sequence_verified=regular,
             socle_dimension=r,
             combinations_tested=tested,

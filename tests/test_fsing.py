@@ -43,7 +43,7 @@ from froblab.reports import (
     NOT_FROBENIUS_CLOSED,
     P2_DEGENERATE,
 )
-from froblab.specfile import load_ring_spec, parse_ring_spec
+from froblab.specfile import load_ring_spec, matrix_minors, parse_ring_spec
 
 import support
 
@@ -528,6 +528,41 @@ def test_fedder_matches_the_closure_test_at_depth_one_on_complete_intersections(
     verdict = fedder_f_pure(Q)
     event(f"F-pure: {verdict}")
     assert verdict == (Q.frobenius_closure_test(J, e_max=1).verdict == CLOSED_UP_TO)
+
+
+# 2 x 3 matrices over F_3[x1..x5], each with one entry repeated, and a
+# regular linear system of parameters of their minors' ring
+_MINORS_2X3 = (
+    (("x5", "x2", "x4"), ("x3", "x1", "x4"), ("2*x3 + x4 + 2*x5", "2*x1 + 2*x2 + 2*x4 + x5", "x1 + 2*x3 + x4 + 2*x5")),
+    (("x2", "x1", "x5"), ("x4", "x4", "x3"), ("x1 + x2 + x4 + 2*x5", "x1 + x2 + x3 + x4 + x5", "2*x1 + 2*x3 + x5")),
+    (("x1", "x3", "x5"), ("x2", "x3", "x4"), ("2*x1 + x2 + x3 + x4", "2*x2 + x3 + 2*x5", "2*x2 + x3 + x5")),
+    (("x3", "x5", "x4"), ("x1", "x3", "x2"), ("2*x1 + 2*x2 + x3 + 2*x4 + x5", "x1 + x2 + 2*x3 + 2*x4 + 2*x5",
+                                              "x1 + x3 + 2*x4")),
+)
+
+
+@pytest.mark.parametrize("case", ["fixture", *range(len(_MINORS_2X3))])
+def test_fedder_pure_rings_have_frobenius_closed_parameters_beyond_gorenstein(case):
+    """F-pure implies that every ideal is Frobenius closed (Hochster &
+    Roberts 1976), whatever the type, so a True Fedder verdict means
+    CLOSED_UP_TO for a regular system of parameters at e_max = 2, on the
+    determinantal fixture with its sop (socle dimension 3) and on the
+    minors of 2 x 3 matrices in five variables (socle dimension 2): rings
+    that are not Gorenstein, where Fedder's verdict and the e = 1 closure
+    verdict need not agree."""
+    if case == "fixture":
+        spec = load_ring_spec(str(DETERMINANTAL))
+        ring = spec.ring()
+        Q, sop, socle = spec.presentation(ring), spec.sop_polys(ring), 3
+    else:
+        top, bottom, sop = _MINORS_2X3[case]
+        ring = PolyRing(3, tuple(f"x{i}" for i in range(1, 6)))
+        rows = tuple(tuple(ring.variable(v) for v in row) for row in (top, bottom))
+        Q = QuotientPresentation(ring, Ideal(ring, tuple(matrix_minors(rows))))
+        sop, socle = [ring.parse(t) for t in sop], 2
+    assert fedder_f_pure(Q)
+    report = Q.frobenius_closure_test(Ideal(ring, tuple(sop)), e_max=2)
+    assert (report.verdict, report.socle_dimension, report.regular_sequence_verified) == (CLOSED_UP_TO, socle, True)
 
 
 def _count_candidates(monkeypatch):

@@ -291,22 +291,16 @@ def test_plain_standard_runs_reduce_few_pairs_to_zero(monkeypatch, name, zeros, 
     J-pairs reduce to zero 5, 4 and 7 times, where the pair loop's S-pairs
     do 75, 20 and 50 times; both loops return one basis."""
     zero = {"signature": 0, "pair": 0}
-    regular_reduce, reduce = groebner._regular_reduce, groebner._reduce
+    reduce = groebner._reduce
 
-    def signature_step(terms, *args):
-        remainder = regular_reduce(terms, *args)
-        zero["signature"] += not remainder
-        return remainder
-
-    def pair_step(terms, divisors, p, pk, memo, steps=None):
+    def counted(terms, divisors, p, pk, memo, steps=None, signature=None):
         # the final interreduction of either loop also calls _reduce, but
         # no element of these bases is a monomial, so no tail reduces to zero
-        remainder = reduce(terms, divisors, p, pk, memo, steps)
-        zero["pair"] += not remainder
+        remainder = reduce(terms, divisors, p, pk, memo, steps, signature)
+        zero["pair" if signature is None else "signature"] += not remainder
         return remainder
 
-    monkeypatch.setattr(groebner, "_regular_reduce", signature_step)
-    monkeypatch.setattr(groebner, "_reduce", pair_step)
+    monkeypatch.setattr(groebner, "_reduce", counted)
     names, texts = STANDARD_SYSTEMS[name]
     R = PolyRing(32003, names)
     gens = [R.parse(t) for t in texts]
@@ -459,6 +453,29 @@ def test_reduce_with_a_shared_memo_matches_reduce_without(order):
         divisors.append(pk.divisor(terms, R.p))
     # the memo has answered with a divisor and with a count of non-divisors
     assert min(memo.values()) < 0 <= max(memo.values())
+
+
+def test_reduce_with_a_signature_bound_skips_divisors_of_larger_signature():
+    """Bounded by a signature, a term is reduced by the first divisor whose
+    multiple has a smaller signature, and stays in the remainder when none
+    has; the memo still records the term's first divisor."""
+    R = PolyRing(7, ("x", "y"))
+    pk = groebner._packing(R.order, R.nvars)
+    wide = groebner._signature_packing(R.order, R.nvars)
+    widen = groebner._widener(pk, wide, 1)
+    divisors = [pk.divisor({pk.pack(m): c for m, c in R.parse(t).terms()}, R.p) for t in ("x + y", "x*y + 1")]
+    m = pk.pack((1, 1))
+    sig = widen(m ^ pk.mask) + 5  # x*y times a divisor of ratio r has signature sig - 5 + r
+    assert _reduce({m: 1}, divisors, R.p, pk, {}) == {pk.pack((0, 2)): R.p - 1}
+
+    # y*(x + y) has the signature sig itself, and x*y + 1 a smaller one
+    memo: dict = {}
+    assert _reduce({m: 1}, divisors, R.p, pk, memo, signature=(sig, [5, 4], widen)) == {0: R.p - 1}
+    assert memo[m] == 0
+    # neither multiple is smaller in signature than sig
+    memo = {}
+    assert _reduce({m: 1}, divisors, R.p, pk, memo, signature=(sig, [6, 5], widen)) == {m: 1}
+    assert memo[m] == 0
 
 
 # -- seeded runs ---------------------------------------------------------------

@@ -248,7 +248,7 @@ def test_closure_of_regular_parameters():
     assert report.verdict == CLOSED_UP_TO
     assert report.witness is None
     assert report.socle_dimension == 1
-    assert not report.partial
+    assert report.to_dict()["partial"] is False
     assert report.regular_sequence_verified
 
 
@@ -321,7 +321,7 @@ def test_closure_witness_with_socle_dimension_six():
     report = Q.frobenius_closure_test(Ideal(R, ()), e_max=1)
     assert report.socle_dimension == 6
     assert report.verdict == NOT_FROBENIUS_CLOSED
-    assert not report.partial
+    assert report.to_dict()["partial"] is False
     assert report.witness.element == "x6"
     assert report.witness.e == 1
     assert report.witness.combination_index == 0
