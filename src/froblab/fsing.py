@@ -69,6 +69,8 @@ class CoverContext:
         ring = quotient.ring
         if coefficient.ring != ring or twist.ring != ring:
             raise FroblabError("coefficient ideal and twist must live in the presentation ring")
+        # defining's basis first, so that the run for the sum starts from it
+        quotient.defining.groebner_basis(GREVLEX)
         membership = quotient.defining + coefficient
         if membership.is_unit():
             raise InputAssumptionViolation("coefficient ideal is the unit ideal")
@@ -229,6 +231,13 @@ def cover_f_injectivity_criterion(
     the cover is NOT F-injective (decisive, monotone in e).  Exhausting the
     range is evidence only.  The parameters are checked by ``socle_lift``,
     whose errors this raises unchanged.
+
+    ``socle_lift`` checks u = first*z, first in I, and (first, tail) regular.
+    When defining and J are graded (parameters of positive degree), a
+    regular sequence may be permuted (Matsumura, Commutative Ring Theory,
+    §16), so first**q cancels: the membership holds iff
+    z**q * twist**((q-1)/2) lies in defining + I + tail^[q], a small seeded
+    run.  Other inputs keep the product route.
     """
     if context.p == 2:
         raise EvenCharacteristic("use the even-characteristic degeneracy check for p = 2")
@@ -256,9 +265,17 @@ def cover_f_injectivity_criterion(
         "lift": str(u),
     }
 
+    tail = Ideal(ring, tuple(sop[1:]))
+    graded = all(g.is_homogeneous() for g in R.defining.generators) and all(
+        s.is_homogeneous() and s.total_degree() > 0 for s in sop
+    )
+
     def member(e: int) -> bool:
-        q = p ** e
-        target = u.frobenius_pow(e) * f ** ((q - 1) // 2)
+        power = f ** ((p ** e - 1) // 2)
+        if graded:
+            target = lifted.socle_rep.frobenius_pow(e) * power
+            return (context._membership + tail.bracket_power(e)).contains(target)
+        target = u.frobenius_pow(e) * power
         return (R.defining + J.bracket_power(e).product(I)).contains(target)
 
     memberships = []

@@ -14,6 +14,7 @@ import itertools
 from dataclasses import dataclass
 
 from froblab.errors import ExponentOverflow, RingMismatch, UnknownVariable
+from froblab.fsing import socle_lift
 from froblab.ideals import Ideal
 from froblab.polyring import GREVLEX, PolyRing, Polynomial
 from froblab.reports import CLOSED_UP_TO, NOT_FROBENIUS_CLOSED, ClosureReport, ClosureWitness
@@ -298,6 +299,19 @@ def colon_regular_sum(presentation, elements):
             return None
         current = current + principal
     return current
+
+
+def criterion_membership_by_product(context, sop, e):
+    """Whether u^q * twist^((q-1)/2) lies in defining + J^[q]*I, with u the
+    lifted socle generator, J = (sop) and q = p^e: the membership
+    cover_f_injectivity_criterion decided for every input before graded
+    ones asked it of defining + I + tail^[q], kept as a reference."""
+    ring = context.ring
+    u = socle_lift(context, sop[0], sop[1:]).lift
+    q = context.p ** e
+    J = Ideal(ring, tuple(sop))
+    target = u.frobenius_pow(e) * context.twist ** ((q - 1) // 2)
+    return (context.quotient.defining + J.bracket_power(e).product(context.coefficient)).contains(target)
 
 
 def closure_sweep_report(presentation, parameter, e_max):

@@ -334,6 +334,121 @@ def test_criterion_raises_the_errors_of_socle_lift():
         cover_f_injectivity_criterion(ctx, [y, y], 2)  # y is outside I
 
 
+def _fixture_spec(p, names, e_max):
+    """The determinantal fixture over F_p, its variables listed as
+    ``names``, with the given e_max."""
+    lines = [
+        f"p = {p}" if line.startswith("p = ") else
+        "vars = " + ", ".join(names) if line.startswith("vars = ") else
+        f"e_max = {e_max}" if line.startswith("e_max = ") else line
+        for line in DETERMINANTAL.read_text().splitlines()
+    ]
+    return parse_ring_spec("\n".join(lines) + "\n")
+
+
+def _permuted_fixtures():
+    """The fixture in the variable orders of the benchmark's criterion jobs
+    (drawn from the same fixed seed), at p = 3, 3, 5, 5, 7, 7."""
+    fixed = random.Random("reference-criterion-orders")
+    specs = []
+    for p in (3, 3, 5, 5, 7, 7):
+        names = ["x1", "x2", "x3", "x4", "x5"]
+        fixed.shuffle(names)
+        specs.append(_fixture_spec(p, names, 2))
+    return specs
+
+
+def _spec_case(spec):
+    ring = spec.ring()
+    ctx = CoverContext(spec.presentation(ring), spec.coefficient_ideal(ring), spec.twist_poly(ring))
+    return ctx, spec.sop_polys(ring)
+
+
+def _cover_case(p, variables, defining, coefficient, twist, sop):
+    ring = PolyRing(p, tuple(variables))
+    pres = QuotientPresentation(ring, _ideal(ring, *([defining] if defining else [])))
+    ctx = CoverContext(pres, _ideal(ring, *coefficient), ring.parse(twist))
+    return ctx, [ring.parse(t) for t in sop]
+
+
+# (p, a, b) for the cusps y^a - x^b with I = (x) and sop = (x)
+_CUSPS = [(p, a, b) for p in (3, 5, 7) for a, b in ((2, 3), (2, 5), (3, 4), (3, 5), (4, 5), (3, 7))]
+
+# the three cases of test_pipeline_keeps_the_ambient_presentation_unless_distinct_variables_generate
+_CONE_CASES = [(("x + y",), ("x + y", "z")), (("x^2",), ("x^2", "y")), (("x", "x"), ("x", "y"))]
+
+_REFERENCE_CASES = {
+    **{f"det-p{spec.p}-{i}": (lambda spec=spec: _spec_case(spec)) for i, spec in enumerate(_permuted_fixtures())},
+    **{f"cusp-{a}-{b}-p{p}": (lambda p=p, a=a, b=b: _cover_case(p, "xy", f"y^{a} - x^{b}", ("x",), "1", ("x",)))
+       for p, a, b in _CUSPS},
+    **{f"plane-twist-{t}": (lambda t=t: _cover_case(5, "xy", "", ("x",), t, ("x", "y")))
+       for t in ("0", "1", "x", "y^2", "y^3")},
+    **{f"cone-{i}": (lambda c=c, s=s: _cover_case(3, "xyz", "z^2 - x*y", c, "1", s))
+       for i, (c, s) in enumerate(_CONE_CASES)},
+    **{f"inhomogeneous-twist-{t}": (lambda t=t: _cover_case(3, "xy", "", ("x",), t, ("x", "y^2 + x")))
+       for t in ("1", "y^3")},
+}
+
+
+@pytest.mark.parametrize("case", list(_REFERENCE_CASES))
+def test_criterion_matches_the_product_membership(monkeypatch, case):
+    """The criterion decides each membership u^q * f^((q-1)/2) in
+    defining + J^[q]*I as in defining + I + tail^[q] when defining and the
+    parameters are graded, and by the product ideal otherwise: its
+    memberships, witness and monotonicity probe match the product route
+    (tests/support.py) on inputs with both outcomes, and only inhomogeneous
+    inputs take the Frobenius power of J."""
+    ctx, sop = _REFERENCE_CASES[case]()
+    e_max = 2
+    powered = []
+    bracket_power = Ideal.bracket_power
+
+    def recorded(self, e):
+        powered.append(self.generators)
+        return bracket_power(self, e)
+
+    monkeypatch.setattr(Ideal, "bracket_power", recorded)
+    report = cover_f_injectivity_criterion(ctx, sop, e_max)
+    monkeypatch.undo()
+    graded = all(g.is_homogeneous() for g in ctx.quotient.defining.generators + tuple(sop))
+    assert (tuple(sop) in powered) == (not graded)
+
+    expected, witness = [], None
+    for e in range(1, e_max + 1):
+        hit = support.criterion_membership_by_product(ctx, sop, e)
+        expected.append({"e": e, "member": hit})
+        if hit:
+            witness = e
+            break
+    assert report.sub_results["memberships"] == expected
+    assert report.witness_e == witness
+    if witness is None:
+        assert "monotonicity_verified" not in report.sub_results
+    else:
+        monotone = support.criterion_membership_by_product(ctx, sop, witness + 1)
+        assert report.sub_results["monotonicity_verified"] == monotone
+
+
+def test_criterion_outcomes_on_the_plane_twists():
+    """On F_5[x, y] with I = (x) and sop = (x, y), the membership at e asks
+    whether f^((q-1)/2) lies in (x, y^q): true for f = 0, x and y^3, false
+    for 1 and y^2."""
+    for twist, witness in (("0", 1), ("1", None), ("x", 1), ("y^2", None), ("y^3", 1)):
+        ctx, sop = _cover_case(5, "xy", "", ("x",), twist, ("x", "y"))
+        assert cover_f_injectivity_criterion(ctx, sop, 2).witness_e == witness
+
+
+def test_criterion_stays_inside_a_small_pair_budget_on_a_permuted_fixture(monkeypatch):
+    """At p = 7 with the variables listed as x3, x4, x5, x1, x2, the product
+    ideal defining + J^[q]*I at e = 3 exhausts a budget of 20 000 pairs;
+    defining + I + tail^[q] needs far fewer than 2 000 per run."""
+    monkeypatch.setattr(groebner, "DEFAULT_PAIR_BUDGET", 2_000)
+    ctx, sop = _spec_case(_fixture_spec(7, ["x3", "x4", "x5", "x1", "x2"], 3))
+    report = cover_f_injectivity_criterion(ctx, sop, 3)
+    assert report.verdict == NO_FAILURE_UP_TO
+    assert [m["member"] for m in report.sub_results["memberships"]] == [False, False, False]
+
+
 def test_degeneracy_check_raises_the_errors_of_socle_lift():
     ctx = _crossing_lines_context(2)
     ring = ctx.ring
@@ -916,3 +1031,28 @@ def test_pipeline_keeps_the_ambient_presentation_unless_distinct_variables_gener
     )
     assert report.quotient_route == "ambient-presentation"
     assert report.conclusion_status == status
+
+
+_PIPELINE_CASES = {
+    **{f"cusp-{a}-{b}-p{p}": (p, "xy", f"y^{a} - x^{b}", ("x",), ("x",)) for p, a, b in _CUSPS},
+    **{f"cone-{i}": (3, "xyz", "z^2 - x*y", c, s) for i, (c, s) in enumerate(_CONE_CASES)},
+}
+
+
+@pytest.mark.parametrize("case", [*_PIPELINE_CASES, "det-0", "det-2", "det-4"])
+def test_pipeline_criterion_and_closure_probe_find_the_same_witness(case):
+    """With twist 1 and a socle of dimension 1, the criterion's membership
+    at e is the closure probe's question for the tail in R/I: whether z^q
+    lies in I + tail^[q] modulo defining.  So both find a witness at the
+    same e, or neither does."""
+    if case.startswith("det-"):
+        spec = _permuted_fixtures()[int(case[-1])]  # at p = 3, 5 and 7
+        ring = spec.ring()
+        args = (spec.presentation(ring), spec.coefficient_ideal(ring), spec.twist_poly(ring), spec.sop_polys(ring))
+    else:
+        p, variables, defining, coefficient, sop = _PIPELINE_CASES[case]
+        ctx, sop = _cover_case(p, variables, defining, coefficient, "1", sop)
+        args = (ctx.quotient, ctx.coefficient, ctx.twist, sop)
+    report = run_cover_pipeline(*args, 2)
+    closure_e = report.closure.witness.e if report.closure.witness else None
+    assert report.criterion.witness_e == closure_e
