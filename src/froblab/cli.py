@@ -10,6 +10,7 @@ is byte-identical across runs unless --timings is given.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -43,6 +44,7 @@ class _ArgumentParser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
+@functools.cache  # built on the first call to main, then reused
 def _build_parser() -> _ArgumentParser:
     parser = _ArgumentParser(prog="froblab", description=__doc__.splitlines()[0])
     parser.add_argument("--version", action="version", version=f"froblab {froblab.__version__}")

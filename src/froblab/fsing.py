@@ -28,7 +28,7 @@ from .errors import (
     TypeNotOne,
     ZeroElement,
 )
-from .groebner import _power_below_p
+from .groebner import _outside_bracket, _power_below_p
 from .ideals import Ideal
 from .polyring import GREVLEX, PolyRing, Polynomial
 from .quotients import QuotientPresentation
@@ -166,7 +166,15 @@ class CoverContext:
 class SocleLift(NamedTuple):
     socle_rep: Polynomial  # generator of the socle of R/(I + tail)
     lift: Polynomial       # its image under multiplication by the first parameter
-    kill: Ideal            # defining + J*I, which kills m*lift but not lift
+
+
+def _graded(defining: Ideal, parameters: Sequence[Polynomial]) -> bool:
+    """defining and every parameter homogeneous, each parameter of positive
+    degree: a regular sequence of such parameters may be permuted
+    (Matsumura, Commutative Ring Theory, §16)."""
+    return all(g.is_homogeneous() for g in defining.generators) and all(
+        s.is_homogeneous() and s.total_degree() > 0 for s in parameters
+    )
 
 
 def socle_lift(
@@ -179,7 +187,9 @@ def socle_lift(
     first lies in the coefficient ideal and is a nonzerodivisor on R; tail is
     regular on R/I and on R/(first), so (first, tail) is a regular sequence
     on R with a proper quotient; the Artinian reduction has type 1.
-    Postconditions checked: m*u inside J*I + defining and u outside it.
+    Postconditions: m*u inside J*I + defining and u outside it.  On graded
+    inputs they follow from z being a nonzero socle element of R/(I + tail),
+    as first may be moved to the end of J, so only other inputs check them.
     """
     R = context.quotient
     ring = context.ring
@@ -208,9 +218,10 @@ def socle_lift(
         )
     z = soc.basis[0]
     u = R.normal_form(first * z)
+    if _graded(R.defining, (first, *tail)):
+        return SocleLift(z, u)
 
-    J = Ideal(ring, (first, *tail))
-    kill = R.defining + J.product(I)
+    kill = R.defining + Ideal(ring, (first, *tail)).product(I)
     for v in ring.variables:
         if not kill.contains(ring.variable(v) * u):
             raise InputAssumptionViolation(
@@ -218,7 +229,7 @@ def socle_lift(
             )
     if kill.contains(u):
         raise InjectivityFailure("the lifted socle generator lies in J*I")
-    return SocleLift(z, u, kill)
+    return SocleLift(z, u)
 
 
 def cover_f_injectivity_criterion(
@@ -233,9 +244,8 @@ def cover_f_injectivity_criterion(
     whose errors this raises unchanged.
 
     ``socle_lift`` checks u = first*z, first in I, and (first, tail) regular.
-    When defining and J are graded (parameters of positive degree), a
-    regular sequence may be permuted (Matsumura, Commutative Ring Theory,
-    §16), so first**q cancels: the membership holds iff
+    When defining and J are graded (``_graded``), the regular sequence may
+    be permuted, so first**q cancels: the membership holds iff
     z**q * twist**((q-1)/2) lies in defining + I + tail^[q], a small seeded
     run.  Other inputs keep the product route.
     """
@@ -266,9 +276,7 @@ def cover_f_injectivity_criterion(
     }
 
     tail = Ideal(ring, tuple(sop[1:]))
-    graded = all(g.is_homogeneous() for g in R.defining.generators) and all(
-        s.is_homogeneous() and s.total_degree() > 0 for s in sop
-    )
+    graded = _graded(R.defining, sop)
 
     def member(e: int) -> bool:
         power = f ** ((p ** e - 1) // 2)
@@ -319,7 +327,8 @@ def even_char_degeneracy_check(
     I = context.coefficient
     J = Ideal(ring, tuple(sop))
 
-    kills_coefficient = all(lifted.kill.contains(u * g) for g in I.generators)
+    kill = R.defining + J.product(I)
+    kills_coefficient = all(kill.contains(u * g) for g in I.generators)
     in_parameters = (R.defining + J).contains(u)
     square_in_bracket = (R.defining + J.bracket_power(1)).contains(u * u)
     if not (kills_coefficient and in_parameters and square_in_bracket):
@@ -406,13 +415,6 @@ def _fedder_certificate(A: Ideal) -> Polynomial | None:
             if _outside_bracket(h) and all(bracket.contains(h * g) for g in rest):
                 return h
     return None
-
-
-def _outside_bracket(h: Polynomial) -> bool:
-    """h is outside m^[p] = (x1^p, ..., xn^p) iff some term of h has every
-    exponent below p."""
-    p = h.ring.p
-    return any(max(m) < p for m, _ in h.terms())
 
 
 def _variable_generated(ideal: Ideal) -> list[str] | None:

@@ -254,6 +254,22 @@ def _charge(formed: int) -> None:
         raise BudgetExceeded(f"pair budget of {DEFAULT_PAIR_BUDGET} exhausted")
 
 
+def _below_p(ring: PolyRing) -> tuple[int, int, int]:
+    """(b, offset, guard) with b = min(p, 2^16): a packed monomial m has
+    every exponent below b iff (m + offset) & guard is 0 (see
+    ``_power_below_p``)."""
+    pk = ring.packing
+    bound = min(ring.p, MAX_EXPONENT + 1)
+    return bound, (MAX_EXPONENT + 1 - bound) * pk.ones, pk.guard
+
+
+def _outside_bracket(f: Polynomial) -> bool:
+    """f is outside m^[p] = (x1^p, ..., xn^p) iff some term of f has every
+    exponent below p."""
+    _, offset, guard = _below_p(f.ring)
+    return any(not (m + offset) & guard for m in f._terms)
+
+
 def _power_below_p(f: Polynomial, n: int) -> Polynomial:
     """f**n modulo m^[p] = (x1^p, ..., xn^p): the terms of f**n with every
     exponent below p.
@@ -269,10 +285,7 @@ def _power_below_p(f: Polynomial, n: int) -> Polynomial:
     """
     ring = f.ring
     p = ring.p
-    pk = ring.packing
-    guard = pk.guard
-    bound = min(p, MAX_EXPONENT + 1)
-    offset = (MAX_EXPONENT + 1 - bound) * pk.ones
+    bound, offset, guard = _below_p(ring)
 
     def times(a: dict, b: dict) -> dict:
         out: dict = {}

@@ -23,8 +23,8 @@ bit raises ExponentOverflow.  One ``Packing`` serves each (order, number of
 variables).  Every polynomial keeps its terms in the grevlex layout of its
 number of variables, whatever its ring's order, so the total degree is a
 field and a Frobenius power scales every monomial by one multiplication.
-Exponent tuples appear only at the edge: parsing and printing, ``terms``,
-leading terms, ``monomial`` and ``mapped_to``.
+Exponent tuples appear only at the edge: printing, ``terms``, leading
+terms, ``monomial`` and ``mapped_to``.
 """
 
 from __future__ import annotations
@@ -299,6 +299,36 @@ class PolyRing:
         return " + ".join(parts)
 
 
+_PRODUCT_OVERFLOW = f"a product exponent exceeds {MAX_EXPONENT}"
+
+
+def _product(a: dict, b: dict, p: int, guard: int) -> dict:
+    """The packed term dict of a * b; a product exponent past its field sets
+    its guard bit."""
+    out: dict = {}
+    get = out.get
+    terms = b.items()
+    for m1, c1 in a.items():
+        for m2, c2 in terms:
+            m = m1 + m2
+            out[m] = get(m, 0) + c1 * c2
+    if reduce(or_, out, 0) & guard:
+        raise ExponentOverflow(_PRODUCT_OVERFLOW)
+    return {m: c % p for m, c in out.items() if c % p}
+
+
+def _power(terms: dict, n: int, p: int, guard: int) -> dict:
+    """The packed term dict of terms ** n, by square-and-multiply."""
+    result = {0: 1}
+    while n:
+        if n & 1:
+            result = _product(result, terms, p, guard)
+        n >>= 1
+        if n:
+            terms = _product(terms, terms, p, guard)
+    return result
+
+
 class Polynomial:
     """Immutable sparse polynomial over a PolyRing."""
 
@@ -384,33 +414,16 @@ class Polynomial:
                 return self.ring.zero()
             return self.ring._poly({m: (cc * c) % p for m, cc in self._terms.items()})
         self._require_same(other)
-        p = self.ring.p
-        out: dict = {}
-        get = out.get
-        terms = other._terms.items()
-        for m1, c1 in self._terms.items():
-            for m2, c2 in terms:
-                m = m1 + m2
-                out[m] = get(m, 0) + c1 * c2
-        # a product exponent past its field sets its guard bit
-        if reduce(or_, out, 0) & self.ring.packing.guard:
-            raise ExponentOverflow(f"a product exponent exceeds {MAX_EXPONENT}")
-        return self.ring._poly({m: c % p for m, c in out.items() if c % p})
+        ring = self.ring
+        return ring._poly(_product(self._terms, other._terms, ring.p, ring.packing.guard))
 
     __rmul__ = __mul__
 
     def __pow__(self, n: int) -> "Polynomial":
         if n < 0:
             raise ValueError("negative power")
-        result = self.ring.one()
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            n >>= 1
-            if n:
-                base = base * base
-        return result
+        ring = self.ring
+        return ring._poly(_power(self._terms, n, ring.p, ring.packing.guard))
 
     def frobenius_pow(self, e: int) -> "Polynomial":
         """self ** (p**e) via the additive shortcut, valid in characteristic
@@ -470,98 +483,107 @@ class Polynomial:
 #   atom   := nat | ident | '(' expr ')'
 #
 # The optional leading sign is an accepted extension; the printer never emits
-# one.
+# one.  One pass builds one packed term dict: while a term's factors are
+# single terms it is a running (monomial, coefficient) product, and only a
+# parenthesised factor takes a dict product.  Token offsets are found on error.
 
-_TOKEN_RE = re.compile(
-    r"(?P<ws>\s+)|(?P<nat>\d+)|(?P<ident>[A-Za-z_][A-Za-z0-9_]*)|(?P<op>[-+*^()])"
-)
+_TOKEN_RE = re.compile(r"\d+|[A-Za-z_][A-Za-z0-9_]*|[-+*^()]")
+_BAD_RE = re.compile(r"[^\s\dA-Za-z_+\-*^()]")
 
 
 class _Parser:
     def __init__(self, ring: PolyRing, text: str):
+        bad = _BAD_RE.search(text)
+        if bad:
+            raise ParseError(f"unexpected character {bad.group()!r}", bad.start())
         self.ring = ring
         self.text = text
-        self.tokens: list[tuple[str, str, int]] = []
-        pos = 0
-        while pos < len(text):
-            m = _TOKEN_RE.match(text, pos)
-            if m is None:
-                raise ParseError(f"unexpected character {text[pos]!r}", pos)
-            if m.lastgroup != "ws":
-                self.tokens.append((m.lastgroup, m.group(), pos))
-            pos = m.end()
-        self.tokens.append(("end", "", len(text)))
+        self.tokens = _TOKEN_RE.findall(text) + [""]
         self.at = 0
 
-    def peek(self) -> tuple[str, str, int]:
-        return self.tokens[self.at]
+    def offset(self, at: int) -> int:
+        starts = [m.start() for m in _TOKEN_RE.finditer(self.text)]
+        return starts[at] if at < len(starts) else len(self.text)
 
-    def advance(self) -> tuple[str, str, int]:
-        tok = self.tokens[self.at]
-        self.at += 1
-        return tok
+    def unexpected(self, at: int) -> ParseError:
+        tok = self.tokens[at]
+        return ParseError(f"unexpected {tok!r}" if tok else "unexpected end of input", self.offset(at))
 
     def run(self) -> Polynomial:
-        poly = self.expr()
-        kind, value, offset = self.peek()
-        if kind != "end":
-            raise ParseError(f"unexpected {value!r}", offset)
-        return poly
+        terms = self.expr()
+        if self.tokens[self.at]:
+            raise self.unexpected(self.at)
+        return self.ring._poly(terms)
 
-    def expr(self) -> Polynomial:
-        kind, value, _ = self.peek()
-        negate = False
-        if kind == "op" and value in "+-":
-            self.advance()
-            negate = value == "-"
-        poly = self.term()
-        if negate:
-            poly = -poly
+    def expr(self) -> dict:
+        out: dict = {}
+        sign = self.tokens[self.at]
+        if sign == "+" or sign == "-":
+            self.at += 1
         while True:
-            kind, value, _ = self.peek()
-            if kind == "op" and value in "+-":
-                self.advance()
-                rhs = self.term()
-                poly = poly - rhs if value == "-" else poly + rhs
-            else:
-                return poly
+            self.term(out, sign == "-")
+            sign = self.tokens[self.at]
+            if sign != "+" and sign != "-":
+                return out
+            self.at += 1
 
-    def term(self) -> Polynomial:
-        poly = self.factor()
+    def term(self, out: dict, negate: bool) -> None:
+        """Parse one term and add it to out, negated when ``negate``."""
+        ring, tokens = self.ring, self.tokens
+        p, index, units, guard = ring.p, ring._index, ring.packing.units, ring.packing.guard
+        m, c, terms = 0, 1, None  # the product (m, c), or its term dict once a factor is one
+        at = self.at
         while True:
-            kind, value, _ = self.peek()
-            if kind == "op" and value == "*":
-                self.advance()
-                poly = poly * self.factor()
+            tok = tokens[at]
+            at += 1
+            factor = None
+            if tok in index:
+                fm, fc = units[index[tok]], 1
+            elif tok.isdecimal():
+                fm, fc = 0, int(tok) % p
+            elif tok == "(":
+                self.at = at
+                factor = self.expr()
+                at = self.at
+                if tokens[at] != ")":
+                    raise ParseError("expected ')'", self.offset(at))
+                at += 1
+            elif tok and tok not in "+-*^()":
+                raise UnknownVariable(tok, self.offset(at - 1))
             else:
-                return poly
-
-    def factor(self) -> Polynomial:
-        poly = self.atom()
-        kind, value, _ = self.peek()
-        if kind == "op" and value == "^":
-            self.advance()
-            kind, value, offset = self.advance()
-            if kind != "nat":
-                raise ParseError("expected exponent", offset)
-            n = int(value)
-            if n > MAX_EXPONENT:
-                raise ExponentOverflow(f"exponent {n} exceeds {MAX_EXPONENT}")
-            poly = poly ** n
-        return poly
-
-    def atom(self) -> Polynomial:
-        kind, value, offset = self.advance()
-        if kind == "nat":
-            return self.ring.constant(int(value))
-        if kind == "ident":
-            if value not in self.ring._index:
-                raise UnknownVariable(value, offset)
-            return self.ring.variable(value)
-        if kind == "op" and value == "(":
-            poly = self.expr()
-            kind, value, offset = self.advance()
-            if not (kind == "op" and value == ")"):
-                raise ParseError("expected ')'", offset)
-            return poly
-        raise ParseError(f"unexpected {value!r}" if value else "unexpected end of input", offset)
+                raise self.unexpected(at - 1)
+            if tokens[at] == "^":
+                n = tokens[at + 1]
+                if not n.isdecimal():
+                    raise ParseError("expected exponent", self.offset(at + 1))
+                at += 2
+                n = int(n)
+                if n > MAX_EXPONENT:
+                    raise ExponentOverflow(f"exponent {n} exceeds {MAX_EXPONENT}")
+                if factor is None:
+                    # one variable or constant: its power always fits
+                    fm, fc = fm * n, pow(fc, n, p)
+                else:
+                    factor = _power(factor, n, p, guard)
+            if factor is not None:
+                terms = _product(({m: c} if c else {}) if terms is None else terms, factor, p, guard)
+            elif terms is not None:
+                terms = _product(terms, {fm: fc} if fc else {}, p, guard)
+            elif c:
+                c = c * fc % p
+                if c:
+                    m += fm
+                    if m & guard:
+                        raise ExponentOverflow(_PRODUCT_OVERFLOW)
+            if tokens[at] != "*":
+                break
+            at += 1
+        self.at = at
+        get = out.get
+        for m, c in ((m, c),) if terms is None else terms.items():
+            if c:
+                v = (get(m, 0) + (p - c if negate else c)) % p
+                if v:
+                    out[m] = v
+                elif m in out:
+                    del out[m]

@@ -10,7 +10,7 @@ docs/specfile-grammar.md and is versioned as ring-spec/1.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from froblab.errors import BadMatrixShape, MissingField, ParseError, SpecFileError, UnknownVariable
 from froblab.ideals import Ideal
@@ -36,18 +36,28 @@ class RingSpec:
     sop: tuple[str, ...] | None = None
     f: str | None = None
     e_max: int | None = None
+    # (ring, text -> polynomial) from the validation in parse_ring_spec
+    _parsed: tuple | None = field(default=None, init=False, compare=False, repr=False)
 
     def ring(self) -> PolyRing:
-        return PolyRing(self.p, self.variables)
+        """The ring the file's polynomials were validated in, when
+        parse_ring_spec made this spec; the accessors handed it return those
+        polynomials and parse nothing."""
+        return self._parsed[0] if self._parsed else PolyRing(self.p, self.variables)
+
+    def _poly(self, ring: PolyRing, text: str) -> Polynomial:
+        if self._parsed and ring is self._parsed[0]:
+            return self._parsed[1][text]
+        return ring.parse(text)
 
     def matrix_polys(self, ring: PolyRing) -> tuple[tuple[Polynomial, ...], ...]:
-        return tuple(tuple(ring.parse(entry) for entry in row) for row in self.matrix)
+        return tuple(tuple(self._poly(ring, entry) for entry in row) for row in self.matrix)
 
     def relation_polys(self, ring: PolyRing) -> list[Polynomial]:
         """Defining relations: the stated ones, or the minors of the matrix."""
         if self.matrix:
             return matrix_minors(self.matrix_polys(ring))
-        return [ring.parse(s) for s in self.relations]
+        return [self._poly(ring, s) for s in self.relations]
 
     def presentation(self, ring: PolyRing) -> QuotientPresentation:
         return QuotientPresentation(ring, Ideal(ring, tuple(self.relation_polys(ring))))
@@ -55,16 +65,16 @@ class RingSpec:
     def coefficient_ideal(self, ring: PolyRing) -> Ideal:
         if self.canonical_ideal is None:
             raise MissingField("the command needs a canonical_ideal entry in the spec file")
-        return Ideal(ring, tuple(ring.parse(s) for s in self.canonical_ideal))
+        return Ideal(ring, tuple(self._poly(ring, s) for s in self.canonical_ideal))
 
     def sop_polys(self, ring: PolyRing) -> list[Polynomial]:
         if self.sop is None:
             raise MissingField("the command needs a sop entry in the spec file")
-        return [ring.parse(s) for s in self.sop]
+        return [self._poly(ring, s) for s in self.sop]
 
     def twist_poly(self, ring: PolyRing) -> Polynomial:
         """The twist element; defaults to 1 when the file has no f entry."""
-        return ring.parse(self.f) if self.f is not None else ring.one()
+        return self._poly(ring, self.f) if self.f is not None else ring.one()
 
 
 def matrix_minors(rows: tuple[tuple[Polynomial, ...], ...]) -> list[Polynomial]:
@@ -184,12 +194,15 @@ def parse_ring_spec(text: str) -> RingSpec:
 
 
 def _check_polynomials(spec, seen, matrix_rows) -> None:
+    """Parse every polynomial of the file, and keep them on spec with their
+    ring."""
     ring = spec.ring()
+    parsed = {}
 
     def check(texts, where):
         for s in texts:
             try:
-                ring.parse(s)
+                parsed[s] = ring.parse(s)
             except (ParseError, UnknownVariable) as exc:
                 raise SpecFileError(f"bad polynomial {s!r}: {exc}", where) from None
 
@@ -201,6 +214,7 @@ def _check_polynomials(spec, seen, matrix_rows) -> None:
         check(_split_list(value) if key != "f" else (value,), lineno)
     for row, lineno in matrix_rows:
         check(row, lineno)
+    object.__setattr__(spec, "_parsed", (ring, parsed))
 
 
 def load_ring_spec(path: str) -> RingSpec:

@@ -314,6 +314,15 @@ def criterion_membership_by_product(context, sop, e):
     return (context.quotient.defining + J.bracket_power(e).product(context.coefficient)).contains(target)
 
 
+def socle_lift_postconditions(context, sop, lift):
+    """(m*u inside defining + J*I, u outside it) for J = (sop) and u the
+    lifted socle generator: what socle_lift checks on inhomogeneous inputs,
+    and graded inputs satisfy by themselves."""
+    ring = context.ring
+    kill = context.quotient.defining + Ideal(ring, tuple(sop)).product(context.coefficient)
+    return all(kill.contains(ring.variable(v) * lift) for v in ring.variables), not kill.contains(lift)
+
+
 def closure_sweep_report(presentation, parameter, e_max):
     """The Frobenius-closure probe by exhaustive sweep: every nonzero socle
     combination in itertools.product order, each tested for membership of

@@ -18,6 +18,7 @@ from froblab.errors import (
     ContextMismatch,
     EvenCharacteristic,
     ExponentOverflow,
+    FroblabError,
     InputAssumptionViolation,
     NotNZD,
     NotRegularSequence,
@@ -230,6 +231,54 @@ def test_socle_lift_requires_type_one():
     ctx = CoverContext(pres, _ideal(ring, "x"), ring.one())
     with pytest.raises(TypeNotOne):
         socle_lift(ctx, ring.parse("x"), [])
+
+
+@st.composite
+def graded_cover_inputs(draw):
+    """(context, first, tail) over F_p, p in {3, 5, 7}, in three or four
+    variables: either R = S/A with A zero to two random forms of degree 2
+    or 3 and I = (first) for a random linear form, or R = S/(a*b - c*d)
+    for random linear forms, I = (a, c) and first = a + k*c; the tail is
+    dim R - 1 random linear forms."""
+    p = draw(st.sampled_from((3, 5, 7)))
+    ring = PolyRing(p, ("x", "y", "z", "w")[: draw(st.integers(3, 4))])
+    n = ring.nvars
+
+    def form(degree):
+        g = ring.zero()
+        for m in itertools.product(range(degree + 1), repeat=n):
+            if sum(m) == degree:
+                g = g + ring.monomial(m, draw(st.integers(0, p - 1)))
+        return g
+
+    if draw(st.booleans()):
+        defining = tuple(form(draw(st.sampled_from((2, 3)))) for _ in range(draw(st.integers(0, 2))))
+        first = form(1)
+        coefficient = (first,)
+    else:
+        a, b, c, d = (form(1) for _ in range(4))
+        defining = (a * b - c * d,)
+        first = a + c * draw(st.integers(0, p - 1))
+        coefficient = (a, c)
+    R = QuotientPresentation(ring, Ideal(ring, defining))
+    tail = [form(1) for _ in range(R.dimension - 1)]
+    assume(fsing._graded(R.defining, (first, *tail)))
+    return CoverContext(R, Ideal(ring, coefficient), ring.one()), first, tail
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(graded_cover_inputs())
+def test_socle_lift_postconditions_hold_on_graded_inputs(case):
+    """socle_lift checks m*u inside defining + J*I and u outside it only on
+    inhomogeneous inputs: on every graded input it accepts, both hold."""
+    context, first, tail = case
+    try:
+        lifted = socle_lift(context, first, tail)
+    except FroblabError as exc:
+        event(f"rejected: {exc.code}")
+        return
+    event(f"accepted, I with {len(context.coefficient.generators)} generators")
+    assert support.socle_lift_postconditions(context, [first, *tail], lifted.lift) == (True, True)
 
 
 def test_criterion_no_failure_on_the_regular_instance():
@@ -899,22 +948,24 @@ def test_cover_hypotheses_are_checked_once_on_the_determinantal_fixture(monkeypa
     read off the basis of the next sum, and the sum defining + (first) that
     the test of the first parameter returns is the start of the walk modulo
     first.  The pipeline shares the basis of defining + I with the
-    criterion; its one colon is Fedder's fallback on the fixture.
+    criterion; its one colon is Fedder's fallback on the fixture.  The
+    fixture and its parameters are graded, so socle_lift builds no
+    defining + J*I for its postconditions.
 
-    The pipeline makes 15 runs, all in grevlex, where the elimination
+    The pipeline makes 14 runs, all in grevlex, where the elimination
     routes made 22, ten of them in an elimination order.  Fedder's colon on
     the fixture now takes three tracked runs, one per minor until the
     certificate, in place of nine intersections (five per minor and four
     pairwise).  The small presentation is the image of defining under
     x1, x4, x5 -> 0: one grevlex run of that image replaces the elimination,
     and the presentation keeps the reduced basis it is given, so it makes
-    no second run: 22 - 9 + 3 - 1 + 1 - 1."""
+    no second run: 22 - 9 + 3 - 1 + 1 - 1 - 1."""
     spec = load_ring_spec(str(DETERMINANTAL))
     ring = spec.ring()
     runs, colons = _count_runs_and_colons(monkeypatch)
     ctx = CoverContext(spec.presentation(ring), spec.coefficient_ideal(ring), spec.twist_poly(ring))
     cover_f_injectivity_criterion(ctx, spec.sop_polys(ring), spec.e_max)
-    assert (len(runs), len(set(runs)), colons[0]) == (8, 8, 0)
+    assert (len(runs), len(set(runs)), colons[0]) == (7, 7, 0)
 
     runs.clear()
     colons[0] = 0
@@ -922,7 +973,7 @@ def test_cover_hypotheses_are_checked_once_on_the_determinantal_fixture(monkeypa
         spec.presentation(ring), spec.coefficient_ideal(ring), spec.twist_poly(ring),
         spec.sop_polys(ring), spec.e_max,
     )
-    assert (len(runs), colons[0]) == (15, 1)
+    assert (len(runs), colons[0]) == (14, 1)
     assert [order for _, order, _ in runs if order.kind != "grevlex"] == []
 
 

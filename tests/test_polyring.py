@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 import support
 from froblab.errors import ExponentOverflow, ParseError, RingMismatch, UnknownVariable
-from froblab.groebner import _power_below_p
+from froblab.groebner import _outside_bracket, _power_below_p
 from froblab.polyring import (
     GREVLEX,
     LEX,
@@ -119,6 +119,97 @@ def test_parse_errors_carry_offsets():
         R.parse("x^y")
     with pytest.raises(ExponentOverflow):
         R.parse("x^70000")
+
+
+@pytest.mark.parametrize(
+    "text, error, message",
+    [
+        ("x + $y", ParseError, "unexpected character '$' at offset 4"),
+        ("x^ 2 + y ; (", ParseError, "unexpected character ';' at offset 9"),
+        ("(x + y", ParseError, "expected ')' at offset 6"),
+        ("2*(x + (y)^2 y)", ParseError, "expected ')' at offset 13"),
+        ("x^y", ParseError, "expected exponent at offset 2"),
+        ("x^ ", ParseError, "expected exponent at offset 3"),
+        ("x + ", ParseError, "unexpected end of input at offset 4"),
+        ("(x*", ParseError, "unexpected end of input at offset 3"),
+        ("x y", ParseError, "unexpected 'y' at offset 2"),
+        ("x + * y", ParseError, "unexpected '*' at offset 4"),
+        ("x)", ParseError, "unexpected ')' at offset 1"),
+        ("x +  z", UnknownVariable, "unknown variable 'z' at offset 5"),
+        ("(y*x2)^2", UnknownVariable, "unknown variable 'x2' at offset 3"),
+        ("x^70000", ExponentOverflow, "exponent 70000 exceeds 65535"),
+        ("x^40000*x^40000", ExponentOverflow, "a product exponent exceeds 65535"),
+        ("y*x^40000*(x + 1)^40000", ExponentOverflow, "a product exponent exceeds 65535"),
+    ],
+)
+def test_parse_errors_name_their_offset(text, error, message):
+    with pytest.raises(error) as err:
+        PolyRing(3, ("x", "y")).parse(text)
+    assert type(err.value) is error and str(err.value) == message
+
+
+def test_a_zero_factor_ends_a_term_before_its_exponents_add():
+    """A zero polynomial times anything is zero, so a factor that is 0
+    modulo p stops the later factors' exponents from adding up, as in
+    Polynomial arithmetic."""
+    R = PolyRing(3, ("x", "y"))
+    assert R.parse("3*x^40000*x^40000 + y") == R.parse("y")
+    assert R.parse("x^40000*6*x^40000*y") == R.zero()
+    assert R.parse("x^40000*(x - x)*x^40000") == R.zero()
+    assert R.parse("0^0 + 3^0 + (x - x)^0") == R.constant(3)
+
+
+def _random_expression(rng, ring, depth=0):
+    """(text, value) of a random expression tree: a signed sum of products
+    of constants (some at least p), variables, powers and parenthesised
+    sums, rendered with random spacing, and its value by Polynomial
+    arithmetic."""
+
+    def space():
+        return rng.choice(("", "", " ", "  "))
+
+    def atom():
+        roll = rng.random()
+        if roll < 0.2 and depth < 3:
+            text, value = _random_expression(rng, ring, depth + 1)
+            return f"({text})", value, rng.randrange(4)
+        if roll < 0.5:
+            c = rng.choice((0, 1, 2, ring.p - 1, ring.p, ring.p + 1, 10 * ring.p + 3, 10**20 + 1))
+            return str(c), ring.constant(c), rng.randrange(5)
+        name = rng.choice(ring.variables)
+        return name, ring.variable(name), rng.randrange(9)
+
+    def factor():
+        text, value, n = atom()
+        if rng.random() < 0.4:
+            return f"{text}{space()}^{space()}{n}", value ** n
+        return text, value
+
+    def term():
+        text, value = factor()
+        for _ in range(rng.randrange(4)):
+            more, other = factor()
+            text, value = f"{text}{space()}*{space()}{more}", value * other
+        return text, value
+
+    sign = rng.choice(("", "", "+", "-"))
+    text, value = term()
+    text, value = f"{sign}{space()}{text}", -value if sign == "-" else value
+    for _ in range(rng.randrange(4)):
+        op = rng.choice("+-")
+        more, other = term()
+        text, value = f"{text}{space()}{op}{space()}{more}", value + other if op == "+" else value - other
+    return text, value
+
+
+@pytest.mark.parametrize("p", [2, 3, 7, 65537])
+def test_parse_matches_polynomial_arithmetic_on_random_expressions(p):
+    rng = random.Random(p)
+    for names in (("x",), ("x", "y", "z"), ("x1", "x2", "y_3", "w")):
+        ring = PolyRing(p, names)
+        for _ in range(150):
+            text, value = _random_expression(rng, ring)
+            assert ring.parse(text) == value, text
 
 
 def test_parse_format_roundtrip():
@@ -352,3 +443,19 @@ def test_packed_overflow_boundaries(nvars, where):
     assert _power_below_p(x ** 21845, 3) == x ** MAX_EXPONENT
     with pytest.raises(ExponentOverflow):
         _power_below_p(x ** 32768, 2)
+
+
+@pytest.mark.parametrize("p", [3, 65521, 65537])
+def test_outside_bracket_matches_the_exponent_rule(p):
+    """f lies outside m^[p] iff some term has every exponent below p: the
+    packed test against the exponent tuples, on random polynomials whose
+    exponents sit on both sides of p, or up to 65535 when p is above it."""
+    rng = random.Random(p)
+    for nvars in (1, 3, 8):
+        ring = PolyRing(p, tuple(f"x{i}" for i in range(nvars)))
+        near = (0, 1, p - 1, p, p + 1) if p < MAX_EXPONENT else (0, 1, 2, MAX_EXPONENT - 1, MAX_EXPONENT)
+        for _ in range(200):
+            f = ring.zero()
+            for _ in range(rng.randrange(4)):
+                f = f + ring.monomial([rng.choice(near) for _ in range(nvars)], rng.randrange(1, p))
+            assert _outside_bracket(f) == any(max(m) < p for m, _ in f.terms())

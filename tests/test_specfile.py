@@ -3,6 +3,7 @@
 import pytest
 
 from froblab.errors import BadMatrixShape, MissingField, SpecFileError
+from froblab.polyring import PolyRing
 from froblab.specfile import (
     RingSpec,
     emit_ring_spec,
@@ -184,3 +185,52 @@ def test_spec_is_frozen():
     with pytest.raises(Exception):
         spec.p = 5
     assert isinstance(spec, RingSpec)
+
+
+RELATIONS_TEXT = """\
+p = 5
+vars = x, y, z
+relations = y^2 - x^3, (x + z)^2*y - 3*x, x*y
+canonical_ideal = x, y + z
+sop = x, y + z^2
+f = 2*y^3 - z
+"""
+
+
+def _accessor_results(spec, ring):
+    return (
+        spec.matrix_polys(ring),
+        tuple(spec.relation_polys(ring)),
+        spec.coefficient_ideal(ring).generators,
+        tuple(spec.sop_polys(ring)),
+        spec.twist_poly(ring),
+    )
+
+
+@pytest.mark.parametrize("text", [FULL_TEXT, RELATIONS_TEXT], ids=["matrix", "relations"])
+def test_accessors_return_the_validated_polynomials(monkeypatch, text):
+    """Handed spec.ring(), every accessor returns the polynomials that
+    validation parsed, parsing nothing, and they equal a fresh parse of the
+    spec's texts; an equal ring built elsewhere gets its own parses."""
+    spec = parse_ring_spec(text)
+    ring = spec.ring()
+    assert spec.ring() is ring
+    other = PolyRing(spec.p, spec.variables)
+    assert other == ring and other is not ring
+
+    def parsed(texts):
+        return tuple(other.parse(s) for s in texts)
+
+    matrix = tuple(parsed(row) for row in spec.matrix)
+    relations = tuple(matrix_minors(matrix)) if matrix else parsed(spec.relations)
+    fresh = (matrix, relations, parsed(spec.canonical_ideal), parsed(spec.sop), other.parse(spec.f))
+    parses = []
+    parse = PolyRing.parse
+    monkeypatch.setattr(PolyRing, "parse", lambda self, s: parses.append(s) or parse(self, s))
+    kept = _accessor_results(spec, ring)
+    assert parses == []
+    assert kept == fresh
+    elsewhere = _accessor_results(spec, other)
+    assert parses != [] and elsewhere == fresh
+    assert {g.ring is other for g in elsewhere[-1:] + elsewhere[3]} == {True}
+    assert spec.presentation(other).defining == spec.presentation(ring).defining
