@@ -39,8 +39,9 @@ class ExponentOverflow(FroblabError):
 class BudgetExceeded(FroblabError):
     """A work limit was hit: one Buchberger run (tracked and lex runs too)
     formed more pairs, the pair loop's S-pairs or the signature loop's
-    J-pairs, than ``froblab.groebner.DEFAULT_PAIR_BUDGET``, or an oracle box
-    was too large."""
+    J-pairs, than ``froblab.groebner.DEFAULT_PAIR_BUDGET``, an oracle box
+    was too large, or the products and powers of one parsed text would
+    take more term products than the parser's budget."""
 
 
 class ZeroColonDivisor(FroblabError):

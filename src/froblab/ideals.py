@@ -210,7 +210,10 @@ class Ideal:
         the previous colon self + (c) meets (self : g) in
         self + ((c) ∩ (self : g)), so the tags, reduced modulo self, are the
         new cofactors.  A step's colon is self + (its cofactors), so its
-        basis is a run seeded with self's.
+        basis is a run seeded with self's.  Its generators are self's
+        followed by the cofactors, each a nonzero normal form modulo self's
+        complete basis: no cofactor lies in self, so the colon equals self
+        iff the step adds no generator.
         """
         self._require_same(other)
         divisors = tuple(g for g in other.generators if not g.is_zero)

@@ -36,6 +36,7 @@ from operator import mul, or_
 from typing import Iterable, Sequence, Union
 
 from .errors import (
+    BudgetExceeded,
     ExponentOverflow,
     ParseError,
     RingMismatch,
@@ -48,6 +49,8 @@ Monomial = tuple[int, ...]
 MAX_EXPONENT = 0xFFFF
 EXPONENT_BITS = MAX_EXPONENT.bit_length()
 MAX_MODULUS = 1 << 31
+# term products that the products and powers of one parsed text may form
+_PARSE_BUDGET = 6_000_000
 
 _IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")
 
@@ -317,15 +320,15 @@ def _product(a: dict, b: dict, p: int, guard: int) -> dict:
     return {m: c % p for m, c in out.items() if c % p}
 
 
-def _power(terms: dict, n: int, p: int, guard: int) -> dict:
-    """The packed term dict of terms ** n, by square-and-multiply."""
+def _power(terms: dict, n: int, product) -> dict:
+    """The packed term dict of terms ** n, by square-and-multiply with ``product``."""
     result = {0: 1}
     while n:
         if n & 1:
-            result = _product(result, terms, p, guard)
+            result = product(result, terms)
         n >>= 1
         if n:
-            terms = _product(terms, terms, p, guard)
+            terms = product(terms, terms)
     return result
 
 
@@ -422,8 +425,8 @@ class Polynomial:
     def __pow__(self, n: int) -> "Polynomial":
         if n < 0:
             raise ValueError("negative power")
-        ring = self.ring
-        return ring._poly(_power(self._terms, n, ring.p, ring.packing.guard))
+        p, guard = self.ring.p, self.ring.packing.guard
+        return self.ring._poly(_power(self._terms, n, lambda a, b: _product(a, b, p, guard)))
 
     def frobenius_pow(self, e: int) -> "Polynomial":
         """self ** (p**e) via the additive shortcut, valid in characteristic
@@ -500,6 +503,14 @@ class _Parser:
         self.text = text
         self.tokens = _TOKEN_RE.findall(text) + [""]
         self.at = 0
+        self.budget = _PARSE_BUDGET
+
+    def product(self, a: dict, b: dict) -> dict:
+        """a * b, its len(a) * len(b) term products charged before it is formed."""
+        self.budget -= len(a) * len(b)
+        if self.budget < 0:
+            raise BudgetExceeded(f"the text takes more than {_PARSE_BUDGET} term products")
+        return _product(a, b, self.ring.p, self.ring.packing.guard)
 
     def offset(self, at: int) -> int:
         starts = [m.start() for m in _TOKEN_RE.finditer(self.text)]
@@ -564,11 +575,11 @@ class _Parser:
                     # one variable or constant: its power always fits
                     fm, fc = fm * n, pow(fc, n, p)
                 else:
-                    factor = _power(factor, n, p, guard)
+                    factor = _power(factor, n, self.product)
             if factor is not None:
-                terms = _product(({m: c} if c else {}) if terms is None else terms, factor, p, guard)
+                terms = self.product(({m: c} if c else {}) if terms is None else terms, factor)
             elif terms is not None:
-                terms = _product(terms, {fm: fc} if fc else {}, p, guard)
+                terms = self.product(terms, {fm: fc} if fc else {})
             elif c:
                 c = c * fc % p
                 if c:

@@ -3,14 +3,15 @@ socles of Artinian reductions, a bounded Frobenius-closure test for parameter
 ideals, and an independent linear-algebra membership oracle for Artinian
 ideals.
 
-Everything here works with an ambient presentation R = k[x1..xn]/defining and
-represents residue classes by normal forms against the defining ideal's
-grevlex basis.  A form x is a nonzerodivisor modulo a homogeneous ideal J
-exactly when the Hilbert series of S/(J + x) is (1 - t^deg x) times that of
-S/J, and both are read off the leading terms of grevlex bases; only
-inhomogeneous inputs build the colon (J : x).  Likewise the Frobenius
-closure test asks its homogeneous targets only about homogeneous powers of
-known degree, so it builds their bases only through that degree.
+Everything here works with an ambient presentation R = k[x1..xn]/defining.
+``normal_form`` represents residue classes by normal forms against the
+defining ideal's basis in the ring's order.  A form x is a nonzerodivisor
+modulo a homogeneous ideal J exactly when the Hilbert series of S/(J + x)
+is (1 - t^deg x) times that of S/J, and both are read off the leading terms
+of grevlex bases; only inhomogeneous inputs build the colon (J : x).
+Likewise the Frobenius closure test asks its homogeneous targets only about
+homogeneous powers of known degree, so it builds their bases only through
+that degree.
 """
 
 from __future__ import annotations
@@ -117,7 +118,9 @@ class QuotientPresentation:
         says x is a nonzerodivisor on S/J iff HS(S/(J + x)) equals
         (1 - t^d) * HS(S/J), which two Hilbert numerators decide from the
         grevlex basis of J + x that the next step uses anyway.  Otherwise
-        (J : x) is built and its generators are tested against J."""
+        (J : x) is built: it is J plus its cofactors, none of them in J
+        (``Ideal.colon_steps``), so x is a nonzerodivisor iff there is no
+        cofactor."""
         current = self.defining
         graded = all(g.is_homogeneous() for g in current.generators)
         for x in elements:
@@ -131,9 +134,7 @@ class QuotientPresentation:
                 expected = _plus_shifted(numerator, numerator, x.total_degree(), -1)
                 if bigger.hilbert_numerator() != expected:
                     return None
-            # current lies inside (current : x), so the two are equal iff the
-            # colon's generators lie in current; the colon needs no basis
-            elif not all(current.contains(g) for g in current.colon(principal).generators):
+            elif len(current.colon(principal).generators) > len(current.generators):
                 return None
             current = bigger
         return current
@@ -350,11 +351,8 @@ def suggest_parameter_sequence(
             if not pool:
                 raise FroblabError("cannot draw the first parameter from a zero ideal")
             candidate.append(random_combination(pool))
-            while len(candidate) < count:
-                candidate.append(random_combination(variables))
-        else:
-            while len(candidate) < count:
-                candidate.append(random_combination(variables))
+        while len(candidate) < count:
+            candidate.append(random_combination(variables))
         if presentation.is_regular_sequence(candidate):
             return candidate
     raise FroblabError(f"no regular sequence of length {count} found in {_PARAMETER_ATTEMPTS} attempts")

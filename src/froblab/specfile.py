@@ -118,10 +118,7 @@ def parse_ring_spec(text: str) -> RingSpec:
             raise SpecFileError(f"duplicate key {key!r}", lineno)
         seen[key] = (value, lineno)
 
-    def take(key: str) -> tuple[str, int] | None:
-        return seen.get(key)
-
-    got = take("p")
+    got = seen.get("p")
     if got is None:
         raise SpecFileError("missing required key 'p'")
     p_text, p_line = got
@@ -134,7 +131,7 @@ def parse_ring_spec(text: str) -> RingSpec:
     except ValueError as exc:
         raise SpecFileError(str(exc), p_line) from None
 
-    got = take("vars")
+    got = seen.get("vars")
     if got is None:
         raise SpecFileError("missing required key 'vars'")
     names, vars_line = _split_list(got[0]), got[1]
@@ -146,7 +143,7 @@ def parse_ring_spec(text: str) -> RingSpec:
     if len(set(names)) != len(names):
         raise SpecFileError("vars contains a repeated name", vars_line)
 
-    if matrix_rows and take("relations") is not None:
+    if matrix_rows and "relations" in seen:
         raise SpecFileError(
             "relations and matrix_row are mutually exclusive", matrix_rows[0][1]
         )
@@ -157,20 +154,20 @@ def parse_ring_spec(text: str) -> RingSpec:
             f"matrix rows have lengths {len(matrix_rows[0][0])} and {len(matrix_rows[1][0])}"
         )
 
-    relations = _split_list(take("relations")[0]) if take("relations") else ()
-    canonical = _split_list(take("canonical_ideal")[0]) if take("canonical_ideal") else None
+    relations = _split_list(seen["relations"][0]) if "relations" in seen else ()
+    canonical = _split_list(seen["canonical_ideal"][0]) if "canonical_ideal" in seen else None
     if canonical is not None and not canonical:
-        raise SpecFileError("canonical_ideal must list at least one element", take("canonical_ideal")[1])
-    sop = _split_list(take("sop")[0]) if take("sop") else None
+        raise SpecFileError("canonical_ideal must list at least one element", seen["canonical_ideal"][1])
+    sop = _split_list(seen["sop"][0]) if "sop" in seen else None
     if sop is not None and not sop:
-        raise SpecFileError("sop must list at least one element", take("sop")[1])
-    f_entry = take("f")
+        raise SpecFileError("sop must list at least one element", seen["sop"][1])
+    f_entry = seen.get("f")
     f_text = f_entry[0] if f_entry else None
     if f_entry and not f_text:
         raise SpecFileError("f must be a polynomial", f_entry[1])
 
     e_max = None
-    got = take("e_max")
+    got = seen.get("e_max")
     if got is not None:
         try:
             e_max = int(got[0])

@@ -316,11 +316,36 @@ def criterion_membership_by_product(context, sop, e):
 
 def socle_lift_postconditions(context, sop, lift):
     """(m*u inside defining + J*I, u outside it) for J = (sop) and u the
-    lifted socle generator: what socle_lift checks on inhomogeneous inputs,
-    and graded inputs satisfy by themselves."""
+    lifted socle generator, kept as a reference: socle_lift checked both on
+    inhomogeneous inputs.  The first holds by construction on every input,
+    and socle_lift now checks only the second, on inhomogeneous inputs;
+    graded inputs satisfy it by themselves."""
     ring = context.ring
     kill = context.quotient.defining + Ideal(ring, tuple(sop)).product(context.coefficient)
     return all(kill.contains(ring.variable(v) * lift) for v in ring.variables), not kill.contains(lift)
+
+
+def degeneracy_memberships(context, sop, lift):
+    """(u*I inside defining + J*I, u inside defining + J, u^2 inside
+    defining + J^[2]) for J = (sop) and u the lifted socle generator: the
+    memberships even_char_degeneracy_check tested before it reported them
+    as holding by construction, kept as a reference."""
+    defining, I = context.quotient.defining, context.coefficient
+    J = Ideal(context.ring, tuple(sop))
+    kill = defining + J.product(I)
+    return (
+        all(kill.contains(lift * g) for g in I.generators),
+        (defining + J).contains(lift),
+        (defining + J.bracket_power(1)).contains(lift * lift),
+    )
+
+
+def unit_in_quotient(presentation, g):
+    """Whether g is a unit of the quotient localised at the variables, read
+    off the constant term of its normal form: the test CoverContext made
+    of each coefficient generator before it read the generator's own
+    constant term, kept as a reference."""
+    return bool(presentation.normal_form(g).constant_coefficient())
 
 
 def closure_sweep_report(presentation, parameter, e_max):

@@ -5,13 +5,16 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import jsonschema
 import pytest
 
 import froblab
+from froblab import groebner
 from froblab.cli import main
+from froblab.groebner import GroebnerBasis
 
 FIXTURES = Path(froblab.__file__).parent / "fixtures"
 GOLDEN = Path(__file__).parent / "golden"
@@ -35,6 +38,19 @@ GOLDEN_CASES = [
 ]
 
 
+# (Groebner runs, GroebnerBasis.normal_form calls) of each golden command
+GOLDEN_WORK = {
+    "dim": (1, 0),
+    "minors": (0, 0),
+    "gb": (1, 0),
+    "membership": (1, 1),
+    "fpure": (0, 0),
+    "fclosure": (5, 7),
+    "cover-check": (4, 10),
+    "pipeline": (14, 91),
+}
+
+
 def run_cli(capsys, argv):
     code = main(argv)
     captured = capsys.readouterr()
@@ -46,6 +62,34 @@ def test_golden_outputs(capsys, argv, golden, expected_code):
     code, out = run_cli(capsys, argv)
     assert code == expected_code
     assert out == (GOLDEN / golden).read_text(encoding="utf-8")
+
+
+def test_golden_commands_make_their_pinned_runs_and_normal_forms(capsys, monkeypatch):
+    """Each golden command makes the Groebner runs and normal forms of
+    GOLDEN_WORK.  The p = 2 check of cover-check reports its three
+    memberships without a run or a normal form, the cover context reads
+    each coefficient generator's constant term without a normal form (one
+    generator on cover-check, three on pipeline), and fclosure's colon on
+    the cusp adds no cofactor, so no normal form tests its generators."""
+    counts = [0, 0]
+    run, normal_form = groebner._buchberger, GroebnerBasis.normal_form
+
+    def recorded_run(*args, **kwargs):
+        counts[0] += 1
+        return run(*args, **kwargs)
+
+    def recorded_normal_form(*args, **kwargs):
+        counts[1] += 1
+        return normal_form(*args, **kwargs)
+
+    monkeypatch.setattr(groebner, "_buchberger", recorded_run)
+    monkeypatch.setattr(GroebnerBasis, "normal_form", recorded_normal_form)
+    work = {}
+    for argv, _, expected_code in GOLDEN_CASES:
+        counts[:] = [0, 0]
+        assert run_cli(capsys, argv)[0] == expected_code
+        work[argv[0]] = tuple(counts)
+    assert work == GOLDEN_WORK
 
 
 @pytest.mark.parametrize("argv,golden,expected_code", GOLDEN_CASES)
@@ -82,6 +126,19 @@ def test_spec_error_carries_the_line(capsys, tmp_path):
     err = json.loads(out)["error"]
     assert err["code"] == "SpecFileError"
     assert err["line"] == 1
+
+
+def test_a_runaway_power_in_a_spec_file_ends_with_budget_exceeded(capsys, tmp_path):
+    """Expanding (x + y + z)^1000 over F_32003 would take hours: the parser
+    charges each product of the power against its budget before forming
+    it, and stops with BudgetExceeded well inside two seconds."""
+    spec = tmp_path / "runaway.ring"
+    spec.write_text("p = 32003\nvars = x, y, z\nrelations = (x + y + z)^1000\n", encoding="utf-8")
+    start = time.perf_counter()
+    code, out = run_cli(capsys, ["gb", str(spec)])
+    assert time.perf_counter() - start < 2
+    assert code == 1
+    assert json.loads(out)["error"]["code"] == "BudgetExceeded"
 
 
 def test_cover_command_requires_the_coefficient_ideal(capsys):

@@ -35,7 +35,7 @@ from froblab.fsing import (
     socle_lift,
 )
 from froblab.ideals import Ideal
-from froblab.polyring import GREVLEX, PolyRing, Polynomial
+from froblab.polyring import GREVLEX, LEX, PolyRing, Polynomial
 from froblab.quotients import QuotientPresentation
 from froblab.reports import (
     CLOSED_UP_TO,
@@ -84,6 +84,21 @@ def test_context_validation():
     hyper = QuotientPresentation(ring, _ideal(ring, "x*y"))
     with pytest.raises(InputAssumptionViolation):
         CoverContext(hyper, _ideal(ring, "x*y"), ring.one())  # zero in the quotient
+
+
+def test_a_coefficient_generator_is_a_unit_iff_its_constant_term_is_nonzero():
+    """CoverContext reads a coefficient generator's own constant term: as
+    the defining ideal lies in the maximal ideal, the generator's normal
+    form keeps that term, in either order (``support.unit_in_quotient``)."""
+    rng = random.Random(5)
+    for order in (GREVLEX, LEX):
+        ring = PolyRing(5, ("x", "y", "z"), order)
+        for _ in range(30):
+            defining = [_random_generator(rng, ring, 1, 3) for _ in range(rng.randrange(3))]
+            g = support.random_poly(rng, ring)
+            g = sum((h * support.random_poly(rng, ring) for h in defining), g)
+            Q = QuotientPresentation(ring, Ideal(ring, tuple(defining)))
+            assert support.unit_in_quotient(Q, g) == bool(g.constant_coefficient())
 
 
 def test_element_constrains_the_t_part():
@@ -234,13 +249,14 @@ def test_socle_lift_requires_type_one():
 
 
 @st.composite
-def graded_cover_inputs(draw):
-    """(context, first, tail) over F_p, p in {3, 5, 7}, in three or four
+def graded_cover_inputs(draw, primes=(3, 5, 7)):
+    """(context, first, tail) over F_p, p in ``primes``, in three or four
     variables: either R = S/A with A zero to two random forms of degree 2
     or 3 and I = (first) for a random linear form, or R = S/(a*b - c*d)
     for random linear forms, I = (a, c) and first = a + k*c; the tail is
-    dim R - 1 random linear forms."""
-    p = draw(st.sampled_from((3, 5, 7)))
+    dim R - 1 random linear forms.  Inputs that CoverContext rejects are
+    not drawn."""
+    p = draw(st.sampled_from(primes))
     ring = PolyRing(p, ("x", "y", "z", "w")[: draw(st.integers(3, 4))])
     n = ring.nvars
 
@@ -263,7 +279,44 @@ def graded_cover_inputs(draw):
     R = QuotientPresentation(ring, Ideal(ring, defining))
     tail = [form(1) for _ in range(R.dimension - 1)]
     assume(fsing._graded(R.defining, (first, *tail)))
-    return CoverContext(R, Ideal(ring, coefficient), ring.one()), first, tail
+    try:
+        return CoverContext(R, Ideal(ring, coefficient), ring.one()), first, tail
+    except InputAssumptionViolation:
+        assume(False)
+
+
+def _substituted(g, images):
+    """g with the i-th variable replaced by images[i]."""
+    out = g.ring.zero()
+    for m, c in g.terms():
+        out = out + math.prod((x ** e for x, e in zip(images, m)), start=g.ring.constant(c))
+    return out
+
+
+@st.composite
+def inhomogeneous_cover_inputs(draw, primes=(3, 5, 7)):
+    """A case of ``graded_cover_inputs`` moved by the automorphism that
+    sends each variable x_i to x_i plus a random quadratic form in the
+    variables after it.  The automorphism fixes the origin, so socle_lift
+    accepts the moved case iff it accepts the graded one; cases that stay
+    homogeneous are not drawn."""
+    context, first, tail = draw(graded_cover_inputs(primes))
+    ring = context.ring
+    n, p = ring.nvars, ring.p
+    images = [ring.variable(v) for v in ring.variables]
+    for i in range(n):
+        for m in itertools.product(range(3), repeat=n - i - 1):
+            if sum(m) == 2:
+                images[i] = images[i] + ring.monomial((0,) * (i + 1) + m, draw(st.integers(0, p - 1)))
+
+    def move(polys):
+        return [_substituted(g, images) for g in polys]
+
+    R = QuotientPresentation(ring, Ideal(ring, move(context.quotient.defining.generators)))
+    first, *tail = move([first, *tail])
+    assume(not fsing._graded(R.defining, (first, *tail)))
+    coefficient = Ideal(ring, move(context.coefficient.generators))
+    return CoverContext(R, coefficient, ring.one()), first, tail
 
 
 @settings(max_examples=100, deadline=None, derandomize=True)
@@ -279,6 +332,41 @@ def test_socle_lift_postconditions_hold_on_graded_inputs(case):
         return
     event(f"accepted, I with {len(context.coefficient.generators)} generators")
     assert support.socle_lift_postconditions(context, [first, *tail], lifted.lift) == (True, True)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(inhomogeneous_cover_inputs())
+def test_socle_lift_postconditions_hold_on_inhomogeneous_inputs(case):
+    """socle_lift checks u outside defining + J*I on inhomogeneous inputs,
+    and m*u inside it holds by construction: on every inhomogeneous input
+    it accepts, both hold."""
+    context, first, tail = case
+    try:
+        lifted = socle_lift(context, first, tail)
+    except FroblabError as exc:
+        event(f"rejected: {exc.code}")
+        return
+    event(f"accepted, I with {len(context.coefficient.generators)} generators")
+    assert support.socle_lift_postconditions(context, [first, *tail], lifted.lift) == (True, True)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(st.one_of(graded_cover_inputs((2,)), inhomogeneous_cover_inputs((2,))))
+def test_degeneracy_memberships_hold_on_every_accepted_input(case):
+    """The p = 2 check reports u*I inside defining + J*I, u inside
+    defining + J and u^2 inside defining + J^[2] without testing them: on
+    every input socle_lift accepts, graded or not, the three memberships
+    hold."""
+    context, first, tail = case
+    try:
+        lifted = socle_lift(context, first, tail)
+    except FroblabError as exc:
+        event(f"rejected: {exc.code}")
+        return
+    event("accepted, " + ("graded" if fsing._graded(context.quotient.defining, (first, *tail)) else "inhomogeneous"))
+    assert support.degeneracy_memberships(context, [first, *tail], lifted.lift) == (True, True, True)
+    report = even_char_degeneracy_check(context, [first, *tail])
+    assert report.sub_results["lift"] == str(lifted.lift)
 
 
 def test_criterion_no_failure_on_the_regular_instance():

@@ -239,7 +239,8 @@ def _pair(p, names, first, second):
 @example(_pair(5, ("x", "y", "z"), ["2*x*z + 3"], ["4*x*y + x + 1"]))  # S-pairs of two tagged elements
 def test_intersect_and_colon_match_the_elimination_routes(case):
     """Intersection, colon and each colon step equal the elimination
-    routes of tests/support.py, on homogeneous and inhomogeneous inputs."""
+    routes of tests/support.py, on homogeneous and inhomogeneous inputs.
+    Each step's generators are A's followed by cofactors outside A."""
     A, B = case
     assert A.intersect(B) == support.elimination_intersect(A, B)
     divisors = tuple(g for g in B.generators if not g.is_zero)
@@ -251,6 +252,8 @@ def test_intersect_and_colon_match_the_elimination_routes(case):
     assert [rest for _, rest in steps] == [divisors[k:] for k in range(1, len(divisors) + 1)]
     for k, (colon, _) in enumerate(steps, 1):
         assert colon == support.elimination_colon(A, Ideal(A.ring, divisors[:k]))
+        assert colon.generators[:len(A.generators)] == A.generators
+        assert not any(A.contains(h) for h in colon.generators[len(A.generators):])
     assert A.colon(B) == steps[-1][0]
 
 

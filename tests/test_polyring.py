@@ -9,7 +9,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import support
-from froblab.errors import ExponentOverflow, ParseError, RingMismatch, UnknownVariable
+from froblab import polyring
+from froblab.errors import BudgetExceeded, ExponentOverflow, ParseError, RingMismatch, UnknownVariable
 from froblab.groebner import _outside_bracket, _power_below_p
 from froblab.polyring import (
     GREVLEX,
@@ -146,6 +147,25 @@ def test_parse_errors_name_their_offset(text, error, message):
     with pytest.raises(error) as err:
         PolyRing(3, ("x", "y")).parse(text)
     assert type(err.value) is error and str(err.value) == message
+
+
+def test_parse_charges_the_term_products_of_one_text_against_its_budget(monkeypatch):
+    """Each product the parser forms is charged len(a) * len(b) term
+    products before it is formed, summed over the whole text.
+    (x + y)^4 squares 2 and then 3 terms (4 + 9), multiplies the 5 terms
+    of (x + y)^4 into the power's start 1 and then into the term's 1
+    (5 + 5): 23 in all.  Polynomial.__pow__ is not charged."""
+    R = PolyRing(32003, ("x", "y"))
+    monkeypatch.setattr(polyring, "_PARSE_BUDGET", 23)
+    assert R.parse("(x + y)^4") == R.parse("x + y") ** 4
+    assert R.parse("(x + y)*(x - y)") == R.parse("x^2 - y^2")  # 2 + 4
+    with pytest.raises(BudgetExceeded):
+        R.parse("(x + y)^4 + (x - y)")
+    monkeypatch.setattr(polyring, "_PARSE_BUDGET", 22)
+    with pytest.raises(BudgetExceeded):
+        R.parse("(x + y)^4")
+    monkeypatch.setattr(polyring, "_PARSE_BUDGET", 0)
+    assert len((R.parse("x + y") ** 40).terms()) == 41
 
 
 def test_a_zero_factor_ends_a_term_before_its_exponents_add():
