@@ -33,7 +33,7 @@ from .errors import (
 from .groebner import _outside_bracket, _power_below_p
 from .ideals import Ideal
 from .polyring import GREVLEX, PolyRing, Polynomial
-from .quotients import QuotientPresentation
+from .quotients import QuotientPresentation, _bracket_kernel
 from .reports import (
     CLOSED_UP_TO,
     DECISIVE_NOT_F_INJECTIVE,
@@ -244,8 +244,12 @@ def cover_f_injectivity_criterion(
     ``socle_lift`` checks u = first*z, first in I, and (first, tail) regular.
     When defining and J are graded (``_graded``), the regular sequence may
     be permuted, so first**q cancels: the membership holds iff
-    z**q * twist**((q-1)/2) lies in defining + I + tail^[q], a small seeded
-    run.  Other inputs keep the product route.
+    z**q * twist**((q-1)/2) lies in defining + I + tail^[q]
+    (``quotients._bracket_kernel``).  When defining + I is homogeneous and
+    that power has no term above the degree of a tail power, as for a socle
+    generator of degree 1, linear parameters and the twist 1, it is decided
+    modulo the basis of defining + I that the context holds; otherwise the
+    target's own basis decides.  Other inputs keep the product route.
     """
     if context.p == 2:
         raise EvenCharacteristic("use the even-characteristic degeneracy check for p = 2")
@@ -280,7 +284,7 @@ def cover_f_injectivity_criterion(
         power = f ** ((p ** e - 1) // 2)
         if graded:
             target = lifted.socle_rep.frobenius_pow(e) * power
-            return (context._membership + tail.bracket_power(e)).contains(target)
+            return bool(_bracket_kernel(context._membership + tail.bracket_power(e), [target]))
         target = u.frobenius_pow(e) * power
         return (R.defining + J.bracket_power(e).product(I)).contains(target)
 

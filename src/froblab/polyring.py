@@ -320,8 +320,27 @@ def _product(a: dict, b: dict, p: int, guard: int) -> dict:
     return {m: c % p for m, c in out.items() if c % p}
 
 
-def _power(terms: dict, n: int, product) -> dict:
-    """The packed term dict of terms ** n, by square-and-multiply with ``product``."""
+def _power(terms: dict, n: int, ring: "PolyRing", product) -> dict:
+    """The packed term dict of terms ** n in ``ring``, its products formed by
+    ``product``.  From p on, n = sum d_i * p**i in base p, and terms ** n is
+    the product of the (terms ** d_i) ** (p**i), where raising to p**i
+    scales every monomial and keeps the coefficients, as c**p = c in F_p
+    (``Polynomial.frobenius_pow``).  Below p, square-and-multiply."""
+    p, pk = ring.p, ring.packing
+    if n >= p:
+        result, q = {0: 1}, 1
+        while n:
+            n, d = divmod(n, p)
+            if d:
+                piece = _power(terms, d, ring, product)
+                try:
+                    piece = pk.scaled(piece, q, pk.bound(piece))
+                except ExponentOverflow:
+                    # the product the power stands for overflows as well
+                    raise ExponentOverflow(_PRODUCT_OVERFLOW) from None
+                result = product(result, piece)
+            q *= p
+        return result
     result = {0: 1}
     while n:
         if n & 1:
@@ -425,8 +444,9 @@ class Polynomial:
     def __pow__(self, n: int) -> "Polynomial":
         if n < 0:
             raise ValueError("negative power")
-        p, guard = self.ring.p, self.ring.packing.guard
-        return self.ring._poly(_power(self._terms, n, lambda a, b: _product(a, b, p, guard)))
+        ring = self.ring
+        p, guard = ring.p, ring.packing.guard
+        return ring._poly(_power(self._terms, n, ring, lambda a, b: _product(a, b, p, guard)))
 
     def frobenius_pow(self, e: int) -> "Polynomial":
         """self ** (p**e) via the additive shortcut, valid in characteristic
@@ -575,7 +595,7 @@ class _Parser:
                     # one variable or constant: its power always fits
                     fm, fc = fm * n, pow(fc, n, p)
                 else:
-                    factor = _power(factor, n, self.product)
+                    factor = _power(factor, n, ring, self.product)
             if factor is not None:
                 terms = self.product(({m: c} if c else {}) if terms is None else terms, factor)
             elif terms is not None:

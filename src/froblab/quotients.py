@@ -9,9 +9,11 @@ defining ideal's basis in the ring's order.  A form x is a nonzerodivisor
 modulo a homogeneous ideal J exactly when the Hilbert series of S/(J + x)
 is (1 - t^deg x) times that of S/J, and both are read off the leading terms
 of grevlex bases; only inhomogeneous inputs build the colon (J : x).
-Likewise the Frobenius closure test asks its homogeneous targets only about
-homogeneous powers of known degree, so it builds their bases only through
-that degree.
+Likewise a membership in a homogeneous bracket-power target
+defining + parameter^[q], asked of Frobenius powers of degree at most that
+of every parameter power, is linear algebra on normal forms modulo the
+defining ideal's basis (``_bracket_kernel``); other targets are built only
+through the degree asked about when they are homogeneous.
 """
 
 from __future__ import annotations
@@ -185,13 +187,16 @@ class QuotientPresentation:
         depth on a tie; combination_index is that index minus 1.  No
         combination is ever skipped, so the report is never partial.
 
-        When defining and the parameters are homogeneous, so are the socle
-        basis and the witness, whose coordinates lie in one graded piece of
-        a kernel; the depth-e target is asked only about the b_i**q, of
-        degree at most q*max(deg b_i), so its basis is built only through
-        that degree (``Ideal.basis_through``).  The monotonicity probe's
-        power has at most the next depth's degree, so it reuses that
-        depth's basis.
+        Each kernel, and the monotonicity probe's membership, comes from
+        ``_bracket_kernel``.  When defining and the parameters are
+        homogeneous, so are the socle basis and the witness, and when no
+        b_i**q has a degree above that of a parameter's power, as for a
+        socle of degree 1 and linear parameters, the depth is decided modulo
+        the basis of defining, and no target is built.  Otherwise the
+        depth-e target is asked only about the b_i**q, of degree at most
+        q*max(deg b_i), so its basis is built only through that degree
+        (``Ideal.basis_through``), and the probe's power, of at most the
+        next depth's degree, reuses that depth's basis.
         """
         if e_max < 0:
             raise InputAssumptionViolation(f"e_max must be nonnegative, got {e_max}")
@@ -203,22 +208,16 @@ class QuotientPresentation:
 
         best: tuple[int, int, tuple[int, ...]] | None = None  # (index, e, coefficients)
         if r and e_max:
-            top = max(b.total_degree() for b in soc.basis)
             # every bracket power is formed up front, as the sweep did, so one
             # that leaves the exponent field raises whatever the witness
             targets = [self.defining + parameter.bracket_power(e) for e in range(1, e_max + 1)]
             for e, target in enumerate(targets, 1):
-                gb = target.basis_through(p ** e * top)
-                rows: dict[Monomial, list[int]] = {}
-                for j, b in enumerate(soc.basis):
-                    for m, c in gb.normal_form(b.frobenius_pow(e)).terms():
-                        rows.setdefault(m, [0] * r)[j] = c
-                kernel = nullspace(list(rows.values()), r, p)
+                kernel = _bracket_kernel(target, [b.frobenius_pow(e) for b in soc.basis])
                 if kernel:
                     # the first kernel vector in product order has its first
                     # nonzero coordinate as far right as the kernel allows:
                     # the reduced-echelon row with the largest pivot
-                    vec = tuple(rref(kernel, p)[0][-1])
+                    vec = tuple(kernel[-1])
                     index = sum(c * p ** (r - 1 - i) for i, c in enumerate(vec))
                     if best is None or index < best[0]:
                         best = (index, e, vec)
@@ -243,8 +242,7 @@ class QuotientPresentation:
         try:
             # below e_max the kernel loop already formed the depth-(e + 1) target
             bigger = targets[e] if e < e_max else self.defining + parameter.bracket_power(e + 1)
-            power = s.frobenius_pow(e + 1)
-            monotone = bigger.basis_through(power.total_degree()).contains(power)
+            monotone = bool(_bracket_kernel(bigger, [s.frobenius_pow(e + 1)]))
         except ExponentOverflow:
             monotone = None
         witness = ClosureWitness(
@@ -259,6 +257,46 @@ class QuotientPresentation:
             combinations_tested=index,
             monotonicity_verified=monotone,
         )
+
+
+def _bracket_kernel(target: Ideal, columns: Sequence[Polynomial]) -> list[list[int]]:
+    """The reduced-echelon basis of {c : sum c_i*columns[i] in target}, for
+    a sum target = base + powers (``Ideal.__add__``) whose powers are
+    bracket generators y_j**q.
+
+    When base and every y_j**q are homogeneous and no column has a term of
+    degree above any deg y_j**q, a homogeneous h of degree D lies in target
+    iff h is in base + span{y_j**q of degree D}: a cofactor of y_j**q has
+    degree D - deg y_j**q <= 0.  Normal forms modulo base's cached grevlex
+    basis keep degrees (Becker & Weispfenning, Groebner Bases, §10.2), and a
+    combination of columns lies in target iff each of its homogeneous parts
+    does, so the answer is the kernel of [NF(columns) | NF(y_j**q) for each
+    y_j**q of a degree some column reaches], cut to the columns'
+    coordinates; no Groebner run is made.  Otherwise target's own basis
+    decides: through the columns' degree when they are homogeneous
+    (``Ideal.basis_through``), else complete.
+    """
+    base, powers = target._summands
+    brackets = [y for y in powers.generators if not y.is_zero]
+    top = max(c.total_degree() for c in columns)
+    if all(g.is_homogeneous() for g in base.generators + tuple(brackets)) and all(
+        top <= y.total_degree() for y in brackets
+    ):
+        gb = base.groebner_basis(GREVLEX)
+        reached = {sum(m) for c in columns for m, _ in c.terms()}
+        brackets = [y for y in brackets if y.total_degree() in reached]
+    elif all(c.is_homogeneous() for c in columns):
+        gb, brackets = target.basis_through(top), []
+    else:
+        gb, brackets = target.groebner_basis(GREVLEX), []
+    vectors = [gb.normal_form(g) for g in [*columns, *brackets]]
+    rows: dict[Monomial, list[int]] = {}
+    for j, v in enumerate(vectors):
+        for m, c in v.terms():
+            rows.setdefault(m, [0] * len(vectors))[j] = c
+    p = target.ring.p
+    kernel = nullspace(list(rows.values()), len(vectors), p)
+    return rref([v[:len(columns)] for v in kernel], p)[0]
 
 
 def artinian_membership_oracle(ideal: Ideal, g: Polynomial) -> bool:

@@ -16,6 +16,7 @@ from dataclasses import dataclass
 from froblab.errors import ExponentOverflow, RingMismatch, UnknownVariable
 from froblab.fsing import socle_lift
 from froblab.ideals import Ideal
+from froblab.linalg import rref
 from froblab.polyring import GREVLEX, PolyRing, Polynomial
 from froblab.reports import CLOSED_UP_TO, NOT_FROBENIUS_CLOSED, ClosureReport, ClosureWitness
 from froblab.specfile import matrix_minors
@@ -208,6 +209,20 @@ def tuple_mul(a, b, p, nvars):
     return out
 
 
+def square_and_multiply_power(terms, n, product):
+    """The term dict of terms ** n by square-and-multiply with ``product``:
+    the route polyring's powers took for every n before they split n >= p
+    into base-p digits, kept as a reference."""
+    result = {0: 1}
+    while n:
+        if n & 1:
+            result = product(result, terms)
+        n >>= 1
+        if n:
+            terms = product(terms, terms)
+    return result
+
+
 def tuple_frobenius_pow(a, e, p):
     """a ** (p**e): exponents scaled by q = p**e, coefficients raised to q."""
     q = p ** e
@@ -392,6 +407,19 @@ def closure_sweep_report(presentation, parameter, e_max):
                 )
                 return report(witness, idx + 1, monotone)
     return report(None, len(combos), None)
+
+
+def bracket_kernel_by_target(target, columns):
+    """The reduced-echelon basis of {c : sum c_i*columns[i] in target} from
+    normal forms modulo the target's own grevlex basis: the route the
+    closure test and the cover criterion took for every input before graded
+    bracket powers were decided modulo the basis of the other summand, kept
+    as a reference."""
+    gb = target.groebner_basis(GREVLEX)
+    forms = [dict(gb.normal_form(c).terms()) for c in columns]
+    monomials = sorted({m for f in forms for m in f})
+    rows = [[f.get(m, 0) for f in forms] for m in monomials]
+    return rref(plain_nullspace(rows, len(columns), target.ring.p), target.ring.p)[0]
 
 
 def nonzero_random_poly(rng, ring, max_degree=3, terms=3):

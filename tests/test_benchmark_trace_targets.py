@@ -82,26 +82,19 @@ def test_build_keys_read_the_ring_order_and_generators(bench):
 
 
 def test_bounded_closure_targets_are_builds_keyed_by_their_full_generators(bench, monkeypatch):
-    """The closure test on five lines in F_5^5 (the forms of
-    ``bench/gens.line_arrangement`` with rng seed 3), e_max = 3: each
-    target defining + l^[q] is built only through q times the socle degree,
-    and the trace still records that build as a ``groebner.build`` span
-    keyed by the target's full generator list, the seed's part included."""
+    """The closure test on the cubic cone x^3 + y^3 + z^3 at p = 7 with
+    parameters (x, y), e_max = 2: the socle z^2 has degree 2, above the
+    parameters' degree, so each target defining + (x, y)^[q] is built, only
+    through q times the socle degree (14 and 98), and the trace still
+    records that build as a ``groebner.build`` span keyed by the target's
+    full generator list, the seed's part included."""
     _, spans, api = bench
     F = api.froblab
     ideals = api.modules["ideals"]
-    ring = F.PolyRing(5, ("z1", "z2", "z3", "z4", "z5"))
-    forms = [ring.parse(t) for t in (
-        "z1 + 4*z2 + 4*z3 + z4 + 2*z5",
-        "4*z1 + 3*z2 + 4*z3 + 4*z5",
-        "3*z2 + 2*z3 + 4*z4 + z5",
-        "z1 + 3*z2 + 4*z3 + 4*z4 + 3*z5",
-        "3*z1 + z2 + z3 + z4 + 4*z5",
-    )]
-    defining = F.Ideal(ring, tuple(a * b for i, a in enumerate(forms) for b in forms[i + 1:]))
-    parameter = F.Ideal(ring, (ring.parse("3*z1 + 4*z2 + z3 + 2*z4 + 3*z5"),))
+    ring = F.PolyRing(7, ("x", "y", "z"))
+    defining = F.Ideal(ring, (ring.parse("x^3 + y^3 + z^3"),))
+    parameter = F.Ideal(ring, (ring.parse("x"), ring.parse("y")))
     Q = F.QuotientPresentation(ring, defining)
-    top = max(b.total_degree() for b in Q.socle(parameter).basis)
 
     degrees = []
     build = ideals.groebner_basis_of
@@ -112,11 +105,12 @@ def test_bounded_closure_targets_are_builds_keyed_by_their_full_generators(bench
 
     monkeypatch.setattr(ideals, "groebner_basis_of", recorded)
     with spans.Tracer(api.modules) as tracer:
-        Q.frobenius_closure_test(parameter, e_max=3)
+        Q.frobenius_closure_test(parameter, e_max=2)
     keys = tracer.build_keys()
     targets = [
         (ring, F.GREVLEX, defining.generators + parameter.bracket_power(e).generators)
-        for e in (1, 2, 3)
+        for e in (1, 2)
     ]
+    assert len(keys) == 5
     assert [key for key in keys if key in targets] == targets
-    assert [d for key, d in zip(keys, degrees) if key in targets] == [5 ** e * top for e in (1, 2, 3)]
+    assert [d for key, d in zip(keys, degrees) if key in targets] == [14, 98]

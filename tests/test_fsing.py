@@ -519,9 +519,11 @@ _REFERENCE_CASES = {
     **{f"cusp-{a}-{b}-p{p}": (lambda p=p, a=a, b=b: _cover_case(p, "xy", f"y^{a} - x^{b}", ("x",), "1", ("x",)))
        for p, a, b in _CUSPS},
     **{f"plane-twist-{t}": (lambda t=t: _cover_case(5, "xy", "", ("x",), t, ("x", "y")))
-       for t in ("0", "1", "x", "y^2", "y^3")},
+       for t in ("0", "1", "x", "y^2", "y^3", "1 + y", "x + x*y", "x + y^3")},
     **{f"cone-{i}": (lambda c=c, s=s: _cover_case(3, "xyz", "z^2 - x*y", c, "1", s))
        for i, (c, s) in enumerate(_CONE_CASES)},
+    **{f"cone-twist-{t}": (lambda t=t: _cover_case(3, "xyz", "z^2 - x*y", ("x + y",), t, ("x + y", "z")))
+       for t in ("x", "z^2", "1 + x", "x*y + z")},
     **{f"inhomogeneous-twist-{t}": (lambda t=t: _cover_case(3, "xy", "", ("x",), t, ("x", "y^2 + x")))
        for t in ("1", "y^3")},
 }
@@ -534,7 +536,12 @@ def test_criterion_matches_the_product_membership(monkeypatch, case):
     parameters are graded, and by the product ideal otherwise: its
     memberships, witness and monotonicity probe match the product route
     (tests/support.py) on inputs with both outcomes, and only inhomogeneous
-    inputs take the Frobenius power of J."""
+    inputs take the Frobenius power of J.  On the plane, with socle
+    generator 1, the twists 1, x, y^2, 1 + y and x + x*y give columns of
+    degree below q, decided modulo the basis of defining + I, and y^3 and
+    x + y^3 columns above it; on the cone, with socle generator of degree
+    1, every twist of positive degree takes the target's own basis, through
+    the column's degree when the twist is homogeneous."""
     ctx, sop = _REFERENCE_CASES[case]()
     e_max = 2
     powered = []
@@ -1038,9 +1045,14 @@ def test_cover_hypotheses_are_checked_once_on_the_determinantal_fixture(monkeypa
     first.  The pipeline shares the basis of defining + I with the
     criterion; its one colon is Fedder's fallback on the fixture.  The
     fixture and its parameters are graded, so socle_lift builds no
-    defining + J*I for its postconditions.
+    defining + J*I for its postconditions.  The socle generator, the tail
+    and the twist 1 have degrees 1, 1 and 0, so each membership in
+    defining + I + tail^[q] is decided modulo the cached basis of
+    defining + I: the criterion makes 5 runs, where the targets' own bases
+    made 7, and the pipeline, whose closure probe decides its two depths
+    the same way, makes 10 where it made 14.
 
-    The pipeline makes 14 runs, all in grevlex, where the elimination
+    The pipeline made 14 runs, all in grevlex, where the elimination
     routes made 22, ten of them in an elimination order.  Fedder's colon on
     the fixture now takes three tracked runs, one per minor until the
     certificate, in place of nine intersections (five per minor and four
@@ -1053,7 +1065,7 @@ def test_cover_hypotheses_are_checked_once_on_the_determinantal_fixture(monkeypa
     runs, colons = _count_runs_and_colons(monkeypatch)
     ctx = CoverContext(spec.presentation(ring), spec.coefficient_ideal(ring), spec.twist_poly(ring))
     cover_f_injectivity_criterion(ctx, spec.sop_polys(ring), spec.e_max)
-    assert (len(runs), len(set(runs)), colons[0]) == (7, 7, 0)
+    assert (len(runs), len(set(runs)), colons[0]) == (5, 5, 0)
 
     runs.clear()
     colons[0] = 0
@@ -1061,7 +1073,7 @@ def test_cover_hypotheses_are_checked_once_on_the_determinantal_fixture(monkeypa
         spec.presentation(ring), spec.coefficient_ideal(ring), spec.twist_poly(ring),
         spec.sop_polys(ring), spec.e_max,
     )
-    assert (len(runs), colons[0]) == (14, 1)
+    assert (len(runs), colons[0]) == (10, 1)
     assert [order for _, order, _ in runs if order.kind != "grevlex"] == []
 
 

@@ -2,7 +2,8 @@
 works offline: reduced bases in grevlex and lex, bases bounded by a degree,
 the parts of ideals free of some variables, and normal forms must all
 agree, and sympy confirms Fedder certificates from both routes: a
-product-power candidate and an element of the colon.
+product-power candidate and an element of the colon, and the memberships
+that graded bracket powers decide without a basis of their own.
 
 sympy's lex Buchberger needs 20-40 s on cyclic-5 and katsura-4, so the lex
 basis of katsura-4 comes from sympy's grevlex basis by FGLM, and cyclic-5 is
@@ -23,7 +24,9 @@ import support  # noqa: E402
 from froblab.fsing import _fedder_certificate  # noqa: E402
 from froblab.groebner import buchberger, groebner_basis_of  # noqa: E402
 from froblab.ideals import Ideal  # noqa: E402
+from froblab.linalg import Echelon  # noqa: E402
 from froblab.polyring import GREVLEX, LEX, PolyRing  # noqa: E402
+from froblab.quotients import _bracket_kernel  # noqa: E402
 from froblab.specfile import load_ring_spec  # noqa: E402
 
 ORDERS = {"grevlex": GREVLEX, "lex": LEX}
@@ -170,6 +173,44 @@ def test_seeded_closure_targets_match_sympy(case):
     syms = sympy.symbols(defining.ring.variables)
     _, expected = sympy_basis(target.generators, syms, p, "grevlex")
     assert froblab_set(target.groebner_basis().polys) == expected
+
+
+@pytest.mark.parametrize("case, p", [("lines-3", 3), ("lines-4", 3), ("cone", 3), ("lines-3", 5), ("cone", 5)])
+def test_graded_bracket_kernels_match_sympy_membership(case, p):
+    """_bracket_kernel on graded targets base + (y^q) whose columns have
+    degree at most q = p and p^2, the graded route, which builds no basis
+    of the target: a combination of the columns lies in sympy's
+    groebner(base + powers) exactly when its coefficients lie in the span
+    of the returned kernel.  The columns are the q-th power of a random
+    linear form, a member y^q + g*h with g in base, and a random form of
+    degree q - 1 or q."""
+    rng = random.Random(f"bracket:{case}:{p}")
+    if case == "cone":
+        ring = PolyRing(p, ("x", "y", "z"))
+        base, parameter = Ideal(ring, (ring.parse("z^2 - x*y"),)), Ideal(ring, (ring.parse("x"), ring.parse("y")))
+    else:
+        base, param = _lines_and_parameter(int(case[-1]), p)
+        ring, parameter = base.ring, Ideal(base.ring, (param,))
+    syms = sympy.symbols(ring.variables)
+    for e in (1, 2):
+        q = p ** e
+        target = base + parameter.bracket_power(e)
+        g = base.generators[0]
+        h = random_forms(rng, ring, 1, (q - g.total_degree(),), 3)[0]
+        columns = [
+            random_forms(rng, ring, 1, (1,), 3)[0].frobenius_pow(e),
+            parameter.generators[0].frobenius_pow(e) + g * h,
+            random_forms(rng, ring, 1, (q - 1, q), 4)[0],
+        ]
+        span = Echelon(p)
+        for row in _bracket_kernel(target, columns):
+            span.add(row)
+        assert target._bounded is None and not target._gb
+        expected, _ = sympy_basis(target.generators, syms, p, "grevlex")
+        for c in itertools.product(range(p), repeat=len(columns)):
+            combination = sum((f * k for f, k in zip(columns, c)), ring.zero())
+            member = combination.is_zero or expected.reduce(to_sympy(combination, syms))[1] == 0
+            assert span.contains(list(c)) == member, (c, e)
 
 
 def random_forms(rng, ring, count, degrees, terms):

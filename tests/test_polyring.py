@@ -141,6 +141,9 @@ def test_parse_errors_carry_offsets():
         ("x^70000", ExponentOverflow, "exponent 70000 exceeds 65535"),
         ("x^40000*x^40000", ExponentOverflow, "a product exponent exceeds 65535"),
         ("y*x^40000*(x + 1)^40000", ExponentOverflow, "a product exponent exceeds 65535"),
+        ("(x^30000 + 1)^3", ExponentOverflow, "a product exponent exceeds 65535"),
+        ("(x^30000 + 1)^9", ExponentOverflow, "a product exponent exceeds 65535"),
+        ("(x + y^30000)^27", ExponentOverflow, "a product exponent exceeds 65535"),
     ],
 )
 def test_parse_errors_name_their_offset(text, error, message):
@@ -166,6 +169,47 @@ def test_parse_charges_the_term_products_of_one_text_against_its_budget(monkeypa
         R.parse("(x + y)^4")
     monkeypatch.setattr(polyring, "_PARSE_BUDGET", 0)
     assert len((R.parse("x + y") ** 40).terms()) == 41
+
+
+def test_powers_from_p_on_take_the_base_p_digits_of_the_exponent(monkeypatch):
+    """From n = p on, a power is the product of (f^d_i)^(p^i) over the
+    base-p digits d_i of n, each raised to p^i by scaling its monomials: the
+    same term dict as square-and-multiply (tests/support.py) on random
+    polynomials.  (x + 1)^40000 over F_3 (digits 1112120002 from the lowest)
+    charges 691 term products, where square-and-multiply charged 4 554 171,
+    and a scaled exponent past its field raises the product's overflow."""
+    rng = random.Random(40000)
+    for p in (2, 3, 5, 7):
+        R = PolyRing(p, ("x", "y", "z"))
+        guard = R.packing.guard
+        for _ in range(20):
+            f = support.random_poly(rng, R, 2, 3)
+            n = rng.randrange(60)
+            want = support.square_and_multiply_power(f._terms, n, lambda a, b: polyring._product(a, b, p, guard))
+            assert f ** n == R._poly(want)
+
+    R = PolyRing(3, ("x", "y"))
+    guard = R.packing.guard
+    charged = []
+
+    def recorded(a, b):
+        charged.append(len(a) * len(b))
+        return polyring._product(a, b, 3, guard)
+
+    f = R.parse("x + 1")
+    power = R._poly(polyring._power(f._terms, 40000, R, recorded))
+    assert sum(charged) == 691
+    charged.clear()
+    assert power == R._poly(support.square_and_multiply_power(f._terms, 40000, recorded))
+    assert sum(charged) == 4_554_171 and len(power.terms()) == 432
+    # the parser adds the 432 products of the power into the term's start 1
+    monkeypatch.setattr(polyring, "_PARSE_BUDGET", 691 + 432)
+    assert R.parse("(x + 1)^40000") == power
+    monkeypatch.setattr(polyring, "_PARSE_BUDGET", 691 + 431)
+    with pytest.raises(BudgetExceeded):
+        R.parse("(x + 1)^40000")
+    with pytest.raises(ExponentOverflow, match="^a product exponent exceeds 65535$"):
+        R.parse("x^30000 + 1") ** 3
 
 
 def test_a_zero_factor_ends_a_term_before_its_exponents_add():

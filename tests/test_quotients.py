@@ -3,13 +3,15 @@ checks, socle bases, the Frobenius-closure probe, and the independent
 Artinian membership oracle."""
 
 import itertools
+import math
 import random
+from unittest import mock
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from froblab import ideals
+from froblab import ideals, quotients
 from froblab.errors import (
     BudgetExceeded,
     ExponentOverflow,
@@ -29,7 +31,7 @@ from froblab.quotients import (
 )
 from froblab.reports import CLOSED_UP_TO, NOT_FROBENIUS_CLOSED
 
-from support import closure_sweep_report, colon_regular_sum, random_poly
+from support import bracket_kernel_by_target, closure_sweep_report, colon_regular_sum, random_poly
 
 
 def _ideal(ring, *texts):
@@ -518,11 +520,88 @@ def test_witness_rule_picks_the_first_nonzero_vector_of_the_span(case):
     assert tuple(rref(vectors, p)[0][-1]) == first
 
 
+@st.composite
+def graded_closure_inputs(draw):
+    """Graded Artinian closure inputs over p in {2, 3, 5}, moved by a random
+    change of coordinates x_i -> x_i + sum_{j > i} c_ij*x_j: n = 3 or 4
+    coordinate lines x_i*x_j with the parameter sum w_i*x_i^d, or a cone
+    w*x3^k + (further terms of degree k), k = 2 or 3, with the parameters
+    x1^d1 and x2^d2.  With d, d1, d2 in {1, 2} the socle's degree is at
+    most the parameters' on some draws and above it on others; e_max is 1
+    or 2."""
+    p = draw(st.sampled_from((2, 3, 5)))
+    lines = draw(st.booleans())
+    n = draw(st.integers(3, 4)) if lines else 3
+    ring = PolyRing(p, tuple(f"x{i}" for i in range(1, n + 1)))
+    v = [ring.variable(a) for a in ring.variables]
+    coefficient = st.integers(1, p - 1)
+    degree = st.integers(1, 2)
+    if lines:
+        defining = [a * b for a, b in itertools.combinations(v, 2)]
+        d = draw(degree)
+        parameter = [sum((x ** d * draw(coefficient) for x in v), ring.zero())]
+    else:
+        k = draw(st.integers(2, 3))
+        monomials = [m for m in itertools.product(range(k + 1), repeat=3) if sum(m) == k]
+        f = v[2] ** k * draw(coefficient)
+        for m in draw(st.lists(st.sampled_from(monomials[1:]), max_size=3, unique=True)):
+            f = f + ring.monomial(m, draw(coefficient))
+        defining = [f]
+        parameter = [v[0] ** draw(degree), v[1] ** draw(degree)]
+    images = [x + sum((y * draw(st.integers(0, p - 1)) for y in v[i + 1:]), ring.zero()) for i, x in enumerate(v)]
+
+    def moved(g):
+        out = ring.zero()
+        for m, c in g.terms():
+            out = out + math.prod((y ** e for y, e in zip(images, m)), start=ring.constant(c))
+        return out
+
+    return ring, [moved(g) for g in defining], [moved(g) for g in parameter], draw(st.integers(1, 2))
+
+
+_F2 = PolyRing(2, ("x1", "x2", "x3"))
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(graded_closure_inputs())
+@example((_F2, [_F2.parse("x3^2 + x1^2")], [_F2.parse("x1"), _F2.parse("x2")], 2))
+def test_bracket_kernels_match_the_target_basis_route(case):
+    """Every kernel the closure test asks of _bracket_kernel, at each depth
+    and in the monotonicity probe, equals the kernel modulo the target's
+    own basis (tests/support.py), taken on a fresh copy of the target.  In
+    the example over F_2, x3^2 + x1^2 is a square, so x3^q is x1^q modulo
+    it: the witness x3 lies in the target only through the parameter's
+    power."""
+    # Of the 100 draws and the example, 79 end CLOSED_UP_TO and 22 with a
+    # witness, whose probe finds a member.  The depth kernels take the
+    # graded route 101 times (4 with a member) and fall back 28 times (18
+    # with a member); the probes take the graded route 4 times and fall
+    # back 18 times.
+    ring, defining, parameter, e_max = case
+    kernel = quotients._bracket_kernel
+
+    def checked(target, columns):
+        got = kernel(target, columns)
+        assert got == bracket_kernel_by_target(Ideal(ring, target.generators), columns)
+        return got
+
+    Q = QuotientPresentation(ring, Ideal(ring, tuple(defining)))
+    with mock.patch.object(quotients, "_bracket_kernel", checked):
+        try:
+            Q.frobenius_closure_test(Ideal(ring, tuple(parameter)), e_max)
+        except NotArtinian:
+            pass
+
+
 def test_closure_makes_one_normal_form_per_socle_element_and_depth(monkeypatch):
     """Five coordinate lines at p = 3, e_max = 2: socle dimension 4, so
     4 * 2 = 8 normal forms of Frobenius powers (the sweep made 80 * 2), on
     top of 25 for the socle and 1 for the regular-sequence test, the
-    membership of the parameter itself.  The lines are homogeneous, so the
+    membership of the parameter itself.  The socle and the parameter have
+    degree 1, so each depth decides its kernel modulo the basis of defining
+    with one more normal form, that of the parameter's power, and builds
+    no target: 2 runs and 36 normal forms, where the targets' own bases
+    made 4 runs and 34.  The lines are homogeneous, so the
     test compares Hilbert numerators read off the bases of defining and of
     defining + parameter, and builds no colon.  The sum gets one Groebner
     basis, shared by the regular-sequence test and the socle.  On the cusp
@@ -547,8 +626,8 @@ def test_closure_makes_one_normal_form_per_socle_element_and_depth(monkeypatch):
     report = Q.frobenius_closure_test(Ideal(ring, (sum(v[1:], v[0]),)), e_max=2)
     assert (report.verdict, report.socle_dimension, report.combinations_tested) == (CLOSED_UP_TO, 4, 80)
     # frobenius_pow: the 8 socle powers and the parameter's 2 bracket powers;
-    # Groebner bases: defining, defining + parameter and 2 targets
-    assert counts == {"normal_form": 8 + 25 + 1, "frobenius_pow": 8 + 2, "groebner_basis_of": 4}
+    # Groebner bases: defining and defining + parameter
+    assert counts == {"normal_form": 8 + 2 + 25 + 1, "frobenius_pow": 8 + 2, "groebner_basis_of": 2}
 
     counts.update(dict.fromkeys(counts, 0))
     R = PolyRing(5, ("x", "y"))
@@ -581,12 +660,17 @@ def test_closure_reaches_depth_three_on_a_five_line_arrangement():
 
 
 def test_closure_probe_reuses_the_next_depth_target(monkeypatch):
-    """A witness below e_max: the kernel loop has already formed
+    """A witness below e_max on an input whose socle degree exceeds its
+    parameters' degree, so each depth builds its target: the cubic cone
+    x^3 + y^3 + z^3 at p = 5 with parameters (x, y), where z^2 is the
+    witness at e = 1.  The kernel loop has already formed
     defining + parameter^[p^(e+1)], and the monotonicity probe tests
-    against that ideal instead of building its basis again."""
-    ring, v, lines = _coordinate_lines(3, 6)
-    Q = QuotientPresentation(ring, Ideal(ring, tuple(lines + [v[0] ** 2])))
-    parameter = Ideal(ring, tuple(x ** 2 for x in v[1:]))
+    against that ideal instead of building its basis again: 5 runs, all
+    distinct.  On six coordinate lines with x1^2 and the squares of the
+    other variables as parameters, the socle has degree 1 and the
+    parameters degree 2, so neither the kernels nor the probe build a
+    target: the 3 runs are defining, defining + x2^2, where the
+    regular-sequence walk stops, and defining + parameter for the socle."""
     runs = []
     run = ideals.groebner_basis_of
 
@@ -595,9 +679,18 @@ def test_closure_probe_reuses_the_next_depth_target(monkeypatch):
         return run(ring, gens, order, *args, **kwargs)
 
     monkeypatch.setattr(ideals, "groebner_basis_of", recorded)
-    report = Q.frobenius_closure_test(parameter, e_max=2)
-    assert (report.witness.e, report.monotonicity_verified) == (1, True)
+    R = PolyRing(5, ("x", "y", "z"))
+    Q = QuotientPresentation(R, _ideal(R, "x^3 + y^3 + z^3"))
+    report = Q.frobenius_closure_test(_ideal(R, "x", "y"), e_max=2)
+    assert (report.witness.element, report.witness.e, report.monotonicity_verified) == ("z^2", 1, True)
     assert (len(runs), len(set(runs))) == (5, 5)
+
+    runs.clear()
+    ring, v, lines = _coordinate_lines(3, 6)
+    Q = QuotientPresentation(ring, Ideal(ring, tuple(lines + [v[0] ** 2])))
+    report = Q.frobenius_closure_test(Ideal(ring, tuple(x ** 2 for x in v[1:])), e_max=2)
+    assert (report.witness.e, report.monotonicity_verified) == (1, True)
+    assert (len(runs), len(set(runs))) == (3, 3)
 
 
 def test_oracle_examples():
