@@ -284,7 +284,7 @@ def cover_f_injectivity_criterion(
         power = f ** ((p ** e - 1) // 2)
         if graded:
             target = lifted.socle_rep.frobenius_pow(e) * power
-            return bool(_bracket_kernel(context._membership + tail.bracket_power(e), [target]))
+            return bool(_bracket_kernel(context._membership + tail.bracket_power(e), [target])[0])
         target = u.frobenius_pow(e) * power
         return (R.defining + J.bracket_power(e).product(I)).contains(target)
 

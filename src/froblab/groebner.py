@@ -22,16 +22,22 @@ The pair loop keeps S-pairs by the Gebauer-Moeller update (Gebauer &
 Moeller 1988): when an element h joins the basis, its new pairs pass
 criteria M and F, queued pairs that h makes redundant are dropped
 (criterion B_k), and the elements whose leads lead(h) divides form no
-further pairs (they still serve as reducers).  A run may start from a seed,
-the cached reduced basis of an ideal inside the one wanted, as Singular's
+further pairs (they still serve as reducers).  A generator whose lead a
+lead of the basis so far divides enters reduced against it, so generators
+that share a lead meet in one reduction, not in an S-pair of their degree;
+the ideal is the same, and so is the reduced basis.  A seeded or tracked
+run reduces every generator; any other run enters the others as they
+are, since on small inputs, such as the minors of a matrix, reducing their
+tails costs more than it saves.  A run may start from a seed, the cached
+reduced basis of an ideal inside the one wanted, as Singular's
 ``std(I, f)`` does: its elements enter as already processed, active and
 with no pairs among themselves, since a reduced basis already meets
-Buchberger's criterion, and each generator enters reduced against the basis
-so far.  An untracked run skips, by identity, the generators the seed was
-built from and the seed's own elements: they lie in the seed's ideal and
-would reduce to zero.  Pairs are selected by sugar degree (Giovini et al.
-1991), then by lcm in the monomial order, then by index.  An input's sugar
-is its total degree; a pair (i, j) with lcm L has sugar
+Buchberger's criterion, before any generator.  An untracked run skips, by
+identity, the generators the seed was built from and the seed's own
+elements: they lie in the seed's ideal and would reduce to zero.  Pairs are
+selected by sugar degree (Giovini et al. 1991), then by lcm in the monomial
+order, then by index.  An input's sugar is its total degree; a pair (i, j)
+with lcm L has sugar
 max(sugar_i + deg L - deg lead_i, sugar_j + deg L - deg lead_j), which its
 reduced S-polynomial inherits.  Output is the reduced monic basis after
 full interreduction, sorted by descending leading monomial, which is unique
@@ -633,7 +639,8 @@ def _pair_loop(
                 carried[divisor[0]] = {m: v * inv % p for m, v in tag.items()}
 
     # a seed's elements enter as processed, already packed by an equal
-    # Packing; the generators then enter reduced against the basis so far.
+    # Packing; the generators then enter reduced against the basis so far,
+    # in a run neither seeded nor tracked only those whose lead it divides.
     # An untracked run skips the generators known to lie in the seed's
     # ideal.  Whatever lies above ``degree`` stays out, and the run is then
     # truncated.
@@ -659,7 +666,8 @@ def _pair_loop(
         steps = tag = None
         if tracked:
             steps, tag = [], _repack(tags[k]._terms, own, pk)
-        if seeded or tracked:
+        lead = max(terms, key=pk.mask.__xor__) | guard
+        if seeded or tracked or any((lead - d[0]) & guard == guard for d in basis):
             terms = _reduce(terms, basis, p, pk, memo, steps)
         enter(terms, sugar, tag, steps)
     if seeded and len(basis) == len(seeded) and not (tracked or truncated):

@@ -13,7 +13,11 @@ Likewise a membership in a homogeneous bracket-power target
 defining + parameter^[q], asked of Frobenius powers of degree at most that
 of every parameter power, is linear algebra on normal forms modulo the
 defining ideal's basis (``_bracket_kernel``); other targets are built only
-through the degree asked about when they are homogeneous.
+through the degree asked about when they are homogeneous.  No answer that
+is already known is asked for again: each Frobenius depth of the closure
+test starts from the normal forms of the one before, and a socle reduces
+only the products of a variable and a standard monomial that are neither
+standard nor, on a homogeneous ideal, above the top standard degree.
 """
 
 from __future__ import annotations
@@ -34,7 +38,7 @@ from .errors import (
 )
 from .ideals import Ideal, _plus_shifted
 from .linalg import Echelon, nullspace, rref
-from .polyring import GREVLEX, Monomial, PolyRing, Polynomial
+from .polyring import GREVLEX, MAX_EXPONENT, Monomial, PolyRing, Polynomial
 from .reports import (
     CLOSED_UP_TO,
     NOT_FROBENIUS_CLOSED,
@@ -147,7 +151,13 @@ class QuotientPresentation:
         return self._socle(parameter, self.defining + parameter)
 
     def _socle(self, parameter: Ideal, full: Ideal) -> SocleBasis:
-        """socle(parameter), given full = defining + parameter."""
+        """socle(parameter), given full = defining + parameter.
+
+        Column j of the matrix holds the normal forms of x_v*m_j, m_j the
+        j-th standard monomial, and only the products whose normal form is
+        not known get one: a standard product is its own normal form, and
+        when full is homogeneous, so that no monomial of a degree above the
+        top standard degree is standard, such a product is zero."""
         monomials = full.standard_monomials()
         if not monomials:
             return SocleBasis(parameter, ())
@@ -156,10 +166,17 @@ class QuotientPresentation:
         gb = full.groebner_basis(GREVLEX)
         n = len(monomials)
         index = {m: i for i, m in enumerate(monomials)}
+        graded = all(g.is_homogeneous() for g in full.generators)
+        top = max(map(sum, monomials))
         rows: list[list[int]] = [[0] * n for _ in range(self.ring.nvars * n)]
         for j, m in enumerate(monomials):
+            if graded and sum(m) == top:
+                continue
             for v in range(self.ring.nvars):
                 bumped = tuple(e + 1 if i == v else e for i, e in enumerate(m))
+                if bumped in index:
+                    rows[v * n + index[bumped]][j] = 1
+                    continue
                 nf = gb.normal_form(self.ring.monomial(bumped))
                 for mm, c in nf.terms():
                     rows[v * n + index[mm]][j] = c
@@ -197,6 +214,14 @@ class QuotientPresentation:
         q*max(deg b_i), so its basis is built only through that degree
         (``Ideal.basis_through``), and the probe's power, of at most the
         next depth's degree, reuses that depth's basis.
+
+        A depth's columns need only be congruent to the b_i**q modulo its
+        target T_e = defining + parameter^[q], and T_e**[p] lies in T_(e+1)
+        (g**p is in defining when g is), so depth e + 1 raises to the p-th
+        power the few-term normal forms modulo T_e that ``_bracket_kernel``
+        hands back for depth e.  While q*max(deg b_i) fits the exponent
+        field, so do these powers; past it, the b_i**q are formed from the
+        socle basis, so that an overflow is the one that power raises.
         """
         if e_max < 0:
             raise InputAssumptionViolation(f"e_max must be nonnegative, got {e_max}")
@@ -211,8 +236,14 @@ class QuotientPresentation:
             # every bracket power is formed up front, as the sweep did, so one
             # that leaves the exponent field raises whatever the witness
             targets = [self.defining + parameter.bracket_power(e) for e in range(1, e_max + 1)]
+            top = max(b.total_degree() for b in soc.basis)
+            columns: Sequence[Polynomial] = soc.basis
             for e, target in enumerate(targets, 1):
-                kernel = _bracket_kernel(target, [b.frobenius_pow(e) for b in soc.basis])
+                if p ** e * top <= MAX_EXPONENT:
+                    columns = [c.frobenius_pow(1) for c in columns]
+                else:
+                    columns = [b.frobenius_pow(e) for b in soc.basis]
+                kernel, columns = _bracket_kernel(target, columns)
                 if kernel:
                     # the first kernel vector in product order has its first
                     # nonzero coordinate as far right as the kernel allows:
@@ -242,7 +273,7 @@ class QuotientPresentation:
         try:
             # below e_max the kernel loop already formed the depth-(e + 1) target
             bigger = targets[e] if e < e_max else self.defining + parameter.bracket_power(e + 1)
-            monotone = bool(_bracket_kernel(bigger, [s.frobenius_pow(e + 1)]))
+            monotone = bool(_bracket_kernel(bigger, [s.frobenius_pow(e + 1)])[0])
         except ExponentOverflow:
             monotone = None
         witness = ClosureWitness(
@@ -259,10 +290,11 @@ class QuotientPresentation:
         )
 
 
-def _bracket_kernel(target: Ideal, columns: Sequence[Polynomial]) -> list[list[int]]:
+def _bracket_kernel(target: Ideal, columns: Sequence[Polynomial]) -> tuple[list[list[int]], list[Polynomial]]:
     """The reduced-echelon basis of {c : sum c_i*columns[i] in target}, for
     a sum target = base + powers (``Ideal.__add__``) whose powers are
-    bracket generators y_j**q.
+    bracket generators y_j**q, and the columns' normal forms that decided
+    it, each congruent to its column modulo target.
 
     When base and every y_j**q are homogeneous and no column has a term of
     degree above any deg y_j**q, a homogeneous h of degree D lies in target
@@ -296,7 +328,7 @@ def _bracket_kernel(target: Ideal, columns: Sequence[Polynomial]) -> list[list[i
             rows.setdefault(m, [0] * len(vectors))[j] = c
     p = target.ring.p
     kernel = nullspace(list(rows.values()), len(vectors), p)
-    return rref([v[:len(columns)] for v in kernel], p)[0]
+    return rref([v[:len(columns)] for v in kernel], p)[0], vectors[:len(columns)]
 
 
 def artinian_membership_oracle(ideal: Ideal, g: Polynomial) -> bool:

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from froblab.errors import ExponentOverflow, RingMismatch, UnknownVariable
 from froblab.fsing import socle_lift
 from froblab.ideals import Ideal
-from froblab.linalg import rref
+from froblab.linalg import nullspace, rref
 from froblab.polyring import GREVLEX, PolyRing, Polynomial
 from froblab.reports import CLOSED_UP_TO, NOT_FROBENIUS_CLOSED, ClosureReport, ClosureWitness
 from froblab.specfile import matrix_minors
@@ -407,6 +407,30 @@ def closure_sweep_report(presentation, parameter, e_max):
                 )
                 return report(witness, idx + 1, monotone)
     return report(None, len(combos), None)
+
+
+def socle_by_normal_forms(full):
+    """The socle basis of S/full that QuotientPresentation._socle returns,
+    from one normal form per product x_v*m of a variable and a standard
+    monomial: the route it took before it skipped the products whose
+    normal form is known, kept as a reference."""
+    ring = full.ring
+    monomials = full.standard_monomials()
+    gb = full.groebner_basis(GREVLEX)
+    n = len(monomials)
+    index = {m: i for i, m in enumerate(monomials)}
+    rows = [[0] * n for _ in range(ring.nvars * n)]
+    for j, m in enumerate(monomials):
+        for v in range(ring.nvars):
+            bumped = tuple(e + 1 if i == v else e for i, e in enumerate(m))
+            for mm, c in gb.normal_form(ring.monomial(bumped)).terms():
+                rows[v * n + index[mm]][j] = c
+    basis = [
+        sum((ring.monomial(m, c) for m, c in zip(monomials, coeffs) if c), ring.zero())
+        for coeffs in nullspace(rows, n, ring.p)
+    ]
+    basis.sort(key=lambda b: ring.order.key(b.leading_monomial()), reverse=True)
+    return tuple(basis)
 
 
 def bracket_kernel_by_target(target, columns):

@@ -22,6 +22,7 @@ sympy = pytest.importorskip("sympy")
 import froblab  # noqa: E402
 import support  # noqa: E402
 from froblab.fsing import _fedder_certificate  # noqa: E402
+from froblab import groebner  # noqa: E402
 from froblab.groebner import buchberger, groebner_basis_of  # noqa: E402
 from froblab.ideals import Ideal  # noqa: E402
 from froblab.linalg import Echelon  # noqa: E402
@@ -162,6 +163,29 @@ def _cusp_and_parameter(p):
     return Ideal(ring, (ring.parse("y^2 - x^3"),)), ring.parse("x")
 
 
+@pytest.mark.parametrize("case", ("lines-5", "lines-6", "quadrics-3", "quadrics-4"))
+@pytest.mark.parametrize("p", (3, 5, 32003))
+def test_pair_loop_matches_sympy_on_more_generators_than_variables(case, p):
+    """The pair loop, which a generator enters reduced against the ones
+    before it when one of their leads divides its own, on the defining
+    quadrics of five and six lines and on random quadric systems of n + 1
+    to n + 3 generators in n variables, homogeneous or not: the reduced
+    basis equals sympy's in grevlex."""
+    if case.startswith("lines"):
+        lines, _ = _lines_and_parameter(int(case[-1]), p)
+        ring, systems = lines.ring, [list(lines.generators)]
+    else:
+        rng = random.Random(f"quadrics:{case}:{p}")
+        n = int(case[-1])
+        ring = PolyRing(p, tuple(f"x{i}" for i in range(1, n + 1)))
+        systems = [random_system(rng, ring, n + k, 2, 4) for k in (1, 2, 3)]
+        systems += [random_forms(rng, ring, n + k, (2,), 4) for k in (1, 2, 3)]
+    syms = sympy.symbols(ring.variables)
+    for gens in systems:
+        _, expected = sympy_basis(gens, syms, p, "grevlex")
+        assert froblab_set(groebner._pair_loop(ring, gens, GREVLEX).polys) == expected
+
+
 @pytest.mark.parametrize("case", ("lines-3", "lines-4", "cusp"))
 def test_seeded_closure_targets_match_sympy(case):
     """Targets shaped like the closure test's, defining + (l^25) at p = 5,
@@ -203,7 +227,7 @@ def test_graded_bracket_kernels_match_sympy_membership(case, p):
             random_forms(rng, ring, 1, (q - 1, q), 4)[0],
         ]
         span = Echelon(p)
-        for row in _bracket_kernel(target, columns):
+        for row in _bracket_kernel(target, columns)[0]:
             span.add(row)
         assert target._bounded is None and not target._gb
         expected, _ = sympy_basis(target.generators, syms, p, "grevlex")

@@ -31,6 +31,7 @@ from froblab.quotients import (
 )
 from froblab.reports import CLOSED_UP_TO, NOT_FROBENIUS_CLOSED
 
+import support
 from support import bracket_kernel_by_target, closure_sweep_report, colon_regular_sum, random_poly
 
 
@@ -162,8 +163,10 @@ def homogeneous_sequences(draw):
 @settings(max_examples=80, deadline=None, derandomize=True)
 @given(homogeneous_sequences())
 def test_regular_sum_matches_the_colon_route_on_homogeneous_inputs(case):
-    """Of the 80 walks, 35 stop at a zerodivisor, 20 at an element already
-    in the ideal, 13 reach the unit ideal and 12 a proper sum."""
+    """On homogeneous inputs _regular_sum decides each step by Hilbert
+    numerators, where the reference builds the colon."""
+    # Of the 80 walks, 47 stop at a zerodivisor, 19 at an element already
+    # in the ideal, 11 reach the unit ideal and 3 a proper sum.
     Q, elements = case
     got = Q._regular_sum(elements)
     expected = colon_regular_sum(Q, elements)
@@ -205,9 +208,10 @@ def inhomogeneous_sequences(draw):
 def test_regular_sum_matches_the_colon_route_on_inhomogeneous_inputs(case):
     """Off homogeneous inputs _regular_sum decides each step by whether the
     colon adds a cofactor, where the reference tests every generator of the
-    colon for membership.  Of the 80 walks, 68 build a colon; 56 stop at a
-    zerodivisor or at an element already in the ideal, 4 reach the unit
-    ideal and 20 a proper sum."""
+    colon for membership."""
+    # Of the 80 walks, 62 build a colon; 73 stop at a zerodivisor or
+    # at an element already in the ideal, 4 reach the unit ideal and
+    # 3 a proper sum.
     Q, elements = case
     got = Q._regular_sum(elements)
     expected = colon_regular_sum(Q, elements)
@@ -572,17 +576,17 @@ def test_bracket_kernels_match_the_target_basis_route(case):
     the example over F_2, x3^2 + x1^2 is a square, so x3^q is x1^q modulo
     it: the witness x3 lies in the target only through the parameter's
     power."""
-    # Of the 100 draws and the example, 79 end CLOSED_UP_TO and 22 with a
+    # Of the 100 draws and the example, 68 end CLOSED_UP_TO and 33 with a
     # witness, whose probe finds a member.  The depth kernels take the
-    # graded route 101 times (4 with a member) and fall back 28 times (18
-    # with a member); the probes take the graded route 4 times and fall
-    # back 18 times.
+    # graded route 115 times (13 with a member) and fall back 25 times (20
+    # with a member); the probes take the graded route 13 times and fall
+    # back 20 times.
     ring, defining, parameter, e_max = case
     kernel = quotients._bracket_kernel
 
     def checked(target, columns):
         got = kernel(target, columns)
-        assert got == bracket_kernel_by_target(Ideal(ring, target.generators), columns)
+        assert got[0] == bracket_kernel_by_target(Ideal(ring, target.generators), columns)
         return got
 
     Q = QuotientPresentation(ring, Ideal(ring, tuple(defining)))
@@ -593,15 +597,152 @@ def test_bracket_kernels_match_the_target_basis_route(case):
             pass
 
 
+@st.composite
+def closure_inputs(draw, depths=st.integers(1, 3), moves=st.booleans()):
+    """Closure inputs of every shape the socle and the depth loop meet:
+    those of ``graded_closure_inputs``; random graded rings in three
+    variables, one or two forms of degree 2 or 3 with parameters of degree
+    1 and 2 to make up three; or the cusp y^a = x^b with the parameter x.
+    A graded draw is moved, when ``moves`` draws True, by
+    x_i -> x_i + c*x_j*x_k with i < j <= k, which keeps the quotient
+    Artinian but makes the defining ideal and the parameters inhomogeneous.
+    e_max is drawn from ``depths``, and is at most 2 for p >= 5, where
+    some targets at q = p**3 take seconds to build."""
+    shape = draw(st.sampled_from(("lines or cone", "random", "cusp")))
+    if shape == "cusp":
+        p = draw(st.sampled_from((3, 5, 7)))
+        ring = PolyRing(p, ("x", "y"))
+        a = draw(st.integers(2, 4))
+        b = draw(st.integers(a + 1, a + 3))
+        return ring, [ring.parse(f"y^{a} - x^{b}")], [ring.parse("x")], min(draw(depths), 3 if p < 5 else 2)
+    if shape == "random":
+        p = draw(st.sampled_from((2, 3, 5)))
+        ring = PolyRing(p, ("x1", "x2", "x3"))
+
+        def form(degree):
+            monomials = [m for m in itertools.product(range(degree + 1), repeat=3) if sum(m) == degree]
+            chosen = draw(st.lists(st.sampled_from(monomials), min_size=1, max_size=4, unique=True))
+            return sum((ring.monomial(m, draw(st.integers(1, p - 1))) for m in chosen), ring.zero())
+
+        defining = [form(draw(st.integers(2, 3))) for _ in range(draw(st.integers(1, 2)))]
+        parameter = [form(draw(st.integers(1, 2))) for _ in range(3 - len(defining))]
+    else:
+        ring, defining, parameter, _ = draw(graded_closure_inputs())
+    if draw(moves):
+        v = [ring.variable(a) for a in ring.variables]
+        n = len(v)
+        images = list(v)
+        for i in range(n - 1):
+            j = draw(st.integers(i + 1, n - 1))
+            images[i] = v[i] + v[j] * v[draw(st.integers(j, n - 1))] * draw(st.integers(1, ring.p - 1))
+
+        def moved(g):
+            out = ring.zero()
+            for m, c in g.terms():
+                out = out + math.prod((y ** e for y, e in zip(images, m)), start=ring.constant(c))
+            return out
+
+        defining, parameter = [moved(g) for g in defining], [moved(g) for g in parameter]
+    return ring, defining, parameter, min(draw(depths), 3 if ring.p < 5 else 2)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(closure_inputs())
+@example((_F2, [_F2.parse("x1*x2"), _F2.parse("x1*x3"), _F2.parse("x2*x3")], [_F2.parse("x1 + x2 + x3")], 1))
+@example((_F2, [_F2.parse("x1*x2 + x3^3"), _F2.parse("x2^2 + x1")], [_F2.parse("x3")], 1))
+def test_socle_matches_one_normal_form_per_product(case):
+    """The socle skips the normal forms of the products x_v*m that are
+    standard monomials, and on homogeneous inputs of those above the top
+    standard degree; its basis equals the reference's, which reduces every
+    product (tests/support.py), on graded and inhomogeneous inputs alike.
+    The second example's defining ideal is inhomogeneous."""
+    # Of the 100 draws and the two examples, 85 are Artinian, 33 of them
+    # graded and 52 inhomogeneous (moved draws, cusps and the example), with
+    # socle dimensions 1 (69 times), 2 (14) and 3 (2); 17 are not Artinian.
+    ring, defining, parameter, _ = case
+    Q = QuotientPresentation(ring, Ideal(ring, tuple(defining)))
+    try:
+        got = Q.socle(Ideal(ring, tuple(parameter)))
+    except NotArtinian:
+        return
+    assert got.basis == support.socle_by_normal_forms(Ideal(ring, tuple(defining + parameter)))
+
+
+_LINES_N4 = PolyRing(3, ("z1", "z2", "z3", "z4"))
+_LINES_N3 = PolyRing(7, ("z1", "z2", "z3"))
+
+
+def _arrangement(ring, forms, parameter, e_max):
+    forms = [ring.parse(f) for f in forms]
+    return ring, [a * b for a, b in itertools.combinations(forms, 2)], [ring.parse(parameter)], e_max
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(closure_inputs(st.integers(2, 3), st.just(False)))
+@example(_arrangement(_LINES_N4, ("2*z1 + 2*z2", "2*z1 + 2*z2 + 2*z3 + z4", "2*z3 + 2*z4", "z2 + 2*z4"),
+                      "z1 + 2*z2 + z4", 3))
+@example(_arrangement(_LINES_N3, ("6*z2 + z3", "4*z1 + 2*z2 + 3*z3", "z2 + 5*z3"), "5*z1 + 6*z2 + 4*z3", 2))
+@example((_F2, [_F2.parse("x3^2 + x1^2")], [_F2.parse("x1"), _F2.parse("x2")], 3))
+def test_iterated_depth_columns_match_the_full_frobenius_powers(case):
+    """Depth e's columns are the p-th powers of the normal forms that depth
+    e - 1 handed back, not the b**(p**e) of the socle basis.  Each must be
+    b**(p**e) modulo the depth-e target, and each depth's kernel must equal
+    the reference kernel of the b**(p**e) modulo the target's own basis
+    (tests/support.py).  The examples are the benchmark's four lines at
+    p = 3 with e_max = 3, its first three lines at p = 7, and the F_2 cone
+    of the target-route test, which reaches depth 3."""
+    # Of the 200 draws and the three examples, 139 are Artinian, 54 of them
+    # cusps, and 64 are not.  The test checks 139 depths 1, 64 depths 2
+    # and 19 depths 3; 64 tests end CLOSED_UP_TO and 75 with a witness.
+    ring, defining, parameter, e_max = case
+    Q = QuotientPresentation(ring, Ideal(ring, tuple(defining)))
+    P = Ideal(ring, tuple(parameter))
+    kernel, calls = quotients._bracket_kernel, []
+
+    def recorded(target, columns):
+        got = kernel(target, columns)
+        calls.append((Ideal(ring, target.generators), columns, got[0]))
+        return got
+
+    with mock.patch.object(quotients, "_bracket_kernel", recorded):
+        try:
+            report = Q.frobenius_closure_test(P, e_max)
+        except NotArtinian:
+            return
+    basis = Q.socle(P).basis
+    depths = calls[:-1] if report.monotonicity_verified is not None else calls
+    for e, (target, columns, got) in enumerate(depths, 1):
+        powers = [b.frobenius_pow(e) for b in basis]
+        assert all(target.contains(c - b) for c, b in zip(columns, powers))
+        assert got == bracket_kernel_by_target(target, powers)
+
+
+def test_closure_raises_the_overflow_of_the_full_power_past_the_exponent_field():
+    """The cubic cone x^3 + y^3 + z^3 at p = 199 with parameters (x, y):
+    the socle z^2 at depth 2 has degree 2 * 39601 = 79202 > 65535, while
+    the parameters' powers x^39601 and y^39601 fit.  Past the exponent
+    field the depth forms z^2 ** 39601 from the socle basis, not from the
+    depth before, and raises the overflow of that power."""
+    R = PolyRing(199, ("x", "y", "z"))
+    Q = QuotientPresentation(R, _ideal(R, "x^3 + y^3 + z^3"))
+    with pytest.raises(ExponentOverflow, match=r"^an exponent times 39601 exceeds 65535$"):
+        Q.frobenius_closure_test(_ideal(R, "x", "y"), e_max=2)
+
+
 def test_closure_makes_one_normal_form_per_socle_element_and_depth(monkeypatch):
     """Five coordinate lines at p = 3, e_max = 2: socle dimension 4, so
     4 * 2 = 8 normal forms of Frobenius powers (the sweep made 80 * 2), on
-    top of 25 for the socle and 1 for the regular-sequence test, the
-    membership of the parameter itself.  The socle and the parameter have
-    degree 1, so each depth decides its kernel modulo the basis of defining
-    with one more normal form, that of the parameter's power, and builds
-    no target: 2 runs and 36 normal forms, where the targets' own bases
-    made 4 runs and 34.  The lines are homogeneous, so the
+    top of 1 for the socle and 1 for the regular-sequence test, the
+    membership of the parameter itself.  Of the socle's 25 products x_v*m,
+    the 20 of degree 2, above the top standard degree 1, are zero, and 4
+    more are standard monomials, so only x_v*1 of the one x_v that is not
+    standard takes a normal form (each of the 25 took one before).  The
+    socle and the parameter have degree 1, so each depth decides its kernel
+    modulo the basis of defining with one more normal form, that of the
+    parameter's power, and builds no target: 2 runs and 12 normal forms,
+    where the targets' own bases made 4 runs and 34.  Depth 2 raises the
+    normal forms of depth 1 to the p-th power, which counts as a
+    frobenius_pow each, as b**9 did.  The lines are homogeneous, so the
     test compares Hilbert numerators read off the bases of defining and of
     defining + parameter, and builds no colon.  The sum gets one Groebner
     basis, shared by the regular-sequence test and the socle.  On the cusp
@@ -609,7 +750,8 @@ def test_closure_makes_one_normal_form_per_socle_element_and_depth(monkeypatch):
     witness y at e = 1 ends the search: no later depth is solved.  The
     colon is one tracked run seeded with the basis of defining, which is
     no groebner_basis_of call (the elimination route made one), and it
-    adds no cofactor, so no normal form tests its generators."""
+    adds no cofactor, so no normal form tests its generators.  Its socle
+    takes 3 normal forms (was 4): y*1 is the standard monomial y."""
     counts = {"normal_form": 0, "frobenius_pow": 0, "groebner_basis_of": 0}
 
     def counted(name, original):
@@ -627,7 +769,7 @@ def test_closure_makes_one_normal_form_per_socle_element_and_depth(monkeypatch):
     assert (report.verdict, report.socle_dimension, report.combinations_tested) == (CLOSED_UP_TO, 4, 80)
     # frobenius_pow: the 8 socle powers and the parameter's 2 bracket powers;
     # Groebner bases: defining and defining + parameter
-    assert counts == {"normal_form": 8 + 2 + 25 + 1, "frobenius_pow": 8 + 2, "groebner_basis_of": 2}
+    assert counts == {"normal_form": 8 + 2 + 1 + 1, "frobenius_pow": 8 + 2, "groebner_basis_of": 2}
 
     counts.update(dict.fromkeys(counts, 0))
     R = PolyRing(5, ("x", "y"))
@@ -636,7 +778,7 @@ def test_closure_makes_one_normal_form_per_socle_element_and_depth(monkeypatch):
     assert report.witness.e == 1
     # e = 2 and e = 3 would add two normal forms, two powers and two bases;
     # the monotonicity probe reuses the depth-2 target, so x^[25] is formed once
-    assert counts == {"normal_form": 7, "frobenius_pow": 5, "groebner_basis_of": 4}
+    assert counts == {"normal_form": 6, "frobenius_pow": 5, "groebner_basis_of": 4}
 
 
 def test_closure_reaches_depth_three_on_a_five_line_arrangement():
