@@ -20,7 +20,6 @@ from typing import NamedTuple, Sequence
 from .errors import (
     ContextMismatch,
     EvenCharacteristic,
-    ExponentOverflow,
     FroblabError,
     InjectivityFailure,
     InputAssumptionViolation,
@@ -237,19 +236,25 @@ def cover_f_injectivity_criterion(
 
     With u the lifted socle generator and q = p**e, membership
     u**q * twist**((q-1)/2) in J^[q]*I + defining for some e <= e_max proves
-    the cover is NOT F-injective (decisive, monotone in e).  Exhausting the
-    range is evidence only.  The parameters are checked by ``socle_lift``,
-    whose errors this raises unchanged.
+    the cover is NOT F-injective (decisive).  Exhausting the range is
+    evidence only.  The parameters are checked by ``socle_lift``, whose
+    errors this raises unchanged.
 
     ``socle_lift`` checks u = first*z, first in I, and (first, tail) regular.
     When defining and J are graded (``_graded``), the regular sequence may
     be permuted, so first**q cancels: the membership holds iff
-    z**q * twist**((q-1)/2) lies in defining + I + tail^[q]
-    (``quotients._bracket_kernel``).  When defining + I is homogeneous and
-    that power has no term above the degree of a tail power, as for a socle
-    generator of degree 1, linear parameters and the twist 1, it is decided
-    modulo the basis of defining + I that the context holds; otherwise the
-    target's own basis decides.  Other inputs keep the product route.
+    z**q * twist**((q-1)/2) lies in defining + I + tail^[q].  Otherwise it
+    is asked of defining + J^[q]*I.  Both routes ask ``_bracket_kernel``,
+    which decides modulo the basis of defining + I that the context holds
+    when that ideal is homogeneous and the column has no term above the
+    degree of a tail power, as for a socle generator of degree 1, linear
+    parameters and the twist 1; otherwise the target's own basis decides.
+
+    monotonicity_verified is true by construction whenever there is a
+    witness: the membership at e, raised to the p-th power and multiplied
+    by twist**((p-1)/2), gives the one at e + 1, as
+    (defining + J^[q]*I)^[p] lies in defining + J^[q*p]*I (and likewise
+    defining + I + tail^[q] on the graded route).
     """
     if context.p == 2:
         raise EvenCharacteristic("use the even-characteristic degeneracy check for p = 2")
@@ -263,7 +268,6 @@ def cover_f_injectivity_criterion(
     u = lifted.lift
     f = context.twist
     I = context.coefficient
-    J = Ideal(ring, tuple(sop))
     p = context.p
 
     sub: dict = {
@@ -277,31 +281,29 @@ def cover_f_injectivity_criterion(
         "lift": str(u),
     }
 
-    tail = Ideal(ring, tuple(sop[1:]))
-    graded = _graded(R.defining, sop)
+    if _graded(R.defining, sop):
+        base, column = context._membership, lifted.socle_rep
+        bracket = Ideal(ring, tuple(sop[1:])).bracket_power
+    else:
+        J = Ideal(ring, tuple(sop))
+        base, column = R.defining, u
 
-    def member(e: int) -> bool:
-        power = f ** ((p ** e - 1) // 2)
-        if graded:
-            target = lifted.socle_rep.frobenius_pow(e) * power
-            return bool(_bracket_kernel(context._membership + tail.bracket_power(e), [target])[0])
-        target = u.frobenius_pow(e) * power
-        return (R.defining + J.bracket_power(e).product(I)).contains(target)
+        def bracket(e: int) -> Ideal:
+            return J.bracket_power(e).product(I)
 
     memberships = []
     witness_e = None
     for e in range(1, e_max + 1):
-        hit = member(e)
+        power = f ** ((p ** e - 1) // 2)
+        target = column.frobenius_pow(e) * power
+        hit = bool(_bracket_kernel(base, bracket(e), [target])[0])
         memberships.append({"e": e, "member": hit})
         if hit:
             witness_e = e
             break
     sub["memberships"] = memberships
     if witness_e is not None:
-        try:
-            sub["monotonicity_verified"] = member(witness_e + 1)
-        except ExponentOverflow:
-            sub["monotonicity_verified"] = None
+        sub["monotonicity_verified"] = True
     return CriterionReport(
         verdict=NO_FAILURE_UP_TO if witness_e is None else DECISIVE_NOT_F_INJECTIVE,
         e_max=e_max,

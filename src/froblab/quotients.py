@@ -9,15 +9,17 @@ defining ideal's basis in the ring's order.  A form x is a nonzerodivisor
 modulo a homogeneous ideal J exactly when the Hilbert series of S/(J + x)
 is (1 - t^deg x) times that of S/J, and both are read off the leading terms
 of grevlex bases; only inhomogeneous inputs build the colon (J : x).
-Likewise a membership in a homogeneous bracket-power target
+Likewise a membership in a homogeneous target defining + power, such as
 defining + parameter^[q], asked of Frobenius powers of degree at most that
-of every parameter power, is linear algebra on normal forms modulo the
+of every generator of power, is linear algebra on normal forms modulo the
 defining ideal's basis (``_bracket_kernel``); other targets are built only
 through the degree asked about when they are homogeneous.  No answer that
 is already known is asked for again: each Frobenius depth of the closure
-test starts from the normal forms of the one before, and a socle reduces
-only the products of a variable and a standard monomial that are neither
-standard nor, on a homogeneous ideal, above the top standard degree.
+test starts from the normal forms of the one before, a witness at depth e
+is one at every depth above, as the p-th bracket power of the depth-e
+target lies in the next, and a socle reduces only the products of a
+variable and a standard monomial that are neither standard nor, on a
+homogeneous ideal, above the top standard degree.
 """
 
 from __future__ import annotations
@@ -29,7 +31,6 @@ from typing import Sequence
 
 from .errors import (
     BudgetExceeded,
-    ExponentOverflow,
     FroblabError,
     InputAssumptionViolation,
     NotArtinian,
@@ -204,16 +205,14 @@ class QuotientPresentation:
         depth on a tie; combination_index is that index minus 1.  No
         combination is ever skipped, so the report is never partial.
 
-        Each kernel, and the monotonicity probe's membership, comes from
-        ``_bracket_kernel``.  When defining and the parameters are
-        homogeneous, so are the socle basis and the witness, and when no
-        b_i**q has a degree above that of a parameter's power, as for a
-        socle of degree 1 and linear parameters, the depth is decided modulo
-        the basis of defining, and no target is built.  Otherwise the
+        Each kernel comes from ``_bracket_kernel``.  When defining and the
+        parameters are homogeneous, so are the socle basis and the witness,
+        and when no b_i**q has a degree above that of a parameter's power, as
+        for a socle of degree 1 and linear parameters, the depth is decided
+        modulo the basis of defining, and no target is built.  Otherwise the
         depth-e target is asked only about the b_i**q, of degree at most
         q*max(deg b_i), so its basis is built only through that degree
-        (``Ideal.basis_through``), and the probe's power, of at most the
-        next depth's degree, reuses that depth's basis.
+        (``Ideal.basis_through``).
 
         A depth's columns need only be congruent to the b_i**q modulo its
         target T_e = defining + parameter^[q], and T_e**[p] lies in T_(e+1)
@@ -222,6 +221,10 @@ class QuotientPresentation:
         hands back for depth e.  While q*max(deg b_i) fits the exponent
         field, so do these powers; past it, the b_i**q are formed from the
         socle basis, so that an overflow is the one that power raises.
+
+        For the same reason monotonicity_verified is true by construction
+        whenever there is a witness: s**q in T_e gives s**(q*p) in
+        T_e**[p], inside T_(e+1), as Frobenius is additive on S.
         """
         if e_max < 0:
             raise InputAssumptionViolation(f"e_max must be nonnegative, got {e_max}")
@@ -235,15 +238,15 @@ class QuotientPresentation:
         if r and e_max:
             # every bracket power is formed up front, as the sweep did, so one
             # that leaves the exponent field raises whatever the witness
-            targets = [self.defining + parameter.bracket_power(e) for e in range(1, e_max + 1)]
+            powers = [parameter.bracket_power(e) for e in range(1, e_max + 1)]
             top = max(b.total_degree() for b in soc.basis)
             columns: Sequence[Polynomial] = soc.basis
-            for e, target in enumerate(targets, 1):
+            for e, power in enumerate(powers, 1):
                 if p ** e * top <= MAX_EXPONENT:
                     columns = [c.frobenius_pow(1) for c in columns]
                 else:
                     columns = [b.frobenius_pow(e) for b in soc.basis]
-                kernel, columns = _bracket_kernel(target, columns)
+                kernel, columns = _bracket_kernel(self.defining, power, columns)
                 if kernel:
                     # the first kernel vector in product order has its first
                     # nonzero coordinate as far right as the kernel allows:
@@ -255,61 +258,43 @@ class QuotientPresentation:
                     if best[0] == 1:
                         break  # no combination comes before (0, ..., 0, 1)
 
-        if best is None:
-            return ClosureReport(
-                verdict=CLOSED_UP_TO,
-                e_max=e_max,
-                witness=None,
-                regular_sequence_verified=regular,
-                socle_dimension=r,
-                combinations_tested=p ** r - 1 if r and e_max else 0,
-                monotonicity_verified=None,
-            )
-        index, e, vec = best
-        s = self.ring.zero()
-        for c, b in zip(vec, soc.basis):
-            if c:
-                s = s + b * c
-        try:
-            # below e_max the kernel loop already formed the depth-(e + 1) target
-            bigger = targets[e] if e < e_max else self.defining + parameter.bracket_power(e + 1)
-            monotone = bool(_bracket_kernel(bigger, [s.frobenius_pow(e + 1)])[0])
-        except ExponentOverflow:
-            monotone = None
-        witness = ClosureWitness(
-            element=str(s), e=e, combination_index=index - 1, coefficients=vec
-        )
+        witness, tested = None, p ** r - 1 if r and e_max else 0
+        if best is not None:
+            tested, e, vec = best
+            s = sum((b * c for c, b in zip(vec, soc.basis) if c), self.ring.zero())
+            witness = ClosureWitness(element=str(s), e=e, combination_index=tested - 1, coefficients=vec)
         return ClosureReport(
-            verdict=NOT_FROBENIUS_CLOSED,
+            verdict=CLOSED_UP_TO if witness is None else NOT_FROBENIUS_CLOSED,
             e_max=e_max,
             witness=witness,
             regular_sequence_verified=regular,
             socle_dimension=r,
-            combinations_tested=index,
-            monotonicity_verified=monotone,
+            combinations_tested=tested,
+            monotonicity_verified=None if witness is None else True,
         )
 
 
-def _bracket_kernel(target: Ideal, columns: Sequence[Polynomial]) -> tuple[list[list[int]], list[Polynomial]]:
-    """The reduced-echelon basis of {c : sum c_i*columns[i] in target}, for
-    a sum target = base + powers (``Ideal.__add__``) whose powers are
-    bracket generators y_j**q, and the columns' normal forms that decided
-    it, each congruent to its column modulo target.
+def _bracket_kernel(
+    base: Ideal, power: Ideal, columns: Sequence[Polynomial]
+) -> tuple[list[list[int]], list[Polynomial]]:
+    """The reduced-echelon basis of {c : sum c_i*columns[i] in base + power},
+    and the columns' normal forms that decided it, each congruent to its
+    column modulo base + power.
 
-    When base and every y_j**q are homogeneous and no column has a term of
-    degree above any deg y_j**q, a homogeneous h of degree D lies in target
-    iff h is in base + span{y_j**q of degree D}: a cofactor of y_j**q has
-    degree D - deg y_j**q <= 0.  Normal forms modulo base's cached grevlex
+    When base and every generator y_j of power are homogeneous and no column
+    has a term of degree above any deg y_j, a homogeneous h of degree D lies
+    in base + power iff h is in base + span{y_j of degree D}: a cofactor of
+    y_j has degree D - deg y_j <= 0.  This holds for any homogeneous y_j,
+    not only bracket powers.  Normal forms modulo base's cached grevlex
     basis keep degrees (Becker & Weispfenning, Groebner Bases, §10.2), and a
-    combination of columns lies in target iff each of its homogeneous parts
-    does, so the answer is the kernel of [NF(columns) | NF(y_j**q) for each
-    y_j**q of a degree some column reaches], cut to the columns'
-    coordinates; no Groebner run is made.  Otherwise target's own basis
-    decides: through the columns' degree when they are homogeneous
-    (``Ideal.basis_through``), else complete.
+    combination of columns lies in base + power iff each of its homogeneous
+    parts does, so the answer is the kernel of [NF(columns) | NF(y_j) for
+    each y_j of a degree some column reaches], cut to the columns'
+    coordinates; no Groebner run is made.  Otherwise the sum base + power
+    is formed and its own basis decides: through the columns' degree when
+    they are homogeneous (``Ideal.basis_through``), else complete.
     """
-    base, powers = target._summands
-    brackets = [y for y in powers.generators if not y.is_zero]
+    brackets = [y for y in power.generators if not y.is_zero]
     top = max(c.total_degree() for c in columns)
     if all(g.is_homogeneous() for g in base.generators + tuple(brackets)) and all(
         top <= y.total_degree() for y in brackets
@@ -318,15 +303,15 @@ def _bracket_kernel(target: Ideal, columns: Sequence[Polynomial]) -> tuple[list[
         reached = {sum(m) for c in columns for m, _ in c.terms()}
         brackets = [y for y in brackets if y.total_degree() in reached]
     elif all(c.is_homogeneous() for c in columns):
-        gb, brackets = target.basis_through(top), []
+        gb, brackets = (base + power).basis_through(top), []
     else:
-        gb, brackets = target.groebner_basis(GREVLEX), []
+        gb, brackets = (base + power).groebner_basis(GREVLEX), []
     vectors = [gb.normal_form(g) for g in [*columns, *brackets]]
     rows: dict[Monomial, list[int]] = {}
     for j, v in enumerate(vectors):
         for m, c in v.terms():
             rows.setdefault(m, [0] * len(vectors))[j] = c
-    p = target.ring.p
+    p = base.ring.p
     kernel = nullspace(list(rows.values()), len(vectors), p)
     return rref([v[:len(columns)] for v in kernel], p)[0], vectors[:len(columns)]
 

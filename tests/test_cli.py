@@ -45,7 +45,7 @@ GOLDEN_WORK = {
     "gb": (1, 0),
     "membership": (1, 1),
     "fpure": (0, 0),
-    "fclosure": (5, 6),
+    "fclosure": (4, 5),
     "cover-check": (4, 8),
     "pipeline": (10, 86),
 }
@@ -78,8 +78,10 @@ def test_golden_commands_make_their_pinned_runs_and_normal_forms(capsys, monkeyp
     that is neither a standard monomial nor, on a homogeneous ideal, above
     the top standard degree: fclosure's socle takes 3 (was 4), cover-check's
     socle lift 0 (was 2), and pipeline's socle lift and probe 5 (was 14), so
-    fclosure makes 6 normal forms (was 7), cover-check 8 (was 10) and
-    pipeline 86 (was 95)."""
+    cover-check makes 8 normal forms (was 10) and pipeline 86 (was 95).
+    fclosure's witness y at e = 1 is one at every depth above, so no
+    membership at e = 2 is asked: 4 runs and 5 normal forms, where the
+    monotonicity probe that asked it made 5 and 6."""
     counts = [0, 0]
     run, normal_form = groebner._buchberger, GroebnerBasis.normal_form
 

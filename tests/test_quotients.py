@@ -136,9 +136,11 @@ def test_regular_sum_builds_a_colon_only_off_homogeneous_inputs(monkeypatch):
 
 @st.composite
 def homogeneous_sequences(draw):
-    """A homogeneous defining ideal in three variables over F_p, partly
-    l*K for a linear form l so that zerodivisors occur, and up to three
-    forms of degree 0, 1 or 2, l itself among them when drawn."""
+    """A homogeneous defining ideal in three variables over F_p, at most
+    one l*K for a linear form l, so that zerodivisors occur, and at most one
+    other form, and one or two forms of degree 0, 1 or 2, with l among them
+    when drawn.  Few defining generators and few units leave room for
+    walks that reach a proper sum."""
     p = draw(st.sampled_from((2, 3, 5, 7)))
     ring = PolyRing(p, ("x", "y", "z"))
     coefficient = st.integers(1, p - 1)
@@ -151,10 +153,11 @@ def homogeneous_sequences(draw):
         return g
 
     line = form(1)
-    defining = [line * form(draw(st.integers(1, 2))) for _ in range(draw(st.integers(0, 2)))]
-    defining += [form(draw(st.integers(1, 3))) for _ in range(draw(st.integers(0, 2)))]
-    degree = st.sampled_from((0, 1, 1, 2, 2))  # a unit ends the walk, so draw few
-    elements = [form(draw(degree)) for _ in range(draw(st.integers(1, 3)))]
+    defining = [line * form(draw(st.integers(1, 2))) for _ in range(draw(st.integers(0, 1)))]
+    defining += [form(draw(st.integers(1, 3))) for _ in range(draw(st.integers(0, 1)))]
+    # a unit ends the walk, so draw few: last, as the first choice is drawn most
+    degree = st.sampled_from((1, 2, 1, 2, 0))
+    elements = [form(draw(degree)) for _ in range(draw(st.integers(1, 2)))]
     if draw(st.booleans()):
         elements.insert(draw(st.integers(0, len(elements))), line)
     return QuotientPresentation(ring, Ideal(ring, tuple(defining))), elements
@@ -165,8 +168,8 @@ def homogeneous_sequences(draw):
 def test_regular_sum_matches_the_colon_route_on_homogeneous_inputs(case):
     """On homogeneous inputs _regular_sum decides each step by Hilbert
     numerators, where the reference builds the colon."""
-    # Of the 80 walks, 47 stop at a zerodivisor, 19 at an element already
-    # in the ideal, 11 reach the unit ideal and 3 a proper sum.
+    # Of the 80 walks, 39 stop at a zerodivisor, 14 at an element already
+    # in the ideal, 4 reach the unit ideal and 23 a proper sum.
     Q, elements = case
     got = Q._regular_sum(elements)
     expected = colon_regular_sum(Q, elements)
@@ -178,10 +181,11 @@ def test_regular_sum_matches_the_colon_route_on_homogeneous_inputs(case):
 
 @st.composite
 def inhomogeneous_sequences(draw):
-    """A defining ideal in three variables over F_p, partly l*K for a
-    polynomial l so that zerodivisors occur, and up to three polynomials,
-    l itself among them when drawn; every term has degree at most 2, and
-    the defining ideal and the elements are not all homogeneous."""
+    """A defining ideal in three variables over F_p, at most one l*K for a
+    polynomial l, so that zerodivisors occur, and at most one other
+    polynomial, and one or two polynomials, with l among them when drawn;
+    every term has degree at most 2, few elements have a constant term,
+    and the defining ideal and the elements are not all homogeneous."""
     p = draw(st.sampled_from((2, 3, 5, 7)))
     ring = PolyRing(p, ("x", "y", "z"))
     monomials = [m for m in itertools.product(range(3), repeat=3) if sum(m) <= 2]
@@ -194,9 +198,9 @@ def inhomogeneous_sequences(draw):
         return g
 
     line = poly(1)
-    defining = [line * poly(1) for _ in range(draw(st.integers(0, 2)))]
-    defining += [poly(1) for _ in range(draw(st.integers(0, 2)))]
-    elements = [poly(draw(st.sampled_from((0, 1, 1)))) for _ in range(draw(st.integers(1, 3)))]
+    defining = [line * poly(1) for _ in range(draw(st.integers(0, 1)))]
+    defining += [poly(1) for _ in range(draw(st.integers(0, 1)))]
+    elements = [poly(draw(st.sampled_from((0, 1, 1, 1, 1)))) for _ in range(draw(st.integers(1, 2)))]
     if draw(st.booleans()):
         elements.insert(draw(st.integers(0, len(elements))), line)
     assume(not all(g.is_homogeneous() for g in defining + elements))
@@ -209,9 +213,9 @@ def test_regular_sum_matches_the_colon_route_on_inhomogeneous_inputs(case):
     """Off homogeneous inputs _regular_sum decides each step by whether the
     colon adds a cofactor, where the reference tests every generator of the
     colon for membership."""
-    # Of the 80 walks, 62 build a colon; 73 stop at a zerodivisor or
-    # at an element already in the ideal, 4 reach the unit ideal and
-    # 3 a proper sum.
+    # Of the 80 walks, 72 build a colon; 28 stop at a zerodivisor, 10 at
+    # an element already in the ideal, 5 reach the unit ideal and 37 a
+    # proper sum.
     Q, elements = case
     got = Q._regular_sum(elements)
     expected = colon_regular_sum(Q, elements)
@@ -323,38 +327,16 @@ def test_closure_witness_on_the_cusp():
     assert (Q.defining + _ideal(R, "x").bracket_power(1)).contains(R.parse("y").frobenius_pow(1))
 
 
-def _cusp_closure_failing_above_one(monkeypatch, error):
-    """The closure test of (x) on the cusp over F_5 at e_max = 1, with every
-    bracket power above 1 raising ``error``: only the probe at e + 1 = 2
-    forms one."""
-    R = PolyRing(5, ("x", "y"))
+def test_closure_reports_monotonicity_where_the_next_depth_overflows():
+    """The cusp y^2 = x^3 over F_257 with the parameter x, e_max = 1: the
+    witness is y at e = 1.  Depth 2 would form x^66049, past the exponent
+    field, but it needs no asking: T_1^[p] lies in T_2, so
+    monotonicity_verified is true."""
+    R = PolyRing(257, ("x", "y"))
     Q = QuotientPresentation(R, _ideal(R, "y^2 - x^3"))
-    bracket_power = Ideal.bracket_power
-
-    def failing_above_one(self, e):
-        if e > 1:
-            raise error
-        return bracket_power(self, e)
-
-    monkeypatch.setattr(Ideal, "bracket_power", failing_above_one)
-    return Q.frobenius_closure_test(_ideal(R, "x"), e_max=1)
-
-
-def test_closure_monotonicity_probe_lets_foreign_errors_through(monkeypatch):
-    """Only an ExponentOverflow turns the probe at e + 1 into null: a fault,
-    or a BudgetExceeded that stopped the probe's Buchberger run, must reach
-    the caller."""
-    with pytest.raises(RuntimeError, match="fault inside the probe"):
-        _cusp_closure_failing_above_one(monkeypatch, RuntimeError("fault inside the probe"))
-    with pytest.raises(BudgetExceeded):
-        _cusp_closure_failing_above_one(monkeypatch, BudgetExceeded("S-pair budget exhausted"))
-
-
-def test_closure_monotonicity_probe_reports_an_overflow_as_unknown(monkeypatch):
-    report = _cusp_closure_failing_above_one(monkeypatch, ExponentOverflow("too deep"))
-    assert report.verdict == NOT_FROBENIUS_CLOSED
-    assert report.witness.e == 1
-    assert report.monotonicity_verified is None
+    report = Q.frobenius_closure_test(_ideal(R, "x"), e_max=1)
+    assert (report.verdict, report.witness.element, report.witness.e) == (NOT_FROBENIUS_CLOSED, "y", 1)
+    assert report.monotonicity_verified is True
 
 
 def test_closure_witness_with_socle_dimension_six():
@@ -570,23 +552,20 @@ _F2 = PolyRing(2, ("x1", "x2", "x3"))
 @given(graded_closure_inputs())
 @example((_F2, [_F2.parse("x3^2 + x1^2")], [_F2.parse("x1"), _F2.parse("x2")], 2))
 def test_bracket_kernels_match_the_target_basis_route(case):
-    """Every kernel the closure test asks of _bracket_kernel, at each depth
-    and in the monotonicity probe, equals the kernel modulo the target's
-    own basis (tests/support.py), taken on a fresh copy of the target.  In
-    the example over F_2, x3^2 + x1^2 is a square, so x3^q is x1^q modulo
-    it: the witness x3 lies in the target only through the parameter's
-    power."""
-    # Of the 100 draws and the example, 68 end CLOSED_UP_TO and 33 with a
-    # witness, whose probe finds a member.  The depth kernels take the
-    # graded route 115 times (13 with a member) and fall back 25 times (20
-    # with a member); the probes take the graded route 13 times and fall
-    # back 20 times.
+    """Every kernel the closure test asks of _bracket_kernel, at each depth,
+    equals the kernel modulo the target's own basis (tests/support.py),
+    taken on a fresh target defining + parameter^[q].  In the example over
+    F_2, x3^2 + x1^2 is a square, so x3^q is x1^q modulo it: the witness x3
+    lies in the target only through the parameter's power."""
+    # Of the 100 draws and the example, 56 end CLOSED_UP_TO and 45 with a
+    # witness.  The depth kernels take the graded route 67 times (13 with a
+    # member) and fall back 52 times (32 with a member).
     ring, defining, parameter, e_max = case
     kernel = quotients._bracket_kernel
 
-    def checked(target, columns):
-        got = kernel(target, columns)
-        assert got[0] == bracket_kernel_by_target(Ideal(ring, target.generators), columns)
+    def checked(base, power, columns):
+        got = kernel(base, power, columns)
+        assert got[0] == bracket_kernel_by_target(Ideal(ring, base.generators + power.generators), columns)
         return got
 
     Q = QuotientPresentation(ring, Ideal(ring, tuple(defining)))
@@ -691,30 +670,59 @@ def test_iterated_depth_columns_match_the_full_frobenius_powers(case):
     (tests/support.py).  The examples are the benchmark's four lines at
     p = 3 with e_max = 3, its first three lines at p = 7, and the F_2 cone
     of the target-route test, which reaches depth 3."""
-    # Of the 200 draws and the three examples, 139 are Artinian, 54 of them
-    # cusps, and 64 are not.  The test checks 139 depths 1, 64 depths 2
-    # and 19 depths 3; 64 tests end CLOSED_UP_TO and 75 with a witness.
+    # Of the 200 draws and the three examples, 150 are Artinian, 42 of them
+    # cusps, and 53 are not.  The test checks 150 depths 1, 81 depths 2
+    # and 14 depths 3; 81 tests end CLOSED_UP_TO and 69 with a witness.
     ring, defining, parameter, e_max = case
     Q = QuotientPresentation(ring, Ideal(ring, tuple(defining)))
     P = Ideal(ring, tuple(parameter))
     kernel, calls = quotients._bracket_kernel, []
 
-    def recorded(target, columns):
-        got = kernel(target, columns)
-        calls.append((Ideal(ring, target.generators), columns, got[0]))
+    def recorded(base, power, columns):
+        got = kernel(base, power, columns)
+        calls.append((Ideal(ring, base.generators + power.generators), columns, got[0]))
         return got
 
     with mock.patch.object(quotients, "_bracket_kernel", recorded):
         try:
-            report = Q.frobenius_closure_test(P, e_max)
+            Q.frobenius_closure_test(P, e_max)
         except NotArtinian:
             return
     basis = Q.socle(P).basis
-    depths = calls[:-1] if report.monotonicity_verified is not None else calls
-    for e, (target, columns, got) in enumerate(depths, 1):
+    for e, (target, columns, got) in enumerate(calls, 1):
         powers = [b.frobenius_pow(e) for b in basis]
         assert all(target.contains(c - b) for c, b in zip(columns, powers))
         assert got == bracket_kernel_by_target(target, powers)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(closure_inputs(st.integers(2, 3), st.just(False)))
+def test_a_witness_is_a_member_one_depth_further(case):
+    """monotonicity_verified is true by construction whenever there is a
+    witness: for a witness s at a depth e below e_max, s**(p**(e + 1)) lies
+    in defining + parameter^[p**(e + 1)], by the kernel of that target's
+    own basis (tests/support.py)."""
+    # Of the 100 draws, 67 are Artinian, 25 of them cusps, and 33 are not;
+    # 27 end CLOSED_UP_TO and 40 with a witness, each at e = 1 and checked
+    # at e = 2.
+    ring, defining, parameter, e_max = case
+    Q = QuotientPresentation(ring, Ideal(ring, tuple(defining)))
+    P = Ideal(ring, tuple(parameter))
+    try:
+        report = Q.frobenius_closure_test(P, e_max)
+    except NotArtinian:
+        return
+    if report.witness is None:
+        return
+    assert report.monotonicity_verified is True
+    e = report.witness.e + 1
+    if e > e_max:
+        return
+    target = Ideal(ring, tuple(defining) + P.bracket_power(e).generators)
+    span = Echelon(ring.p)
+    for row in bracket_kernel_by_target(target, [b.frobenius_pow(e) for b in Q.socle(P).basis]):
+        span.add(row)
+    assert span.contains(list(report.witness.coefficients))
 
 
 def test_closure_raises_the_overflow_of_the_full_power_past_the_exponent_field():
@@ -747,7 +755,10 @@ def test_closure_makes_one_normal_form_per_socle_element_and_depth(monkeypatch):
     defining + parameter, and builds no colon.  The sum gets one Groebner
     basis, shared by the regular-sequence test and the socle.  On the cusp
     y^2 = x^3 at p = 5 the regular-sequence test keeps its colon, and the
-    witness y at e = 1 ends the search: no later depth is solved.  The
+    witness y at e = 1 ends the search: no later depth is solved, and no
+    membership at e = 2 is asked, since a witness at e is one at every
+    depth above (the probe of that membership made one normal form, one
+    Frobenius power and one Groebner run more).  The
     colon is one tracked run seeded with the basis of defining, which is
     no groebner_basis_of call (the elimination route made one), and it
     adds no cofactor, so no normal form tests its generators.  Its socle
@@ -776,9 +787,8 @@ def test_closure_makes_one_normal_form_per_socle_element_and_depth(monkeypatch):
     Q = QuotientPresentation(R, _ideal(R, "y^2 - x^3"))
     report = Q.frobenius_closure_test(_ideal(R, "x"), e_max=3)
     assert report.witness.e == 1
-    # e = 2 and e = 3 would add two normal forms, two powers and two bases;
-    # the monotonicity probe reuses the depth-2 target, so x^[25] is formed once
-    assert counts == {"normal_form": 6, "frobenius_pow": 5, "groebner_basis_of": 4}
+    # e = 2 and e = 3 would add two normal forms, two powers and two bases
+    assert counts == {"normal_form": 5, "frobenius_pow": 4, "groebner_basis_of": 3}
 
 
 def test_closure_reaches_depth_three_on_a_five_line_arrangement():
@@ -801,18 +811,19 @@ def test_closure_reaches_depth_three_on_a_five_line_arrangement():
     assert (report.verdict, report.socle_dimension, report.combinations_tested) == (CLOSED_UP_TO, 4, 624)
 
 
-def test_closure_probe_reuses_the_next_depth_target(monkeypatch):
+def test_closure_builds_each_depth_target_once(monkeypatch):
     """A witness below e_max on an input whose socle degree exceeds its
     parameters' degree, so each depth builds its target: the cubic cone
     x^3 + y^3 + z^3 at p = 5 with parameters (x, y), where z^2 is the
-    witness at e = 1.  The kernel loop has already formed
-    defining + parameter^[p^(e+1)], and the monotonicity probe tests
-    against that ideal instead of building its basis again: 5 runs, all
-    distinct.  On six coordinate lines with x1^2 and the squares of the
-    other variables as parameters, the socle has degree 1 and the
-    parameters degree 2, so neither the kernels nor the probe build a
-    target: the 3 runs are defining, defining + x2^2, where the
-    regular-sequence walk stops, and defining + parameter for the socle."""
+    witness at e = 1.  The 4 runs are distinct: defining, defining + x for
+    the regular-sequence walk, defining + parameter for the socle and the
+    depth-1 target.  No membership at e + 1 is asked, since the witness is
+    one at every depth above, so the depth-2 target the probe tested (a
+    fifth run) is no longer built.  On six coordinate lines with x1^2 and
+    the squares of the other variables as parameters, the socle has degree
+    1 and the parameters degree 2, so no depth builds a target: the 3 runs
+    are defining, defining + x2^2, where the regular-sequence walk stops,
+    and defining + parameter for the socle."""
     runs = []
     run = ideals.groebner_basis_of
 
@@ -825,7 +836,7 @@ def test_closure_probe_reuses_the_next_depth_target(monkeypatch):
     Q = QuotientPresentation(R, _ideal(R, "x^3 + y^3 + z^3"))
     report = Q.frobenius_closure_test(_ideal(R, "x", "y"), e_max=2)
     assert (report.witness.element, report.witness.e, report.monotonicity_verified) == ("z^2", 1, True)
-    assert (len(runs), len(set(runs))) == (5, 5)
+    assert (len(runs), len(set(runs))) == (4, 4)
 
     runs.clear()
     ring, v, lines = _coordinate_lines(3, 6)
