@@ -37,9 +37,7 @@ from .reports import (
     CLOSED_UP_TO,
     DECISIVE_NOT_F_INJECTIVE,
     NO_FAILURE_UP_TO,
-    NOT_FROBENIUS_CLOSED,
     P2_DEGENERATE,
-    ClosureReport,
     CriterionReport,
     PipelineReport,
 )

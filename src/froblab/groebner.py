@@ -1,12 +1,12 @@
 """Buchberger's algorithm and multivariate division over prime fields.
 
 A run takes one of two loops, which return the same reduced basis.  A plain
-run, with no seed, no tags and no degree bound, in grevlex, of at most as
-many generators as variables, one of which has more than two terms, takes
-the signature loop; every other run takes the pair loop.  Most S-pairs of a
-plain run reduce to zero, and signatures predict those reductions from
-syzygies the run already knows.  The rest of the rule keeps the pair loop
-where the prediction does not pay.  More generators than variables are
+run, with no seed and no tags, in grevlex, of at most as many generators
+as variables, one of which has more than two terms, takes the signature
+loop; every other run takes the pair loop.  Most S-pairs of a plain run
+reduce to zero, and signatures predict those reductions from syzygies the
+run already knows.  The rest of the rule keeps the pair loop where the
+prediction does not pay.  More generators than variables are
 never a regular sequence, so their non-Koszul syzygies still surface as
 zero reductions, and the pair loop's chain criterion finds those more
 cheaply.  The S-polynomials and remainders of binomials are binomials, so a
@@ -63,15 +63,6 @@ signature is reduced: the next meets the first's zero reduction, or is
 covered by the first's element or by what covered the first.  Every J-pair
 formed is charged to the pair budget.  The loop ends in the pair loop's
 minimalization and interreduction, so it returns the pair loop's basis.
-
-A run on homogeneous inputs may stop at a degree D: it takes no generator,
-seed element or pair of degree above D.  For homogeneous inputs sugar is
-degree and every S-polynomial reduces within its degree, so the run ends
-with the elements of degree at most D of the reduced basis, a D-Groebner
-basis (Becker & Weispfenning, *Groebner Bases*, section 10.2; Singular's
-``degBound``).  It decides the normal forms of homogeneous polynomials of
-degree at most D exactly, since a lead of higher degree divides none of
-their terms.
 
 A tracked run (``syzygy_images``) is the pair loop on a seed of P plus
 generators g*t_k, for one fixed g and tags t_k.  Each element f also
@@ -416,17 +407,13 @@ class _PairQueue:
 class GroebnerBasis:
     """A reduced monic Groebner basis, sorted by descending leading monomial.
 
-    With ``degree`` set, it holds only the elements of degree at most
-    ``degree`` of a homogeneous ideal's reduced basis, and decides only
-    homogeneous polynomials of degree at most ``degree``.  ``generators``
-    are the polynomials the run was built from, which a run seeded with
-    this basis skips.
+    ``generators`` are the polynomials the run was built from, which a run
+    seeded with this basis skips.
     """
 
     ring: PolyRing
     order: MonomialOrder
     polys: tuple[Polynomial, ...]
-    degree: int | None = None
     generators: tuple[Polynomial, ...] = field(default=(), compare=False, repr=False)
     # the polys as packed monic divisors (``Packing.divisor``) in the
     # layout of ``order``, in the same order; a run hands over its own, and
@@ -450,9 +437,6 @@ class GroebnerBasis:
     def normal_form(self, g: Polynomial) -> Polynomial:
         if g.ring != self.ring:
             raise RingMismatch("polynomial from a different ring")
-        if self.degree is not None and not (g.is_homogeneous() and g.total_degree() <= self.degree):
-            raise ValueError(f"a basis through degree {self.degree} decides only homogeneous "
-                             f"polynomials of degree at most {self.degree}")
         if not self.polys:
             return g
         pk, own = self.packing, self.ring.packing
@@ -472,10 +456,9 @@ class GroebnerBasis:
         Frobenius is additive and fixes F_p, and m -> m**(p**e) preserves the
         monomial order and divisibility of monomials.  With q = p**e, each
         packed divisor is scaled field by field, times q, with its
-        coefficients kept, since c**q = c in F_p, the polys are rebuilt from
-        the scaled divisors, and a basis through degree D gives one through
-        D*q.  Raises ExponentOverflow when an image exponent leaves the
-        exponent field.
+        coefficients kept, since c**q = c in F_p, and the polys are rebuilt
+        from the scaled divisors.  Raises ExponentOverflow when an image
+        exponent leaves the exponent field.
         """
         q = self.ring.p ** e
         pk, own = self.packing, self.ring.packing
@@ -483,8 +466,7 @@ class GroebnerBasis:
             (lead * q, bound * q, pk.scaled(tail, q, pk.bound((lead, bound)))) for lead, bound, tail in self.divisors
         )
         polys = tuple(self.ring._poly(_repack({lead: 1, **tail}, pk, own)) for lead, _, tail in divisors)
-        degree = None if self.degree is None else self.degree * q
-        return GroebnerBasis(self.ring, self.order, polys, degree, generators, divisors)
+        return GroebnerBasis(self.ring, self.order, polys, generators, divisors)
 
 
 def buchberger(
@@ -508,33 +490,25 @@ def groebner_basis_of(
     order: MonomialOrder | None = None,
     *,
     seed: GroebnerBasis | None = None,
-    degree: int | None = None,
 ) -> GroebnerBasis:
     """Like ``buchberger`` but tolerates an empty generator list (zero ideal).
 
-    A ``seed`` is the complete reduced basis, in the same ring and order, of
-    an ideal inside the one the generators span, such as a summand's cached
+    A ``seed`` is the reduced basis, in the same ring and order, of an
+    ideal inside the one the generators span, such as a summand's cached
     basis: the run starts from it, never forms the pairs among its elements
     and skips the generators it was built from.  The result is the same
     reduced basis as without it.
-
-    With ``degree``, every generator and seed element must be homogeneous,
-    and the run stops at that degree (see the module docstring).  The
-    result records ``degree`` unless the run left nothing out, in which
-    case it is the complete basis.
     """
     order = order or ring.order
     gens = [g for g in generators if not g.is_zero]
     for g in gens:
         if g.ring != ring:
             raise RingMismatch("generator from a different ring")
-    if seed is not None and (seed.ring != ring or seed.order != order or seed.degree is not None):
-        raise ValueError("the seed basis is in another ring or order, or is bounded by a degree")
-    if degree is not None and not all(g.is_homogeneous() for g in gens + list(seed.polys if seed else ())):
-        raise ValueError("a run bounded by a degree needs homogeneous generators and seed")
+    if seed is not None and (seed.ring != ring or seed.order != order):
+        raise ValueError("the seed basis is in another ring or order")
     if not gens:
         return GroebnerBasis(ring, order, ())
-    return _buchberger(ring, gens, order, seed, degree=degree)
+    return _buchberger(ring, gens, order, seed)
 
 
 def syzygy_images(
@@ -572,19 +546,17 @@ def _buchberger(
     order: MonomialOrder,
     seed: GroebnerBasis | None = None,
     tags: Sequence[Polynomial] | None = None,
-    *,
-    degree: int | None = None,
 ) -> GroebnerBasis | list[Polynomial]:
-    """The reduced basis of (seed) + (gens), through ``degree`` if given;
-    with ``tags``, where gens[k] is g*tags[k] for one fixed g, a tracked run
-    that returns the images of the syzygies instead (see
-    ``syzygy_images``).  A plain grevlex run of at most as many generators
-    as variables, not all of them binomials, takes the signature loop, any
-    other run the pair loop (see the module docstring)."""
-    plain = seed is None and tags is None and degree is None
+    """The reduced basis of (seed) + (gens); with ``tags``, where gens[k]
+    is g*tags[k] for one fixed g, a tracked run that returns the images of
+    the syzygies instead (see ``syzygy_images``).  A plain grevlex run of
+    at most as many generators as variables, not all of them binomials,
+    takes the signature loop, any other run the pair loop (see the module
+    docstring)."""
+    plain = seed is None and tags is None
     if plain and order.kind == "grevlex" and len(gens) <= ring.nvars and any(len(g._terms) > 2 for g in gens):
         return _signature_loop(ring, gens, order)
-    return _pair_loop(ring, gens, order, seed, tags, degree=degree)
+    return _pair_loop(ring, gens, order, seed, tags)
 
 
 def _pair_loop(
@@ -593,8 +565,6 @@ def _pair_loop(
     order: MonomialOrder,
     seed: GroebnerBasis | None = None,
     tags: Sequence[Polynomial] | None = None,
-    *,
-    degree: int | None = None,
 ) -> GroebnerBasis | list[Polynomial]:
     """``_buchberger`` on S-pairs kept by the Gebauer-Moeller update."""
     p, own = ring.p, ring.packing
@@ -642,25 +612,14 @@ def _pair_loop(
     # Packing; the generators then enter reduced against the basis so far,
     # in a run neither seeded nor tracked only those whose lead it divides.
     # An untracked run skips the generators known to lie in the seed's
-    # ideal.  Whatever lies above ``degree`` stays out, and the run is then
-    # truncated.
-    limit = float("inf") if degree is None else degree
+    # ideal.
     seeded = seed.polys if seed is not None else ()
     known = {id(g) for g in seed.generators + seeded} if seeded and not tracked else ()
-    truncated = False
     for g, divisor in zip(seeded, seed.divisors if seeded else ()):
-        sugar = g.total_degree()
-        if sugar > limit:
-            truncated = True
-        else:
-            pairs.add_processed(divisor[0], sugar)
-            basis.append(divisor)
+        pairs.add_processed(divisor[0], g.total_degree())
+        basis.append(divisor)
     for k, g in enumerate(gens):
         if id(g) in known:
-            continue
-        sugar = g.total_degree()
-        if sugar > limit:
-            truncated = True
             continue
         terms = _repack(g._terms, own, pk)
         steps = tag = None
@@ -669,12 +628,11 @@ def _pair_loop(
         lead = max(terms, key=pk.mask.__xor__) | guard
         if seeded or tracked or any((lead - d[0]) & guard == guard for d in basis):
             terms = _reduce(terms, basis, p, pk, memo, steps)
-        enter(terms, sugar, tag, steps)
-    if seeded and len(basis) == len(seeded) and not (tracked or truncated):
+        enter(terms, g.total_degree(), tag, steps)
+    if seeded and len(basis) == len(seeded) and not tracked:
         return seed  # every generator lies in the seed's ideal
 
-    # the heap pops by sugar first, so the pairs left are all above degree
-    while pairs.heap and pairs.heap[0][0] <= limit:
+    while pairs.heap:
         sugar, lcm, i, j = pairs.pop()
         s = _s_polynomial(basis[i], basis[j], lcm, p, guard)
         # logged as two steps, the S-polynomial's tag is qi*tag_i - qj*tag_j
@@ -684,12 +642,11 @@ def _pair_loop(
     if tracked:
         return [ring._poly(_repack(t, pk, own)) for t in images]
 
-    truncated = truncated or bool(pairs.heap)
-    return _reduced_basis(ring, order, [basis[t] for t in pairs.active], gens, degree if truncated else None)
+    return _reduced_basis(ring, order, [basis[t] for t in pairs.active], gens)
 
 
 def _reduced_basis(
-    ring: PolyRing, order: MonomialOrder, elements: list[tuple], gens: list[Polynomial], degree: int | None
+    ring: PolyRing, order: MonomialOrder, elements: list[tuple], gens: list[Polynomial]
 ) -> GroebnerBasis:
     """The reduced basis from the packed monic divisors of a run whose leads
     generate the ideal's leading monomials."""
@@ -713,7 +670,7 @@ def _reduced_basis(
         tail = _reduce(tail, reduced, p, pk, memo)
         reduced.append((lead, pk.bound(tail), tail))
         polys.append(ring._poly(_repack({lead: 1, **tail}, pk, own)))
-    return GroebnerBasis(ring, order, tuple(reversed(polys)), degree, tuple(gens), tuple(reversed(reduced)))
+    return GroebnerBasis(ring, order, tuple(reversed(polys)), tuple(gens), tuple(reversed(reduced)))
 
 
 @cache
@@ -856,4 +813,4 @@ def _signature_loop(ring: PolyRing, gens: list[Polynomial], order: MonomialOrder
         degrees.append(deg)
         ratios.append(ratio)
         covers[sig & index].append((ratio, (sig >> shift) ^ smask))
-    return _reduced_basis(ring, order, basis, gens, None)
+    return _reduced_basis(ring, order, basis, gens)

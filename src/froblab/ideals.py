@@ -7,9 +7,7 @@ basis per monomial order.  A sum remembers its two summands, and its basis
 is built from a summand's cached basis in the same order when there is one.
 Intersections and colons come from tracked grevlex runs seeded with such a
 cached basis (``groebner.syzygy_images``).  ``eliminate`` is the one lex
-run.  Extensional equality always compares reduced grevlex bases.  A
-homogeneous ideal may also keep a grevlex basis built only through the
-degree its queries reach (``basis_through``).
+run.  Extensional equality always compares reduced grevlex bases.
 """
 
 from __future__ import annotations
@@ -90,8 +88,7 @@ class Ideal:
                 raise RingMismatch("generator from a different ring")
         self.ring = ring
         self.generators = gens
-        self._gb: dict[MonomialOrder, GroebnerBasis] = {}  # complete bases
-        self._bounded: GroebnerBasis | None = None  # grevlex, through a degree
+        self._gb: dict[MonomialOrder, GroebnerBasis] = {}
         self._numerator: list[int] | None = None
         self._summands: tuple[Ideal, ...] = ()
 
@@ -109,24 +106,6 @@ class Ideal:
             gb = groebner_basis_of(self.ring, self.generators, order, seed=self._seed(order))
             # setdefault keeps the first basis stored, so every caller shares it
             gb = self._gb.setdefault(order, gb)
-        return gb
-
-    def basis_through(self, degree: int) -> GroebnerBasis:
-        """A grevlex basis that decides the normal forms of homogeneous
-        polynomials of degree at most ``degree``.  It is the complete basis
-        if one is cached or the ideal is not homogeneous, else the kept
-        bounded basis if it reaches ``degree``, else a basis built only
-        through ``degree``, seeded as ``groebner_basis`` seeds, and kept."""
-        if not all(g.is_homogeneous() for g in self.generators):
-            return self.groebner_basis(GREVLEX)
-        gb = self._gb.get(GREVLEX) or self._bounded
-        if gb is None or gb.degree is not None and gb.degree < degree:
-            gb = groebner_basis_of(self.ring, self.generators, GREVLEX,
-                                   seed=self._seed(GREVLEX), degree=degree)
-            if gb.degree is None:  # the run left nothing out
-                gb = self._gb.setdefault(GREVLEX, gb)
-            else:
-                self._bounded = gb
         return gb
 
     def _seed(self, order: MonomialOrder) -> GroebnerBasis | None:

@@ -12,14 +12,14 @@ of grevlex bases; only inhomogeneous inputs build the colon (J : x).
 Likewise a membership in a homogeneous target defining + power, such as
 defining + parameter^[q], asked of Frobenius powers of degree at most that
 of every generator of power, is linear algebra on normal forms modulo the
-defining ideal's basis (``_bracket_kernel``); other targets are built only
-through the degree asked about when they are homogeneous.  No answer that
-is already known is asked for again: each Frobenius depth of the closure
-test starts from the normal forms of the one before, a witness at depth e
-is one at every depth above, as the p-th bracket power of the depth-e
-target lies in the next, and a socle reduces only the products of a
-variable and a standard monomial that are neither standard nor, on a
-homogeneous ideal, above the top standard degree.
+defining ideal's basis (``_bracket_kernel``); other targets are decided by
+their own Groebner basis.  No answer that is already known is asked for
+again: each Frobenius depth of the closure test starts from the normal
+forms of the one before, a witness at depth e is one at every depth above,
+as the p-th bracket power of the depth-e target lies in the next, and a
+socle reduces only the products of a variable and a standard monomial that
+are neither standard nor, on a homogeneous ideal, above the top standard
+degree.
 """
 
 from __future__ import annotations
@@ -210,9 +210,8 @@ class QuotientPresentation:
         and when no b_i**q has a degree above that of a parameter's power, as
         for a socle of degree 1 and linear parameters, the depth is decided
         modulo the basis of defining, and no target is built.  Otherwise the
-        depth-e target is asked only about the b_i**q, of degree at most
-        q*max(deg b_i), so its basis is built only through that degree
-        (``Ideal.basis_through``).
+        complete grevlex basis of the depth-e target decides, its run seeded
+        with a summand's cached basis.
 
         A depth's columns need only be congruent to the b_i**q modulo its
         target T_e = defining + parameter^[q], and T_e**[p] lies in T_(e+1)
@@ -291,8 +290,7 @@ def _bracket_kernel(
     parts does, so the answer is the kernel of [NF(columns) | NF(y_j) for
     each y_j of a degree some column reaches], cut to the columns'
     coordinates; no Groebner run is made.  Otherwise the sum base + power
-    is formed and its own basis decides: through the columns' degree when
-    they are homogeneous (``Ideal.basis_through``), else complete.
+    is formed and its own basis decides.
     """
     brackets = [y for y in power.generators if not y.is_zero]
     top = max(c.total_degree() for c in columns)
@@ -302,8 +300,6 @@ def _bracket_kernel(
         gb = base.groebner_basis(GREVLEX)
         reached = {sum(m) for c in columns for m, _ in c.terms()}
         brackets = [y for y in brackets if y.total_degree() in reached]
-    elif all(c.is_homogeneous() for c in columns):
-        gb, brackets = (base + power).basis_through(top), []
     else:
         gb, brackets = (base + power).groebner_basis(GREVLEX), []
     vectors = [gb.normal_form(g) for g in [*columns, *brackets]]

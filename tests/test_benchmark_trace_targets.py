@@ -3,40 +3,7 @@ library; a renamed or deleted target would only fail under ``--trace 1``.
 This installs the tracer on a fresh import and checks every target, and the
 content keys it reads off the arguments of Groebner builds."""
 
-import importlib
-import sys
-from pathlib import Path
-
-import pytest
-
-BENCH = Path(__file__).resolve().parent.parent / "bench"
 TARGET_COUNT = 36
-
-
-def _froblab_modules() -> dict:
-    return {k: v for k, v in sys.modules.items() if k == "froblab" or k.startswith("froblab.")}
-
-
-@pytest.fixture
-def bench(monkeypatch):
-    """(the bench ``run`` module, the bench ``spans`` module, a fresh froblab
-    import); the modules imported before are put back afterwards."""
-    monkeypatch.syspath_prepend(str(BENCH))
-    bench_names = ("run", "spans", "workloads", "checks", "gens")
-    before = {name: sys.modules.get(name) for name in bench_names}
-    saved = _froblab_modules()
-    try:
-        run = importlib.import_module("run")
-        yield run, importlib.import_module("spans"), run.fresh_import()
-    finally:
-        for name in _froblab_modules():
-            del sys.modules[name]
-        sys.modules.update(saved)
-        for name, module in before.items():
-            if module is None:
-                sys.modules.pop(name, None)
-            else:
-                sys.modules[name] = module
 
 
 def test_every_trace_target_is_wrapped_and_restored(bench):
@@ -81,29 +48,19 @@ def test_build_keys_read_the_ring_order_and_generators(bench):
     assert tracer.build_keys() == [(ring, F.GREVLEX, nonzero), (ring, F.GREVLEX, gens)]
 
 
-def test_bounded_closure_targets_are_builds_keyed_by_their_full_generators(bench, monkeypatch):
+def test_closure_targets_are_builds_keyed_by_their_full_generators(bench):
     """The closure test on the cubic cone x^3 + y^3 + z^3 at p = 7 with
     parameters (x, y), e_max = 2: the socle z^2 has degree 2, above the
-    parameters' degree, so each target defining + (x, y)^[q] is built, only
-    through q times the socle degree (14 and 98), and the trace still
-    records that build as a ``groebner.build`` span keyed by the target's
-    full generator list, the seed's part included."""
+    parameters' degree, so each target defining + (x, y)^[q] is built, and
+    the trace records that build as a ``groebner.build`` span keyed by the
+    target's full generator list, the seed's part included."""
     _, spans, api = bench
     F = api.froblab
-    ideals = api.modules["ideals"]
     ring = F.PolyRing(7, ("x", "y", "z"))
     defining = F.Ideal(ring, (ring.parse("x^3 + y^3 + z^3"),))
     parameter = F.Ideal(ring, (ring.parse("x"), ring.parse("y")))
     Q = F.QuotientPresentation(ring, defining)
 
-    degrees = []
-    build = ideals.groebner_basis_of
-
-    def recorded(*args, **kwargs):
-        degrees.append(kwargs.get("degree"))
-        return build(*args, **kwargs)
-
-    monkeypatch.setattr(ideals, "groebner_basis_of", recorded)
     with spans.Tracer(api.modules) as tracer:
         Q.frobenius_closure_test(parameter, e_max=2)
     keys = tracer.build_keys()
@@ -113,4 +70,3 @@ def test_bounded_closure_targets_are_builds_keyed_by_their_full_generators(bench
     ]
     assert len(keys) == 5
     assert [key for key in keys if key in targets] == targets
-    assert [d for key, d in zip(keys, degrees) if key in targets] == [14, 98]

@@ -412,9 +412,9 @@ def _repacked(gb):
 
 @pytest.mark.parametrize("trial", range(4))
 def test_a_basis_carries_the_packed_divisors_of_its_polys(trial):
-    """Plain, seeded and lex runs, bounded runs and the bases that
-    ``bracket_power`` carries over hand on packed divisors equal to those
-    their polys pack to."""
+    """Plain, seeded and lex runs and the bases that ``bracket_power``
+    carries over hand on packed divisors equal to those their polys pack
+    to."""
     rng = random.Random(f"divisors:{trial}")
     for order in (GREVLEX, LEX):
         R = PolyRing(rng.choice((3, 5, 7)), ("x", "y", "z"), order)
@@ -424,14 +424,6 @@ def test_a_basis_carries_the_packed_divisors_of_its_polys(trial):
         bases += [A.bracket_power(e)._gb[order] for e in (1, 2)]
         for gb in bases:
             assert gb.divisors == _repacked(gb)
-    R = PolyRing(7, ("x", "y", "z"))
-    gens = [R.parse("x^2 - y*z"), R.parse("x*y^2 - z^3")]
-    bounded = groebner_basis_of(R, gens, GREVLEX, degree=3)
-    image = bounded.frobenius_image(1, tuple(g.frobenius_pow(1) for g in gens))
-    assert (bounded.degree, image.degree) == (3, 21)
-    assert image.polys == groebner_basis_of(R, image.generators, GREVLEX, degree=21).polys
-    for gb in (bounded, image):
-        assert gb.divisors == _repacked(gb)
 
 
 @pytest.mark.parametrize("order", (GREVLEX, LEX))
@@ -667,54 +659,3 @@ def test_a_tracked_run_still_reduces_the_seeds_generators():
     gb = P.groebner_basis()
     images = syzygy_images(gb, P.generators)
     assert Ideal(R, tuple(images)) == P
-
-
-# -- runs bounded by a degree ----------------------------------------------------
-
-
-def test_a_bounded_run_keeps_the_elements_through_its_degree():
-    """(x^2 - y*z, x*y^2 - z^3): the reduced grevlex basis has elements in
-    degrees 2, 3 and 4 (y^3*z - x*z^3 from the pair); through degree 3 the
-    run stops before that pair and records its degree."""
-    R = PolyRing(7, ("x", "y", "z"))
-    gens = [R.parse("x^2 - y*z"), R.parse("x*y^2 - z^3")]
-    full = groebner_basis_of(R, gens, GREVLEX)
-    bounded = groebner_basis_of(R, gens, GREVLEX, degree=3)
-    assert max(g.total_degree() for g in full.polys) > 3
-    assert bounded.degree == 3
-    assert bounded.polys == tuple(g for g in full.polys if g.total_degree() <= 3)
-    # enough degree leaves nothing out: the complete basis, with no degree
-    assert groebner_basis_of(R, gens, GREVLEX, degree=20) == full
-
-
-def test_a_bounded_basis_rejects_what_it_cannot_decide():
-    R = PolyRing(7, ("x", "y", "z"))
-    gens = [R.parse("x^2 - y*z"), R.parse("x*y^2 - z^3")]
-    bounded = groebner_basis_of(R, gens, GREVLEX, degree=3)
-    assert bounded.contains(R.parse("x^3 - x*y*z"))
-    with pytest.raises(ValueError):
-        bounded.normal_form(R.parse("y^3*z - x*z^3"))  # above the degree
-    with pytest.raises(ValueError):
-        bounded.contains(R.parse("x^2 - y*z + x"))  # inhomogeneous
-    with pytest.raises(ValueError):
-        groebner_basis_of(R, [R.parse("x^2 - y")], GREVLEX, degree=3)
-    seed = groebner_basis_of(R, [R.parse("x^2 - y")], GREVLEX)
-    with pytest.raises(ValueError):  # an inhomogeneous seed
-        groebner_basis_of(R, [R.parse("z^2")], GREVLEX, seed=seed, degree=3)
-    with pytest.raises(ValueError):  # a bounded seed
-        groebner_basis_of(R, [R.parse("z^2")], GREVLEX, seed=bounded)
-
-
-def test_basis_through_keeps_one_bounded_basis_and_prefers_the_complete_one():
-    R = PolyRing(7, ("x", "y", "z"))
-    X = Ideal(R, (R.parse("x^2 - y*z"),))
-    I = X + Ideal(R, (R.parse("x*y^2 - z^3"),))
-    X.groebner_basis()
-    low = I.basis_through(3)
-    assert low.degree == 3 and I.basis_through(2) is low
-    # through degree 4 the pairs of higher degree, which reduce to zero,
-    # are left out; through 20 none is, so the basis is the complete one
-    assert I.basis_through(4).degree == 4
-    high = I.basis_through(20)
-    assert high.degree is None and I.groebner_basis() is high
-    assert I.basis_through(30) is high

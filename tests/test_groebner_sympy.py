@@ -259,32 +259,6 @@ def random_forms(rng, ring, count, degrees, terms):
     return polys
 
 
-@pytest.mark.parametrize("p", PRIMES)
-def test_bounded_bases_match_sympy_through_their_degree(p):
-    """Random homogeneous ideals, built through degree D from scratch and
-    seeded with a summand's basis: the elements are those of degree at most
-    D of sympy's reduced grevlex basis, and normal forms of homogeneous
-    polynomials of degree at most D agree with the complete basis."""
-    rng = random.Random(f"bounded:{p}")
-    ring = PolyRing(p, ("x", "y", "z", "w"))
-    syms = sympy.symbols(ring.variables)
-    truncated = 0
-    for _ in range(3):
-        gens = random_forms(rng, ring, 3, (2, 3), 4)
-        basis, _ = sympy_basis(gens, syms, p, "grevlex")
-        full = Ideal(ring, tuple(gens)).groebner_basis()
-        for D in range(2, 6):
-            expected = frozenset(term_set(g, p) for g in basis.polys if g.total_degree() <= D)
-            seeded = Ideal(ring, tuple(gens[:1])) + Ideal(ring, tuple(gens[1:]))
-            seeded._summands[0].groebner_basis()
-            for bounded in (groebner_basis_of(ring, gens, GREVLEX, degree=D), seeded.basis_through(D)):
-                assert froblab_set(bounded.polys) == expected
-                truncated += bounded.degree == D
-                for f in random_forms(rng, ring, 4, range(D + 1), 5):
-                    assert bounded.normal_form(f) == full.normal_form(f)
-    assert truncated
-
-
 def _determinantal_fixture():
     spec = load_ring_spec(str(Path(froblab.__file__).parent / "fixtures" / "determinantal_f3.ring"))
     return Ideal(spec.ring(), tuple(spec.relation_polys(spec.ring())))

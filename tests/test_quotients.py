@@ -482,6 +482,39 @@ def test_closure_witness_takes_the_smallest_index_over_all_depths():
     assert report["combinations_tested"] == 1
 
 
+def _pfaffians(p):
+    """The five 4x4 Pfaffians of a 5x5 skew-symmetric matrix of linear
+    forms over F_p[x1..x6], its entries above the diagonal drawn with
+    random.Random(0)."""
+    ring = PolyRing(p, tuple(f"x{i}" for i in range(1, 7)))
+    v = [ring.variable(a) for a in ring.variables]
+    rng = random.Random(0)
+    M = [[ring.zero()] * 5 for _ in range(5)]
+    for i, j in itertools.combinations(range(5), 2):
+        M[i][j] = sum((x * rng.randrange(p) for x in v), ring.zero())
+        M[j][i] = -M[i][j]
+    pfaffians = []
+    for k in range(5):
+        a, b, c, d = (i for i in range(5) if i != k)
+        pfaffians.append(M[a][b] * M[c][d] - M[a][c] * M[b][d] + M[a][d] * M[b][c])
+    return ring, pfaffians
+
+
+def test_closure_matches_the_sweep_on_pfaffians():
+    """A Gorenstein ring that is not a complete intersection: five quadrics
+    of height 3, h-vector (1, 3, 1) modulo the parameters that
+    suggest_parameter_sequence draws.  Its socle has degree 2, above the
+    degree of the linear parameters, so the depth-1 kernel is decided by
+    the complete basis of the target."""
+    ring, defining = _pfaffians(3)
+    parameter = suggest_parameter_sequence(QuotientPresentation(ring, Ideal(ring, tuple(defining))), 3, seed=0)
+    full = Ideal(ring, tuple(defining + parameter))
+    degrees = sorted(sum(m) for m in full.standard_monomials())
+    assert degrees == [0, 1, 1, 1, 2]
+    report = _assert_closure_matches_the_sweep(ring, defining, parameter, 1)
+    assert (report["verdict"], report["socle_dimension"]) == (CLOSED_UP_TO, 1)
+
+
 @st.composite
 def spanning_sets(draw):
     p = draw(st.sampled_from((2, 3, 5, 7)))
