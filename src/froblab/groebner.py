@@ -103,11 +103,15 @@ and every tracked run's log, is the one a scan from the start gives.  The
 signature loop passes an optional signature bound, and a term is then
 reduced by the first element from its memo entry on whose multiple has a
 smaller signature, or stays in the remainder when none has.  A run keeps
-one memo for its basis list, the final interreduction one for its list of
-reduced elements, and each normal form a fresh one.  The interreduction
-goes smallest lead first, against the elements already reduced, and the
-returned ``GroebnerBasis`` keeps their packed divisors, which normal forms
-and seeded runs use as they are.  Both loops build S-polynomials through
+one memo for its basis list, and each normal form a fresh one.  The final
+interreduction goes smallest lead first.  A tail whose terms descend,
+none of them divisible by a lead of the run, is settled: it and its bound
+stay as the run left them.  The run's memo decides this, so only the
+divisors added since a term was last scanned are tested; most tails a
+signature run leaves are settled.  Every other tail is reduced against the
+elements already reduced, through one memo for that list.  The returned
+``GroebnerBasis`` keeps the packed divisors, which normal forms and seeded
+runs use as they are.  Both loops build S-polynomials through
 ``_s_polynomial`` and charge the pairs they form to the budget through
 ``_charge``.
 """
@@ -171,21 +175,27 @@ def _reduce(
     a fresh dict serves any list.  It maps a monomial to the index of its
     first divisor, or to ~n when none of the first n divisors divides it; a
     scan starts there and its finding is written back, so the first-divisor
-    rule holds as it would without it.
+    rule holds as it would without it.  The final interreduction reads a
+    run's memo to find the tails that no reduction would change, and calls
+    this only for the others.
 
     A ``signature`` (sig, ratios, widen) from ``_signature_loop`` bounds a
     reduction of terms of signature sig to the multiples q*g of smaller
     signature, those with widen(key of q*lead_g) + ratios[g] < sig: from a
     term's first divisor the scan goes on to the first that passes this test
-    as well, and a term that none passes stays in the remainder.
+    as well, and a term that none passes stays in the remainder.  widen
+    keeps the order of keys, and every term popped is at most the largest
+    term, so ratios[g] < bar = sig - widen(key of the largest term) passes
+    the test at every term: only a divisor at or above bar needs it.
     """
     mask, guard = pk.mask, pk.guard
-    if signature is not None:
-        sig, ratios, widen = signature
     work = dict(terms)
     heap = [-(m ^ mask) for m in work]
     heapq.heapify(heap)
     push, pop = heapq.heappush, heapq.heappop
+    if signature is not None:
+        sig, ratios, widen = signature
+        bar = sig - widen(-heap[0]) if heap else 0
     remainder: dict = {}
     n = len(divisors)
     while heap:
@@ -202,7 +212,7 @@ def _reduce(
             while i < n and (shifted - divisors[i][0]) & guard != guard:
                 i += 1
             memo[m] = i if i < n else ~n
-        if signature is not None and i < n:
+        if signature is not None and i < n and ratios[i] >= bar:
             # a multiple q*g is smaller in signature iff ratios[g] < below
             below = sig - widen(key)
             while i < n and (ratios[i] >= below or (shifted - divisors[i][0]) & guard != guard):
@@ -337,7 +347,7 @@ class _PairQueue:
         self.formed += len(active)
         _charge(self.formed)
         t = len(leads)
-        deg = sum(pk.unpack(lead))
+        deg = pk.total_degree(lead)
 
         # (lcm(lead_i, lead_t), its degree) for every active i, and on
         # demand for the others
@@ -394,7 +404,7 @@ class _PairQueue:
         in."""
         self.active.append(len(self.leads))
         self.leads.append(lead)
-        self.degrees.append(sum(self.pk.unpack(lead)))
+        self.degrees.append(self.pk.total_degree(lead))
         self.sugars.append(sugar)
 
     def pop(self) -> tuple:
@@ -642,14 +652,20 @@ def _pair_loop(
     if tracked:
         return [ring._poly(_repack(t, pk, own)) for t in images]
 
-    return _reduced_basis(ring, order, [basis[t] for t in pairs.active], gens)
+    return _reduced_basis(ring, order, [basis[t] for t in pairs.active], gens, basis, memo)
 
 
 def _reduced_basis(
-    ring: PolyRing, order: MonomialOrder, elements: list[tuple], gens: list[Polynomial]
+    ring: PolyRing,
+    order: MonomialOrder,
+    elements: list[tuple],
+    gens: list[Polynomial],
+    basis: list[tuple],
+    memo: dict,
 ) -> GroebnerBasis:
-    """The reduced basis from the packed monic divisors of a run whose leads
-    generate the ideal's leading monomials."""
+    """The reduced basis from the packed monic divisors ``elements`` of a run
+    whose leads generate the ideal's leading monomials; ``basis`` is the
+    run's divisor list, which holds them, and ``memo`` its reducer memo."""
     p, own = ring.p, ring.packing
     pk = _packing(order, ring.nvars)
     mask, guard = pk.mask, pk.guard
@@ -660,15 +676,42 @@ def _reduced_basis(
         if not any((shifted - lead) & guard == guard for lead, _, _ in kept):
             kept.append(element)
 
+    n = len(basis)
+
+    def settled(lead: int, tail: dict) -> bool:
+        """Whether reducing ``tail`` would return it as it is: its terms
+        descend, and no lead of the run divides one, as the run's memo
+        records up to the divisors added since, which are scanned."""
+        last = lead ^ mask
+        for m in tail:
+            key = m ^ mask
+            if key > last:
+                return False
+            last = key
+            i = memo.get(m, -1)
+            if i >= 0:
+                return False
+            shifted = m | guard
+            for i in range(~i, n):
+                if (shifted - basis[i][0]) & guard == guard:
+                    memo[m] = i
+                    return False
+            memo[m] = ~n
+        return True
+
     # interreduce tails, smallest lead first, against the elements already
-    # reduced: only a smaller lead can divide a tail term.  The leads stay,
-    # and ``reduced`` only grows at its end, so one memo serves the loop.
+    # reduced: only a smaller lead can divide a tail term.  A settled tail,
+    # such as the signature loop leaves most, keeps its bound as well.  The
+    # leads stay, and ``reduced`` only grows at its end, so one memo serves
+    # the loop.
     reduced: list[tuple] = []
-    memo: dict[int, int] = {}
+    interreduced: dict[int, int] = {}
     polys = []
-    for lead, _, tail in kept:
-        tail = _reduce(tail, reduced, p, pk, memo)
-        reduced.append((lead, pk.bound(tail), tail))
+    for lead, bound, tail in kept:
+        if not settled(lead, tail):
+            tail = _reduce(tail, reduced, p, pk, interreduced)
+            bound = pk.bound(tail)
+        reduced.append((lead, bound, tail))
         polys.append(ring._poly(_repack({lead: 1, **tail}, pk, own)))
     return GroebnerBasis(ring, order, tuple(reversed(polys)), tuple(gens), tuple(reversed(reduced)))
 
@@ -790,7 +833,7 @@ def _signature_loop(ring: PolyRing, gens: list[Polynomial], order: MonomialOrder
             continue
         divisor = pk.divisor(terms, p)
         lead = divisor[0]
-        deg = sum(pk.unpack(lead))
+        deg = pk.total_degree(lead)
         wk = widen(lead ^ mask)
         ratio = sig - wk
         # the Koszul syzygies with the earlier elements first, so that the
@@ -813,4 +856,4 @@ def _signature_loop(ring: PolyRing, gens: list[Polynomial], order: MonomialOrder
         degrees.append(deg)
         ratios.append(ratio)
         covers[sig & index].append((ratio, (sig >> shift) ^ smask))
-    return _reduced_basis(ring, order, basis, gens)
+    return _reduced_basis(ring, order, basis, gens, basis, memo)

@@ -136,6 +136,11 @@ class Packing:
         largest = self.largest
         return tuple((packed >> s) & largest for s in self.shifts)
 
+    def total_degree(self, packed: int) -> int:
+        """The total degree of a packed monomial: its degree field under
+        grevlex, the sum of its exponents under lex."""
+        return packed >> self.span if self.degree else sum(self.unpack(packed))
+
     def bound(self, monomials: Iterable[int]) -> int:
         """The largest exponent of each variable over packed monomials, with
         zero degree fields: q + bound sets a guard bit iff some q + m does."""

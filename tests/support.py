@@ -10,9 +10,11 @@ assembles the annihilation conditions as one matrix over F_p, and runs its
 own Gaussian elimination.
 """
 
+import heapq
 import itertools
 from dataclasses import dataclass
 
+from froblab import groebner
 from froblab.errors import ExponentOverflow, RingMismatch, UnknownVariable
 from froblab.fsing import socle_lift
 from froblab.ideals import Ideal
@@ -444,6 +446,77 @@ def bracket_kernel_by_target(target, columns):
     monomials = sorted({m for f in forms for m in f})
     rows = [[f.get(m, 0) for f in forms] for m in monomials]
     return rref(plain_nullspace(rows, len(columns), target.ring.p), target.ring.p)[0]
+
+
+def reduce_testing_every_signature(terms, divisors, p, pk, memo, steps=None, signature=None):
+    """``groebner._reduce`` as it was before a signature-bounded call tested
+    only the divisors at or above its largest term's bar: it widens the key
+    of every term that has a divisor and tests the ratio of each divisor from
+    there, kept as a reference."""
+    mask, guard = pk.mask, pk.guard
+    if signature is not None:
+        sig, ratios, widen = signature
+    work = dict(terms)
+    heap = [-(m ^ mask) for m in work]
+    heapq.heapify(heap)
+    remainder = {}
+    n = len(divisors)
+    while heap:
+        key = -heapq.heappop(heap)
+        m = key ^ mask
+        c = work.pop(m)
+        if not c:
+            continue
+        shifted = m | guard
+        i = memo.get(m, -1)
+        if i < 0:
+            i = ~i
+            while i < n and (shifted - divisors[i][0]) & guard != guard:
+                i += 1
+            memo[m] = i if i < n else ~n
+        if signature is not None and i < n:
+            below = sig - widen(key)
+            while i < n and (ratios[i] >= below or (shifted - divisors[i][0]) & guard != guard):
+                i += 1
+        if i == n:
+            remainder[m] = c
+            continue
+        lead, bound, tail = divisors[i]
+        q = (shifted - lead) ^ guard
+        if (q + bound) & guard:
+            raise groebner._overflow()
+        if steps is not None:
+            steps.append((lead, q, c))
+        c = p - c
+        for tm, tc in tail.items():
+            mm = q + tm
+            v = work.get(mm)
+            if v is None:
+                work[mm] = c * tc % p
+                heapq.heappush(heap, -(mm ^ mask))
+            else:
+                work[mm] = (v + c * tc) % p
+    return remainder
+
+
+def reduced_basis_from_every_tail(ring, order, elements, gens):
+    """``groebner._reduced_basis`` as it was before settled tails kept
+    their tails: every kept element's tail is reduced against the elements
+    already reduced, with no use of the run's memo, kept as a reference."""
+    p, own = ring.p, ring.packing
+    pk = groebner._packing(order, ring.nvars)
+    mask, guard = pk.mask, pk.guard
+    kept = []
+    for element in sorted(elements, key=lambda e: e[0] ^ mask):
+        shifted = element[0] | guard
+        if not any((shifted - lead) & guard == guard for lead, _, _ in kept):
+            kept.append(element)
+    reduced, memo, polys = [], {}, []
+    for lead, _, tail in kept:
+        tail = reduce_testing_every_signature(tail, reduced, p, pk, memo)
+        reduced.append((lead, pk.bound(tail), tail))
+        polys.append(ring._poly(groebner._repack({lead: 1, **tail}, pk, own)))
+    return groebner.GroebnerBasis(ring, order, tuple(reversed(polys)), tuple(gens), tuple(reversed(reduced)))
 
 
 def nonzero_random_poly(rng, ring, max_degree=3, terms=3):

@@ -2,6 +2,7 @@
 determinism, the work budget, the packed divisors a basis carries, the
 reducer memo, and runs seeded with a summand's basis."""
 
+import itertools
 import random
 
 import pytest
@@ -312,6 +313,37 @@ def test_plain_standard_runs_reduce_few_pairs_to_zero(monkeypatch, name, zeros, 
     assert zero == {"signature": zeros, "pair": pair_zeros}
 
 
+@pytest.mark.parametrize(
+    "name, reduced, kept", [("cyclic-5", 4, 20), ("katsura-4", 7, 13), ("katsura-5", 13, 22)], ids=STANDARD_SYSTEMS
+)
+def test_the_final_interreduction_reduces_only_unsettled_tails(monkeypatch, name, reduced, kept):
+    """A plain run in grevlex at p = 32003 takes the signature loop, whose
+    reductions leave most tails reduced already: the final interreduction
+    sends 4 of cyclic-5's 20 tails, 7 of katsura-4's 13 and 13 of
+    katsura-5's 22 to ``_reduce``.  Before it read the run's memo it sent
+    every kept element's tail, 20, 13 and 22."""
+    calls = []
+    reduce, reduced_basis = groebner._reduce, groebner._reduced_basis
+
+    def counted(*args, **kwargs):
+        calls.append(None)
+        return reduce(*args, **kwargs)
+
+    def interreduced(*args):
+        calls.clear()
+        monkeypatch.setattr(groebner, "_reduce", counted)
+        try:
+            return reduced_basis(*args)
+        finally:
+            monkeypatch.setattr(groebner, "_reduce", reduce)
+
+    monkeypatch.setattr(groebner, "_reduced_basis", interreduced)
+    names, texts = STANDARD_SYSTEMS[name]
+    R = PolyRing(32003, names)
+    gb = buchberger([R.parse(t) for t in texts])
+    assert (len(calls), len(gb.polys)) == (reduced, kept)
+
+
 def _cyclic(n):
     names, texts = support.cyclic(n)
     R = PolyRing(32003, names)
@@ -362,6 +394,89 @@ def test_the_signature_loop_returns_the_pair_loops_basis(case):
     assert signature.divisors == pair.divisors
     assert signature.generators == pair.generators
 
+
+def _dense_system(seed, p, nvars, npolys, degree):
+    """``npolys`` polynomials over F_p[x1..xn] with a random coefficient on
+    every monomial of degree at most ``degree``, their terms listed from
+    degree 0 up, so that a generator the pair loop enters as it is has a
+    tail that does not descend."""
+    rng = random.Random(seed)
+    R = PolyRing(p, tuple(f"x{i}" for i in range(1, nvars + 1)))
+    monomials = [e for d in range(degree + 1) for e in itertools.product(range(d + 1), repeat=nvars) if sum(e) == d]
+    gens = []
+    for _ in range(npolys):
+        coefficients = [rng.randrange(p) for _ in monomials]
+        gens.append(R._poly({R.packing.pack(e): c for e, c in zip(monomials, coefficients) if c}))
+    return R, gens
+
+
+DENSE_SYSTEMS = {
+    "3-cubics-p7": _dense_system("dense:0", 7, 3, 3, 3),
+    "4-quadrics-p11": _dense_system("dense:1", 11, 4, 4, 2),
+    "3-quadrics-p5": _dense_system("dense:2", 5, 4, 3, 2),
+}
+
+
+def _interreductions_match_every_tail(R, gens) -> tuple[int, int]:
+    """Run the signature loop and the pair loop, plain and seeded with the
+    basis of the first generator, with every final interreduction checked
+    against one that reduces every tail without the run's memo: equal polys,
+    equal divisors and the same item order in every tail and poly.  Returns
+    (tails sent to ``_reduce``, kept elements) over the runs."""
+    fast, reduce = groebner._reduced_basis, groebner._reduce
+    counts = [0, 0]
+
+    def counted(*args, **kwargs):
+        counts[0] += 1
+        return reduce(*args, **kwargs)
+
+    def checked(ring, order, elements, gens, basis, memo):
+        slow = support.reduced_basis_from_every_tail(ring, order, elements, gens)
+        groebner._reduce = counted
+        try:
+            gb = fast(ring, order, elements, gens, basis, memo)
+        finally:
+            groebner._reduce = reduce
+        assert gb.polys == slow.polys
+        assert gb.divisors == slow.divisors
+        assert [list(tail) for _, _, tail in gb.divisors] == [list(tail) for _, _, tail in slow.divisors]
+        assert [list(g._terms) for g in gb.polys] == [list(g._terms) for g in slow.polys]
+        counts[1] += len(gb.polys)
+        return gb
+
+    groebner._reduced_basis = checked
+    try:
+        groebner._signature_loop(R, gens, R.order)
+        groebner._pair_loop(R, gens, R.order)
+        groebner._pair_loop(R, gens, R.order, groebner._pair_loop(R, gens[:1], R.order))
+    finally:
+        groebner._reduced_basis = fast
+    return counts[0], counts[1]
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(plain_systems())
+def test_the_final_interreduction_matches_reducing_every_tail(case):
+    """Settled tails and reduced ones, in lex and grevlex, over every loop."""
+    R, gens = case
+    _interreductions_match_every_tail(R, gens)
+
+
+@pytest.mark.parametrize("name", DENSE_SYSTEMS)
+def test_the_final_interreduction_of_dense_systems_matches_reducing_every_tail(name):
+    """Both kinds of tail occur: some settled, some sent to ``_reduce``."""
+    reduced, kept = _interreductions_match_every_tail(*DENSE_SYSTEMS[name])
+    assert 0 < reduced < kept
+
+
+def test_a_tail_that_does_not_descend_is_reduced():
+    """The pair loop enters z + y + x^2 as it is, and no lead divides z or
+    y; its tail is still reduced, so that it comes out descending, as it
+    would from ``_reduce``."""
+    R = PolyRing(7, ("x", "y", "z"))
+    gb = groebner._pair_loop(R, [R.parse("z + y + x^2")], R.order)
+    pk = gb.packing
+    assert list(gb.divisors[0][2]) == [pk.pack((0, 1, 0)), pk.pack((0, 0, 1))]
 
 
 @pytest.mark.parametrize(
@@ -454,11 +569,18 @@ def test_reduce_with_a_shared_memo_matches_reduce_without(order):
 def test_reduce_with_a_signature_bound_skips_divisors_of_larger_signature():
     """Bounded by a signature, a term is reduced by the first divisor whose
     multiple has a smaller signature, and stays in the remainder when none
-    has; the memo still records the term's first divisor."""
+    has; the memo still records the term's first divisor.  Only a divisor
+    whose ratio is at or above bar = sig - widen(key of the largest term) is
+    tested, and at a smaller term it may still pass."""
     R = PolyRing(7, ("x", "y"))
     pk = groebner._packing(R.order, R.nvars)
     wide = groebner._signature_packing(R.order, R.nvars)
-    widen = groebner._widener(pk, wide, 1)
+    widened = []
+
+    def widen(key, run=groebner._widener(pk, wide, 1)):
+        widened.append(key)
+        return run(key)
+
     divisors = [pk.divisor({pk.pack(m): c for m, c in R.parse(t).terms()}, R.p) for t in ("x + y", "x*y + 1")]
     m = pk.pack((1, 1))
     sig = widen(m ^ pk.mask) + 5  # x*y times a divisor of ratio r has signature sig - 5 + r
@@ -472,6 +594,68 @@ def test_reduce_with_a_signature_bound_skips_divisors_of_larger_signature():
     memo = {}
     assert _reduce({m: 1}, divisors, R.p, pk, memo, signature=(sig, [6, 5], widen)) == {m: 1}
     assert memo[m] == 0
+
+    # x^2 + y against y + 1: bar is 5, and y's own test passes ratios below
+    # 5 + gap.  Below bar no term is widened but x^2 for the bar; at or above
+    # it y is widened, and its multiple passes (4 + gap) or not (5 + gap).
+    divisors = [pk.divisor({pk.pack(m): c for m, c in R.parse("y + 1").terms()}, R.p)]
+    x2, y = pk.pack((2, 0)), pk.pack((0, 1))
+    sig = widen(x2 ^ pk.mask) + 5
+    gap = widen(x2 ^ pk.mask) - widen(y ^ pk.mask)
+    for ratio, remainder in [(4, {x2: 1, 0: R.p - 1}), (4 + gap, {x2: 1, 0: R.p - 1}), (5 + gap, {x2: 1, y: 1})]:
+        widened.clear()
+        assert _reduce({x2: 1, y: 1}, divisors, R.p, pk, {}, signature=(sig, [ratio], widen)) == remainder
+        assert widened == [x2 ^ pk.mask] + ([y ^ pk.mask] if ratio >= 5 else [])
+
+
+@st.composite
+def reductions(draw):
+    """(terms, divisors, p, packing, memo, signature) for ``_reduce`` over
+    F_p[x, y, z] in grevlex or lex, p in {2, 3, 7, 32003}: up to five monic
+    divisors, a memo filled by a reduction against a prefix of them, and in
+    half the draws a signature bound whose ratios sit at, just above and
+    just below sig - widen(key) of the terms and of other monomials."""
+    order = draw(st.sampled_from((GREVLEX, LEX)))
+    p = draw(st.sampled_from((2, 3, 7, 32003)))
+    nvars = draw(st.integers(1, 3))
+    R = PolyRing(p, ("x", "y", "z")[:nvars], order)
+    pk = groebner._packing(order, nvars)
+    rng = random.Random(draw(st.integers(0, 2**32)))
+
+    def packed(degree, terms):
+        return {pk.pack(m): c for m, c in support.random_poly(rng, R, degree, terms).terms()}
+
+    divisors = [pk.divisor(t, p) for t in (packed(2, 3) for _ in range(draw(st.integers(0, 5)))) if t]
+    terms = packed(4, draw(st.integers(1, 8)))
+    memo: dict = {}
+    support.reduce_testing_every_signature(packed(4, 6), divisors[: draw(st.integers(0, len(divisors)))], p, pk, memo)
+    signature = None
+    if draw(st.booleans()):
+        shift = draw(st.integers(1, 3))
+        widen = groebner._widener(pk, groebner._signature_packing(order, nvars), shift)
+        others = [pk.pack([rng.randrange(4) for _ in range(nvars)]) for _ in range(3)]
+        keys = [m ^ pk.mask for m in [*terms, *others]]
+        sig = rng.randrange(1 << 60)
+        ratios = [sig - widen(rng.choice(keys)) + rng.choice((-1, 0, 1)) for _ in divisors]
+        signature = (sig, ratios, widen)
+    return terms, divisors, p, pk, memo, signature
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(reductions())
+def test_reduce_matches_the_kernel_that_tests_every_signature(case):
+    """Remainders (as ordered item lists), step logs and the memo written
+    equal those of ``support.reduce_testing_every_signature``, with and
+    without a signature bound."""
+    terms, divisors, p, pk, memo, signature = case
+    steps, reference_steps, reference_memo = [], [], dict(memo)
+    remainder = _reduce(terms, divisors, p, pk, memo, steps, signature)
+    reference = support.reduce_testing_every_signature(
+        terms, divisors, p, pk, reference_memo, reference_steps, signature
+    )
+    assert list(remainder.items()) == list(reference.items())
+    assert steps == reference_steps
+    assert memo == reference_memo
 
 
 # -- seeded runs ---------------------------------------------------------------

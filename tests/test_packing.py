@@ -38,10 +38,13 @@ def test_packed_order_sorts_like_the_order_key(case):
 
 @given(order_and_monomials())
 def test_pack_unpack_round_trip(case):
+    """And the total degree read from a packed monomial, which grevlex
+    keeps in its degree field, is the sum of the exponents."""
     order, nvars, monomials = case
     for pk in _layouts(order, nvars):
         for m in monomials:
             assert pk.unpack(pk.pack(m)) == m
+            assert pk.total_degree(pk.pack(m)) == sum(m)
         terms = {m: 1 for m in monomials}
         assert {pk.unpack(k): c for k, c in {pk.pack(m): c for m, c in terms.items()}.items()} == terms
 
