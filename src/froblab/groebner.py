@@ -26,9 +26,19 @@ further pairs (they still serve as reducers).  A generator whose lead a
 lead of the basis so far divides enters reduced against it, so generators
 that share a lead meet in one reduction, not in an S-pair of their degree;
 the ideal is the same, and so is the reduced basis.  A seeded or tracked
-run reduces every generator; any other run enters the others as they
-are, since on small inputs, such as the minors of a matrix, reducing their
-tails costs more than it saves.  A run may start from a seed, the cached
+run reduces every generator.  A plain run of homogeneous generators, one of
+which has more than two terms, first replaces the generators of each degree
+by the reduced row echelon form of their coefficient matrix, whose columns
+are that degree's monomials in the run's order, and enters its rows by
+ascending degree: the linear algebra of Faugère's F4 (J. Pure Appl. Algebra
+139, 1999), applied once, to the input.  Row operations within one degree
+keep the ideal, and no tail then holds a lead of its degree, so the dense
+tails of products of linear forms, such as the quadrics of a line
+arrangement, are not carried through every S-polynomial; the basis still
+records the caller's generators.  Any other run enters the others as they
+are, since on binomials, such as the minors of a matrix, reducing their
+tails costs more than it saves, and on inhomogeneous input elimination
+across degrees measured slower.  A run may start from a seed, the cached
 reduced basis of an ideal inside the one wanted, as Singular's
 ``std(I, f)`` does: its elements enter as already processed, active and
 with no pairs among themselves, since a reduced basis already meets
@@ -124,6 +134,7 @@ from functools import cache
 from typing import Callable, Iterable, Sequence
 
 from .errors import BudgetExceeded, ExponentOverflow, RingMismatch
+from .linalg import rref
 from .polyring import (
     EXPONENT_BITS,
     MAX_EXPONENT,
@@ -236,6 +247,37 @@ def _reduce(
             else:
                 work[mm] = (v + c * tc) % p
     return remainder
+
+
+def _echelon_by_degree(gens: list[Polynomial], p: int, own: Packing, pk: Packing) -> list[tuple[dict, int]]:
+    """(packed term dict in the layout ``pk``, degree) for each row of the
+    reduced row echelon form of the homogeneous ``gens`` of each degree,
+    ascending by degree and, within one, by lead.
+
+    The columns are the degree's monomials in descending order of ``pk``,
+    so each row is monic, its lead is its pivot, no other row of its degree
+    has a term there, and its terms descend, as the final interreduction
+    needs of a settled tail.  Row operations within one degree keep the
+    ideal.
+    """
+    mask = pk.mask
+    by_degree: dict[int, list[dict]] = {}
+    for g in gens:
+        by_degree.setdefault(g.total_degree(), []).append(_repack(g._terms, own, pk))
+    out = []
+    for degree in sorted(by_degree):
+        rows = by_degree[degree]
+        columns = sorted({m for terms in rows for m in terms}, key=mask.__xor__, reverse=True)
+        index = {m: i for i, m in enumerate(columns)}
+        dense = []
+        for terms in rows:
+            row = [0] * len(columns)
+            for m, c in terms.items():
+                row[index[m]] = c
+            dense.append(row)
+        echelon, _ = rref(dense, p)
+        out += [({columns[i]: c for i, c in enumerate(row) if c}, degree) for row in reversed(echelon)]
+    return out
 
 
 def _s_polynomial(a: tuple, b: tuple, lcm: int, p: int, guard: int) -> dict:
@@ -620,25 +662,34 @@ def _pair_loop(
 
     # a seed's elements enter as processed, already packed by an equal
     # Packing; the generators then enter reduced against the basis so far,
-    # in a run neither seeded nor tracked only those whose lead it divides.
-    # An untracked run skips the generators known to lie in the seed's
-    # ideal.
+    # in a run neither seeded nor tracked only those whose lead it divides,
+    # and in a plain run of dense homogeneous generators as the rows of
+    # their echelon form.  An untracked run skips the generators known to
+    # lie in the seed's ideal.
     seeded = seed.polys if seed is not None else ()
     known = {id(g) for g in seed.generators + seeded} if seeded and not tracked else ()
     for g, divisor in zip(seeded, seed.divisors if seeded else ()):
         pairs.add_processed(divisor[0], g.total_degree())
         basis.append(divisor)
-    for k, g in enumerate(gens):
-        if id(g) in known:
-            continue
-        terms = _repack(g._terms, own, pk)
-        steps = tag = None
-        if tracked:
-            steps, tag = [], _repack(tags[k]._terms, own, pk)
+
+    def admit(terms: dict, sugar: int, tag: dict | None = None, steps: list | None = None) -> None:
         lead = max(terms, key=pk.mask.__xor__) | guard
         if seeded or tracked or any((lead - d[0]) & guard == guard for d in basis):
             terms = _reduce(terms, basis, p, pk, memo, steps)
-        enter(terms, g.total_degree(), tag, steps)
+        enter(terms, sugar, tag, steps)
+
+    if seed is None and not tracked and any(len(g._terms) > 2 for g in gens) and all(g.is_homogeneous() for g in gens):
+        for terms, degree in _echelon_by_degree(gens, p, own, pk):
+            admit(terms, degree)
+    else:
+        for k, g in enumerate(gens):
+            if id(g) in known:
+                continue
+            terms = _repack(g._terms, own, pk)
+            steps = tag = None
+            if tracked:
+                steps, tag = [], _repack(tags[k]._terms, own, pk)
+            admit(terms, g.total_degree(), tag, steps)
     if seeded and len(basis) == len(seeded) and not tracked:
         return seed  # every generator lies in the seed's ideal
 

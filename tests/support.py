@@ -12,14 +12,17 @@ own Gaussian elimination.
 
 import heapq
 import itertools
+import random
 from dataclasses import dataclass
+
+from hypothesis import strategies as st
 
 from froblab import groebner
 from froblab.errors import ExponentOverflow, RingMismatch, UnknownVariable
 from froblab.fsing import socle_lift
 from froblab.ideals import Ideal
 from froblab.linalg import nullspace, rref
-from froblab.polyring import GREVLEX, PolyRing, Polynomial
+from froblab.polyring import GREVLEX, LEX, PolyRing, Polynomial
 from froblab.reports import CLOSED_UP_TO, NOT_FROBENIUS_CLOSED, ClosureReport, ClosureWitness
 from froblab.specfile import matrix_minors
 
@@ -517,6 +520,78 @@ def reduced_basis_from_every_tail(ring, order, elements, gens):
         reduced.append((lead, pk.bound(tail), tail))
         polys.append(ring._poly(groebner._repack({lead: 1, **tail}, pk, own)))
     return groebner.GroebnerBasis(ring, order, tuple(reversed(polys)), tuple(gens), tuple(reversed(reduced)))
+
+
+def pair_loop_entering_generators_as_given(ring, gens, order):
+    """``groebner._pair_loop`` with every generator entering as it is, in the
+    caller's order, reduced only when a lead of the basis so far divides its
+    own: the entry of a plain run before dense homogeneous generators
+    entered in reduced echelon form, kept as a reference."""
+    echelon = groebner._echelon_by_degree
+
+    def as_given(gens, p, own, pk):
+        return [(groebner._repack(g._terms, own, pk), g.total_degree()) for g in gens]
+
+    groebner._echelon_by_degree = as_given
+    try:
+        return groebner._pair_loop(ring, gens, order)
+    finally:
+        groebner._echelon_by_degree = echelon
+
+
+def recorded_echelons(calls):
+    """A stand-in for ``groebner._echelon_by_degree`` that appends the
+    generators of each call to ``calls``."""
+    echelon = groebner._echelon_by_degree
+
+    def recorded(gens, *args):
+        calls.append(gens)
+        return echelon(gens, *args)
+
+    return recorded
+
+
+def random_form(rng, ring, degree, terms):
+    """A homogeneous polynomial of ``degree`` with up to ``terms`` random
+    terms; zero when they cancel."""
+    g = ring.zero()
+    for _ in range(terms):
+        exps = [0] * ring.nvars
+        for _ in range(degree):
+            exps[rng.randrange(ring.nvars)] += 1
+        g = g + ring.monomial(exps, rng.randrange(1, ring.p))
+    return g
+
+
+@st.composite
+def homogeneous_systems(draw):
+    """Nonzero homogeneous generators over F_p[x, y, z, w][:n], p in
+    {2, 3, 7, 32003}, in lex or grevlex, of mixed degrees 1 to 3 and with up
+    to 2, 4 or 6 terms each, so that some lists hold binomials only; then
+    one of: nothing, a repeated generator, or a combination of two
+    generators of one degree, which leaves that degree's rows
+    rank-deficient."""
+    order = draw(st.sampled_from((GREVLEX, LEX)))
+    p = draw(st.sampled_from((2, 3, 7, 32003)))
+    nvars = draw(st.integers(2, 4))
+    ring = PolyRing(p, ("x", "y", "z", "w")[:nvars], order)
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    terms = draw(st.sampled_from((4, 6, 2)))
+    gens = []
+    for _ in range(draw(st.integers(1, nvars + 2))):
+        g = random_form(rng, ring, rng.randint(1, 3), terms)
+        if not g.is_zero:
+            gens.append(g)
+    gens = gens or [ring.variable("x")]
+    extra = draw(st.sampled_from(("none", "repeated", "combination")))
+    if extra == "repeated":
+        gens.insert(rng.randrange(len(gens) + 1), rng.choice(gens))
+    elif extra == "combination":
+        g = rng.choice(gens)
+        h = random_form(rng, ring, g.total_degree(), terms)
+        combination = g * rng.randrange(1, p) + h * rng.randrange(1, p)
+        gens += [x for x in (h, combination) if not x.is_zero]
+    return ring, gens
 
 
 def nonzero_random_poly(rng, ring, max_degree=3, terms=3):

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 import support
 from froblab import groebner
 from froblab.errors import BudgetExceeded, RingMismatch
+from froblab.fsing import fedder_f_pure
 from froblab.groebner import (
     Packing,
     _PairQueue,
@@ -22,6 +23,7 @@ from froblab.groebner import (
 )
 from froblab.ideals import Ideal
 from froblab.polyring import GREVLEX, LEX, PolyRing
+from froblab.quotients import QuotientPresentation
 
 
 def _random_poly(rng, ring, max_degree=3, terms=3):
@@ -273,7 +275,8 @@ def test_standard_systems_pop_a_fixed_number_of_pairs(monkeypatch, name, pops):
     (112 while plain runs took their generators unreduced): a generator
     whose lead an earlier one's divides now enters reduced against them,
     which changes the elements, and so the pairs, that the run starts
-    from."""
+    from.  The systems are inhomogeneous, so they enter without the echelon
+    step and the counts stay."""
     popped = []
 
     class Counted(_PairQueue):
@@ -516,6 +519,84 @@ def test_a_long_lex_chain_keeps_the_pair_loop():
     R = PolyRing(7, ("x", "y"), LEX)
     gb = buchberger([R.parse("x^1500 - y^1500"), R.parse("x*y - 1")])
     assert [str(g) for g in gb.polys] == ["x + 6*y^2999", "y^3000 + 6"]
+
+
+# -- dense homogeneous generators in reduced echelon form -----------------------
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(support.homogeneous_systems())
+def test_dense_homogeneous_generators_enter_in_reduced_echelon_form(case):
+    """The pair loop returns the polys and packed divisors of the entry that
+    takes each generator as it is, on mixed degrees, repeated and
+    rank-deficient generators, in lex and grevlex.  Only a list with a
+    generator of more than two terms takes the step, so binomial lists skip
+    it, and the basis records the caller's polys, which a run seeded with it
+    skips by identity."""
+    R, gens = case
+    calls = []
+    echelon = groebner._echelon_by_degree
+    groebner._echelon_by_degree = support.recorded_echelons(calls)
+    try:
+        gb = groebner._pair_loop(R, gens, R.order)
+    finally:
+        groebner._echelon_by_degree = echelon
+    reference = support.pair_loop_entering_generators_as_given(R, gens, R.order)
+    assert gb.polys == reference.polys
+    assert gb.divisors == reference.divisors
+    assert len(gb.generators) == len(gens) and all(a is b for a, b in zip(gb.generators, gens))
+    assert len(calls) == any(len(g._terms) > 2 for g in gens)
+
+
+FIVE_LINES = ("2*z1 + z4 + z5", "z1 + z2 + 2*z3 + z4 + 2*z5", "2*z1 + 2*z3 + 2*z5", "2*z2 + z3 + 2*z5", "z2 + z3 + z4 + 2*z5")
+
+
+def _line_quadrics(forms):
+    """The products of two of the linear forms, over F_3[z1..z5]."""
+    R = PolyRing(3, ("z1", "z2", "z3", "z4", "z5"))
+    forms = [R.parse(t) for t in forms]
+    return R, [a * b for a, b in itertools.combinations(forms, 2)]
+
+
+def test_five_lines_make_fewer_reductions_from_echelon_form(monkeypatch):
+    """The ten quadrics of the first five-line arrangement of the
+    frobenius-reads benchmark, products of dense linear forms with up to 14
+    terms, make 29 ``_reduce`` calls, 26 of them zero reductions, where
+    entering them as they are made 44: in echelon form their tails hold
+    only the five standard quadratic monomials, so no tail is reduced in the
+    final interreduction and each S-polynomial is shorter."""
+    R, gens = _line_quadrics(FIVE_LINES)
+    remainders = []
+    reduce = groebner._reduce
+
+    def counted(*args, **kwargs):
+        remainders.append(reduce(*args, **kwargs))
+        return remainders[-1]
+
+    monkeypatch.setattr(groebner, "_reduce", counted)
+    gb = buchberger(gens)
+    assert (len(remainders), sum(not r for r in remainders)) == (29, 26)
+    remainders.clear()
+    assert support.pair_loop_entering_generators_as_given(R, gens, R.order) == gb
+    assert (len(remainders), sum(not r for r in remainders)) == (44, 26)
+
+
+def test_binomial_and_inhomogeneous_runs_skip_the_echelon_step(monkeypatch):
+    """The determinantal minors are binomials, and Fedder's colons on them
+    are seeded or tracked runs, so none reaches the step: row reducing the
+    binomial lists made fedder-colon slower.  Dense inhomogeneous systems
+    skip it too, since eliminating across their degrees made cyclic-5
+    slower."""
+    calls = []
+    monkeypatch.setattr(groebner, "_echelon_by_degree", support.recorded_echelons(calls))
+    for A in (support.generic_minors(3, 3), support.candidate_miss()):
+        A.groebner_basis()
+        fedder_f_pure(QuotientPresentation(A.ring, A))
+    for name in STANDARD_SYSTEMS:
+        names, texts = STANDARD_SYSTEMS[name]
+        R = PolyRing(32003, names)
+        groebner._pair_loop(R, [R.parse(t) for t in texts], R.order)
+    assert calls == []
 
 # -- packed divisors and the reducer memo --------------------------------------
 
@@ -791,6 +872,38 @@ def test_seeded_sum_forms_fewer_pairs(monkeypatch):
     assert (defining + parameter).groebner_basis().polys == unseeded.polys
     seeded = queues[-1].formed
     assert seeded < alone
+
+
+def test_a_sum_seeded_from_an_echelon_entered_basis_skips_its_generators(monkeypatch):
+    """defining + parameter on FIVE_LINES, dense quadrics whose own basis
+    the run took from their reduced echelon form: that basis records the
+    caller's polys, so the seeded sum still skips them by identity, reduces
+    none of them and takes no echelon step itself.  It forms 56 pairs.  The
+    unseeded sum enters in echelon form too, its linear parameter first, and
+    the quadrics whose lead the parameter's divides enter reduced and
+    inactive, so it forms 55 (95 when it entered its generators as they
+    were): here the seed saves the ten quadrics' reductions, not pairs."""
+    queues = []
+
+    class Recorded(_PairQueue):
+        def __init__(self, *args):
+            super().__init__(*args)
+            queues.append(self)
+
+    monkeypatch.setattr(groebner, "_PairQueue", Recorded)
+    R, quadrics = _line_quadrics(FIVE_LINES)
+    defining = Ideal(R, tuple(quadrics))
+    parameter = Ideal(R, (R.parse("2*z2 + 2*z4 + 2*z5"),))
+    unseeded = groebner_basis_of(R, defining.generators + parameter.generators, GREVLEX)
+    alone = queues[-1].formed
+    echelons = []
+    monkeypatch.setattr(groebner, "_echelon_by_degree", support.recorded_echelons(echelons))
+    defining.groebner_basis()
+    seen = _reduced_terms(monkeypatch)
+    assert (defining + parameter).groebner_basis().polys == unseeded.polys
+    assert seen and not [g for g in defining.generators if g._terms in seen]
+    assert echelons == [list(defining.generators)]
+    assert (queues[-1].formed, alone) == (56, 55)
 
 
 def _reduced_terms(monkeypatch):

@@ -16,6 +16,7 @@ import random
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
 
 sympy = pytest.importorskip("sympy")
 
@@ -165,12 +166,15 @@ def _cusp_and_parameter(p):
 
 @pytest.mark.parametrize("case", ("lines-5", "lines-6", "quadrics-3", "quadrics-4"))
 @pytest.mark.parametrize("p", (3, 5, 32003))
-def test_pair_loop_matches_sympy_on_more_generators_than_variables(case, p):
+def test_pair_loop_matches_sympy_on_more_generators_than_variables(monkeypatch, case, p):
     """The pair loop, which a generator enters reduced against the ones
     before it when one of their leads divides its own, on the defining
     quadrics of five and six lines and on random quadric systems of n + 1
     to n + 3 generators in n variables, homogeneous or not: the reduced
-    basis equals sympy's in grevlex."""
+    basis equals sympy's in grevlex.  The line quadrics and the homogeneous
+    systems enter in reduced echelon form, the others as they are."""
+    echelons = []
+    monkeypatch.setattr(groebner, "_echelon_by_degree", support.recorded_echelons(echelons))
     if case.startswith("lines"):
         lines, _ = _lines_and_parameter(int(case[-1]), p)
         ring, systems = lines.ring, [list(lines.generators)]
@@ -184,6 +188,19 @@ def test_pair_loop_matches_sympy_on_more_generators_than_variables(case, p):
     for gens in systems:
         _, expected = sympy_basis(gens, syms, p, "grevlex")
         assert froblab_set(groebner._pair_loop(ring, gens, GREVLEX).polys) == expected
+    assert echelons == [gens for gens in systems if all(g.is_homogeneous() for g in gens)]
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(support.homogeneous_systems())
+def test_echelon_entry_matches_sympy_on_homogeneous_systems(case):
+    """The pair loop on homogeneous generators of mixed degrees, repeated
+    and rank-deficient ones, and binomial lists, which skip the echelon
+    step, in grevlex and lex at p in {2, 3, 7, 32003}: the reduced basis
+    equals sympy's."""
+    ring, gens = case
+    _, expected = sympy_basis(gens, sympy.symbols(ring.variables), ring.p, ring.order.kind)
+    assert froblab_set(groebner._pair_loop(ring, gens, ring.order).polys) == expected
 
 
 @pytest.mark.parametrize("case", ("lines-3", "lines-4", "cusp"))
