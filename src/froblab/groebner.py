@@ -124,20 +124,31 @@ elements already reduced, through one memo for that list.  The returned
 runs use as they are.  Both loops build S-polynomials through
 ``_s_polynomial`` and charge the pairs they form to the budget through
 ``_charge``.
+
+A basis also answers, from its packed leads and normal forms, what the
+ideal and quotient layers ask of S/(its ideal), so that no layer above
+reads a packed monomial: the leading monomials, unpacked from the divisors;
+the numerator of the Hilbert series of S/in by Bigatti's pivot recursion
+(J. Pure Appl. Algebra 119, 1997) on the leads; the standard monomials, an
+order ideal walked up from 1; the socle matrix, whose entries are the
+normal forms of the products x_v*m of a variable and a standard monomial;
+and the coefficient rows of a list of normal forms.  Every normal form
+goes through ``normal_form``.
 """
 
 from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass, field
-from functools import cache
+from functools import cache, cached_property
 from typing import Callable, Iterable, Sequence
 
-from .errors import BudgetExceeded, ExponentOverflow, RingMismatch
+from .errors import BudgetExceeded, ExponentOverflow, NotArtinian, RingMismatch
 from .linalg import rref
 from .polyring import (
     EXPONENT_BITS,
     MAX_EXPONENT,
+    Monomial,
     MonomialOrder,
     Packing,
     PolyRing,
@@ -359,6 +370,65 @@ def _power_below_p(f: Polynomial, n: int) -> Polynomial:
     return ring._poly(result)
 
 
+def _plus_shifted(a: list[int], b: list[int], shift: int, sign: int = 1) -> list[int]:
+    """a(t) + sign * t**shift * b(t), coefficient lists from degree 0 up,
+    with no trailing zeros."""
+    out = a + [0] * (len(b) + shift - len(a))
+    for k, c in enumerate(b):
+        out[k + shift] += sign * c
+    while out and not out[-1]:
+        out.pop()
+    return out
+
+
+def _hilbert_numerator(gens: list[int], pk: Packing) -> list[int]:
+    """K(t) with HS(S/M) = K(t)/(1 - t)^n for the monomial ideal M minimally
+    generated by the packed monomials ``gens`` of the grevlex layout ``pk``,
+    by the pivot recursion K(M) = K(M + (x^a)) + t^a * K(M : x^a) (Bigatti
+    1997), where x is the first variable in most generators and a its
+    smallest exponent there; both sides lower the sum of the generator
+    degrees.  Generators with no variable in common are a regular sequence
+    (or hold 1), and K is the product of their factors 1 - t^deg.
+
+    A monomial's degree is its field at ``span``, and x^a divides m iff no
+    guard bit of (m | guard) - x^a clears, so M : x^a is m - x^a on the
+    generators x holds.  The count of generators holding each variable is
+    one sum: a field of (m & exponents) + largest*ones carries into its
+    guard bit iff the exponent is nonzero, and shifted down by ``bits``,
+    each count has its field's 17 bits to itself, which hold it below 2^17
+    generators.  A run's basis stays far below that: its k minimal leads
+    charge at least k(k - 1)/2 pairs to the budget.
+    """
+    exponents, guard, bits, largest, span = pk.exponents, pk.guard, pk.bits, pk.largest, pk.span
+    fill, wide = largest * pk.ones, (largest << 1) | 1
+    holding = sum(((m & exponents) + fill) & guard for m in gens) >> bits
+    counts = [holding >> s & wide for s in pk.shifts]
+    most = max(counts, default=0)
+    if most < 2:
+        out = [1]
+        for m in gens:
+            out = _plus_shifted(out, out, m >> span, -1)
+        return out
+    x = counts.index(most)
+    s = pk.shifts[x]
+    a = min(e for e in (m >> s & largest for m in gens) if e)
+    power = a * pk.units[x]
+    # x^a divides every generator holding x, so M + (x^a) is minimally
+    # generated by the rest and x^a, which holds no variable of theirs:
+    # K(M + (x^a)) = (1 - t^a) * K(rest).  In M : x^a only a lowered
+    # generator can divide another, and ascending ints put a divisor, of
+    # lower degree, before its multiples.
+    rest = [m for m in gens if not m >> s & largest]
+    lowered: list[int] = []
+    for m in sorted({m - power for m in gens if m >> s & largest}):
+        shifted = m | guard
+        if not any((shifted - g) & guard == guard for g in lowered):
+            lowered.append(m)
+    quotient = lowered + [m for m in rest if not any(((m | guard) - g) & guard == guard for g in lowered)]
+    below = _hilbert_numerator(rest, pk)
+    return _plus_shifted(_plus_shifted(below, below, a, -1), _hilbert_numerator(quotient, pk), a)
+
+
 class _PairQueue:
     """The S-pairs of a growing basis, kept by the Gebauer-Moeller update
     and popped by sugar, then lcm, then index.
@@ -484,7 +554,109 @@ class GroebnerBasis:
 
     @property
     def leading_monomials(self) -> tuple:
-        return tuple(g.leading_monomial(self.order) for g in self.polys)
+        unpack = self.packing.unpack
+        return tuple(unpack(lead) for lead, _, _ in self.divisors)
+
+    def _leads(self) -> list[int]:
+        """The packed leads in the grevlex layout of the ring's polynomials."""
+        pk, own = self.packing, self.ring.packing
+        leads = [lead for lead, _, _ in self.divisors]
+        return leads if pk is own else [own.pack(pk.unpack(m)) for m in leads]
+
+    def _hilbert_numerator(self) -> list[int]:
+        """The numerator K(t) of HS(S/in) = K(t)/(1 - t)^n, in = the ideal
+        of the leads, which are minimal (``_hilbert_numerator``)."""
+        return _hilbert_numerator(self._leads(), self.ring.packing)
+
+    @cached_property
+    def _standard(self) -> list[int]:
+        """The packed standard monomials, those no lead divides, ascending
+        in the ring's order; NotArtinian unless the leads hold a pure power
+        of every variable, so that there are finitely many.
+
+        They form an order ideal, walked up from 1: each one but 1 is
+        reached once, from its quotient by the last variable it holds, as a
+        product m*x_v of a standard m and a variable x_v from the last one m
+        holds on.  Only the leads that hold x_v can divide m*x_v, so only
+        the standard monomials and their boundary are tested, each against
+        those leads."""
+        if self.is_unit_ideal():
+            return []
+        ring = self.ring
+        own = ring.packing
+        leads, units, span = self._leads(), own.units, own.span
+        powered = {v for m in leads for v, unit in enumerate(units) if m == (m >> span) * unit}
+        if len(powered) < len(units):
+            missing = [name for v, name in enumerate(ring.variables) if v not in powered]
+            raise NotArtinian(f"no pure power of {', '.join(missing)} in the leading-term ideal")
+        guard, largest = own.guard, own.largest
+        holding = [[g for g in leads if g >> s & largest] for s in own.shifts]
+        standard, last = [0], [0]
+        for m, first in zip(standard, last):
+            for v in range(first, len(units)):
+                bumped = m + units[v]
+                shifted = bumped | guard
+                if not any((shifted - g) & guard == guard for g in holding[v]):
+                    standard.append(bumped)
+                    last.append(v)
+        return sorted(standard, key=ring._key())
+
+    def _standard_monomials(self) -> list[Monomial]:
+        """The standard monomials as exponent tuples (see ``_standard``)."""
+        unpack = self.ring.packing.unpack
+        return [unpack(m) for m in self._standard]
+
+    def _socle_rows(self, graded: bool) -> tuple[list[list[int]], int]:
+        """(rows, n): the matrix whose kernel is the socle of S/(the ideal),
+        over the n standard monomials m_j (``_standard``), and n.
+
+        Row v*n + i, column j holds the coefficient of m_i in the normal form
+        of x_v*m_j.  A standard product is its own normal form, and on a
+        ``graded`` ideal, where no monomial of a degree above the top
+        standard degree is standard, a product of m_j at that degree is
+        zero; only the other products take a normal form."""
+        standard = self._standard
+        n = len(standard)
+        if not n:
+            return [], 0
+        own = self.ring.packing
+        units, span = own.units, own.span
+        index = {m: i for i, m in enumerate(standard)}
+        top = max(standard) >> span
+        rows = [[0] * n for _ in range(len(units) * n)]
+        for j, m in enumerate(standard):
+            if graded and m >> span == top:
+                continue
+            for v, unit in enumerate(units):
+                bumped = m + unit
+                i = index.get(bumped)
+                if i is not None:
+                    rows[v * n + i][j] = 1
+                    continue
+                for mm, c in self.normal_form(self.ring._poly({bumped: 1}))._terms.items():
+                    rows[v * n + index[mm]][j] = c
+        return rows, n
+
+    def _standard_combinations(self, vectors: list[list[int]]) -> list[Polynomial]:
+        """sum c_j*m_j over the standard monomials m_j for each nonzero
+        coefficient vector c, by descending leading monomial in the ring's
+        order: the m_j ascend, so a lead is the last m_j with c_j nonzero."""
+        standard = self._standard
+        out = [(max(j for j, c in enumerate(vec) if c), {standard[j]: c for j, c in enumerate(vec) if c})
+               for vec in vectors]
+        out.sort(key=lambda pair: pair[0], reverse=True)
+        return [self.ring._poly(terms) for _, terms in out]
+
+    def _normal_form_rows(self, polys: Sequence[Polynomial]) -> tuple[list[list[int]], list[Polynomial]]:
+        """The normal forms of ``polys`` and their coefficient matrix: one
+        row per monomial some normal form holds, whose entry j is its
+        coefficient in the j-th."""
+        forms = [self.normal_form(g) for g in polys]
+        rows: dict[int, list[int]] = {}
+        for j, f in enumerate(forms):
+            for m, c in f._terms.items():
+                rows.setdefault(m, [0] * len(forms))[j] = c
+        return list(rows.values()), forms
 
     def normal_form(self, g: Polynomial) -> Polynomial:
         if g.ring != self.ring:

@@ -7,18 +7,19 @@ basis per monomial order.  A sum remembers its two summands, and its basis
 is built from a summand's cached basis in the same order when there is one.
 Intersections and colons come from tracked grevlex runs seeded with such a
 cached basis (``groebner.syzygy_images``).  ``eliminate`` is the one lex
-run.  Extensional equality always compares reduced grevlex bases.
+run.  Extensional equality always compares reduced grevlex bases.  Leading
+monomials, Hilbert numerators and standard monomials are read off the
+packed leads of a cached basis by ``GroebnerBasis`` methods: this module
+reads no packed monomial.
 """
 
 from __future__ import annotations
 
 import itertools
-from operator import ge
 from typing import Iterable, Iterator
 
 from .errors import (
     ExponentOverflow,
-    NotArtinian,
     RingMismatch,
     UnitIdeal,
     ZeroColonDivisor,
@@ -35,47 +36,6 @@ def _distinct_monic(polys: Iterable[Polynomial]) -> list[Polynomial]:
             p = f.ring.p
             out[f * pow(f.leading_term(GREVLEX)[1], p - 2, p)] = None
     return list(out)
-
-
-def _plus_shifted(a: list[int], b: list[int], shift: int, sign: int = 1) -> list[int]:
-    """a(t) + sign * t**shift * b(t), coefficient lists from degree 0 up,
-    with no trailing zeros."""
-    out = a + [0] * (len(b) + shift - len(a))
-    for k, c in enumerate(b):
-        out[k + shift] += sign * c
-    while out and not out[-1]:
-        out.pop()
-    return out
-
-
-def _hilbert_numerator(gens: list[Monomial]) -> list[int]:
-    """K(t) with HS(S/M) = K(t)/(1 - t)^n for the monomial ideal M
-    generated by ``gens``, by the pivot recursion K(M) = K(M + (x^a))
-    + t^a * K(M : x^a) (Bigatti 1997), where x is the variable in most
-    generators and a its smallest exponent there; both sides lower the sum
-    of the generator degrees.  Generators with no variable in common are a
-    regular sequence (or hold 1), and K is the product of their factors
-    1 - t^deg.  Minimal generators keep the recursion short; both sides
-    keep them minimal."""
-    counts = [sum(map(bool, column)) for column in zip(*gens)]
-    most = max(counts, default=0)
-    if most < 2:
-        out = [1]
-        for m in gens:
-            out = _plus_shifted(out, out, sum(m), -1)
-        return out
-    x = counts.index(most)
-    a = min(m[x] for m in gens if m[x])
-    # x^a divides every generator holding x, so M + (x^a) needs no
-    # minimalising; in M : x^a only a lowered generator can divide another
-    rest = [m for m in gens if not m[x]]
-    lowered: list[Monomial] = []
-    for m in sorted({m[:x] + (m[x] - a,) + m[x + 1:] for m in gens if m[x]}, key=sum):
-        if not any(all(map(ge, m, g)) for g in lowered):
-            lowered.append(m)
-    quotient = lowered + [m for m in rest if not any(all(map(ge, m, g)) for g in lowered)]
-    power = (0,) * x + (a,) + (0,) * (len(counts) - x - 1)
-    return _plus_shifted(_hilbert_numerator(rest + [power]), _hilbert_numerator(quotient), a)
 
 
 class Ideal:
@@ -223,8 +183,8 @@ class Ideal:
         gens2 = [g.mapped_to(ring2) for g in self.generators]
         # under lex a lead free of the leading variables leaves them out of
         # every term
-        free = [g for g in groebner_basis_of(ring2, gens2, LEX).polys
-                if not any(g.leading_monomial(LEX)[:len(drop_idx)])]
+        gb = groebner_basis_of(ring2, gens2, LEX)
+        free = [g for g, lead in zip(gb.polys, gb.leading_monomials) if not any(lead[:len(drop_idx)])]
         return Ideal(ring, tuple(g.mapped_to(ring) for g in free))
 
     def krull_dimension(self) -> int:
@@ -244,43 +204,25 @@ class Ideal:
 
     def hilbert_numerator(self) -> list[int]:
         """The numerator K(t) of HS(S/in(self)) = K(t)/(1 - t)^n, as its
-        coefficients from degree 0 up, read off the leading monomials of the
-        grevlex basis, which are minimal; cached.  For a homogeneous ideal
-        this is also the Hilbert series of S/self.  The zero ideal gives
-        [1], the unit ideal []."""
+        coefficients from degree 0 up, by Bigatti's recursion on the packed
+        leads of the grevlex basis, which are minimal
+        (``GroebnerBasis._hilbert_numerator``); cached.  For a homogeneous
+        ideal this is also the Hilbert series of S/self.  The zero ideal
+        gives [1], the unit ideal []."""
         if self._numerator is None:
-            self._numerator = _hilbert_numerator(list(self.groebner_basis(GREVLEX).leading_monomials))
+            self._numerator = self.groebner_basis(GREVLEX)._hilbert_numerator()
         return self._numerator
 
     def standard_monomials(self) -> list[Monomial]:
-        """Monomial basis of R/self, ascending in the ring order.
+        """Monomial basis of R/self, ascending in the ring order: the order
+        ideal of the grevlex basis's leads, walked up from 1 on packed
+        monomials (``GroebnerBasis._standard``).
 
         Requires a pure power of every variable among the leading terms;
         otherwise the quotient is infinite-dimensional and NotArtinian is
         raised.
         """
-        gb = self.groebner_basis(GREVLEX)
-        if gb.is_unit_ideal():
-            return []
-        n = self.ring.nvars
-        leads = gb.leading_monomials
-        bounds: list[int | None] = [None] * n
-        for lm in leads:
-            nz = [i for i, e in enumerate(lm) if e]
-            if len(nz) == 1:
-                i = nz[0]
-                if bounds[i] is None or lm[i] < bounds[i]:
-                    bounds[i] = lm[i]
-        if any(b is None for b in bounds):
-            missing = [self.ring.variables[i] for i, b in enumerate(bounds) if b is None]
-            raise NotArtinian(f"no pure power of {', '.join(missing)} in the leading-term ideal")
-        out = [
-            m
-            for m in itertools.product(*(range(b) for b in bounds))
-            if not any(all(map(ge, m, lm)) for lm in leads)
-        ]
-        out.sort(key=self.ring.order.key)
-        return out
+        return self.groebner_basis(GREVLEX)._standard_monomials()
 
     def _require_same(self, other: "Ideal") -> None:
         if not isinstance(other, Ideal):

@@ -394,11 +394,15 @@ class Polynomial:
             return -1
         return max(self._terms) >> self.ring.packing.span
 
+    def term_degrees(self) -> set[int]:
+        """The total degrees of the terms, each its monomial's degree field."""
+        span = self.ring.packing.span
+        return {m >> span for m in self._terms}
+
     def is_homogeneous(self) -> bool:
         """True when every term has the same total degree; the zero
         polynomial is homogeneous."""
-        span = self.ring.packing.span
-        return len({m >> span for m in self._terms}) <= 1
+        return len(self.term_degrees()) <= 1
 
     def leading_term(self, order: MonomialOrder | None = None) -> tuple[Monomial, int] | None:
         if not self._terms:

@@ -19,7 +19,9 @@ forms of the one before, a witness at depth e is one at every depth above,
 as the p-th bracket power of the depth-e target lies in the next, and a
 socle reduces only the products of a variable and a standard monomial that
 are neither standard nor, on a homogeneous ideal, above the top standard
-degree.
+degree.  The socle matrix and the kernel rows are built from packed normal
+forms inside ``GroebnerBasis`` (``_socle_rows``, ``_normal_form_rows``), and
+this module reads no packed monomial.
 """
 
 from __future__ import annotations
@@ -37,7 +39,8 @@ from .errors import (
     RingMismatch,
     ZeroElement,
 )
-from .ideals import Ideal, _plus_shifted
+from .groebner import _plus_shifted
+from .ideals import Ideal
 from .linalg import Echelon, nullspace, rref
 from .polyring import GREVLEX, MAX_EXPONENT, Monomial, PolyRing, Polynomial
 from .reports import (
@@ -154,38 +157,16 @@ class QuotientPresentation:
     def _socle(self, parameter: Ideal, full: Ideal) -> SocleBasis:
         """socle(parameter), given full = defining + parameter.
 
-        Column j of the matrix holds the normal forms of x_v*m_j, m_j the
-        j-th standard monomial, and only the products whose normal form is
-        not known get one: a standard product is its own normal form, and
-        when full is homogeneous, so that no monomial of a degree above the
-        top standard degree is standard, such a product is zero."""
-        monomials = full.standard_monomials()
-        if not monomials:
-            return SocleBasis(parameter, ())
-        # the standard monomials come from the grevlex basis, so the normal
-        # forms must too, whatever the ring's order
+        The standard monomials and normal forms come from the grevlex basis
+        of full, whatever the ring's order: the kernel of its socle matrix
+        (``GroebnerBasis._socle_rows``), whose columns hold the normal forms
+        of the products x_v*m of a variable and a standard monomial m, read
+        as combinations of the standard monomials."""
         gb = full.groebner_basis(GREVLEX)
-        n = len(monomials)
-        index = {m: i for i, m in enumerate(monomials)}
-        graded = all(g.is_homogeneous() for g in full.generators)
-        top = max(map(sum, monomials))
-        rows: list[list[int]] = [[0] * n for _ in range(self.ring.nvars * n)]
-        for j, m in enumerate(monomials):
-            if graded and sum(m) == top:
-                continue
-            for v in range(self.ring.nvars):
-                bumped = tuple(e + 1 if i == v else e for i, e in enumerate(m))
-                if bumped in index:
-                    rows[v * n + index[bumped]][j] = 1
-                    continue
-                nf = gb.normal_form(self.ring.monomial(bumped))
-                for mm, c in nf.terms():
-                    rows[v * n + index[mm]][j] = c
-        basis = []
-        for coeffs in nullspace(rows, n, self.p):
-            basis.append(sum((self.ring.monomial(m, c) for m, c in zip(monomials, coeffs) if c), self.ring.zero()))
-        basis.sort(key=lambda b: self.ring.order.key(b.leading_monomial()), reverse=True)
-        return SocleBasis(parameter, tuple(basis))
+        rows, n = gb._socle_rows(all(g.is_homogeneous() for g in full.generators))
+        if not n:
+            return SocleBasis(parameter, ())
+        return SocleBasis(parameter, tuple(gb._standard_combinations(nullspace(rows, n, self.p))))
 
     def frobenius_closure_test(
         self, parameter: Ideal, e_max: int = DEFAULT_CLOSURE_EMAX
@@ -290,7 +271,10 @@ def _bracket_kernel(
     parts does, so the answer is the kernel of [NF(columns) | NF(y_j) for
     each y_j of a degree some column reaches], cut to the columns'
     coordinates; no Groebner run is made.  Otherwise the sum base + power
-    is formed and its own basis decides.
+    is formed and its own basis decides.  The degrees the columns reach are
+    their terms' degree fields (``Polynomial.term_degrees``), and the
+    matrix has one row per monomial some normal form holds, read off the
+    packed normal forms (``GroebnerBasis._normal_form_rows``).
     """
     brackets = [y for y in power.generators if not y.is_zero]
     top = max(c.total_degree() for c in columns)
@@ -298,17 +282,13 @@ def _bracket_kernel(
         top <= y.total_degree() for y in brackets
     ):
         gb = base.groebner_basis(GREVLEX)
-        reached = {sum(m) for c in columns for m, _ in c.terms()}
+        reached = set().union(*(c.term_degrees() for c in columns))
         brackets = [y for y in brackets if y.total_degree() in reached]
     else:
         gb, brackets = (base + power).groebner_basis(GREVLEX), []
-    vectors = [gb.normal_form(g) for g in [*columns, *brackets]]
-    rows: dict[Monomial, list[int]] = {}
-    for j, v in enumerate(vectors):
-        for m, c in v.terms():
-            rows.setdefault(m, [0] * len(vectors))[j] = c
+    rows, vectors = gb._normal_form_rows([*columns, *brackets])
     p = base.ring.p
-    kernel = nullspace(list(rows.values()), len(vectors), p)
+    kernel = nullspace(rows, len(vectors), p)
     return rref([v[:len(columns)] for v in kernel], p)[0], vectors[:len(columns)]
 
 

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from hypothesis import strategies as st
 
 from froblab import groebner
-from froblab.errors import ExponentOverflow, RingMismatch, UnknownVariable
+from froblab.errors import ExponentOverflow, NotArtinian, RingMismatch, UnknownVariable
 from froblab.fsing import socle_lift
 from froblab.ideals import Ideal
 from froblab.linalg import nullspace, rref
@@ -449,6 +449,145 @@ def bracket_kernel_by_target(target, columns):
     monomials = sorted({m for f in forms for m in f})
     rows = [[f.get(m, 0) for f in forms] for m in monomials]
     return rref(plain_nullspace(rows, len(columns), target.ring.p), target.ring.p)[0]
+
+
+def plus_shifted(a, b, shift, sign=1):
+    """a(t) + sign * t**shift * b(t), coefficient lists from degree 0 up,
+    with no trailing zeros."""
+    out = a + [0] * (len(b) + shift - len(a))
+    for k, c in enumerate(b):
+        out[k + shift] += sign * c
+    while out and not out[-1]:
+        out.pop()
+    return out
+
+
+def divides(a, b):
+    """Whether the exponent tuple a divides b."""
+    return all(x <= y for x, y in zip(a, b))
+
+
+def minimal_monomials(monomials):
+    """The minimal generators of the monomial ideal the exponent tuples
+    generate, by ascending degree."""
+    out = []
+    for m in sorted(set(monomials), key=sum):
+        if not any(divides(g, m) for g in out):
+            out.append(m)
+    return out
+
+
+def hilbert_numerator_of_tuples(gens):
+    """K(t) with HS(S/M) = K(t)/(1 - t)^n for the monomial ideal M
+    minimally generated by the exponent tuples ``gens``, by Bigatti's pivot
+    recursion on x^a, x the first variable in most generators and a its
+    smallest exponent there: the route Ideal.hilbert_numerator took before
+    it read the basis's packed leads, kept as a reference."""
+    counts = [sum(map(bool, column)) for column in zip(*gens)]
+    most = max(counts, default=0)
+    if most < 2:
+        out = [1]
+        for m in gens:
+            out = plus_shifted(out, out, sum(m), -1)
+        return out
+    x = counts.index(most)
+    a = min(m[x] for m in gens if m[x])
+    rest = [m for m in gens if not m[x]]
+    lowered = minimal_monomials(m[:x] + (m[x] - a,) + m[x + 1:] for m in gens if m[x])
+    quotient = lowered + [m for m in rest if not any(divides(g, m) for g in lowered)]
+    power = (0,) * x + (a,) + (0,) * (len(counts) - x - 1)
+    return plus_shifted(hilbert_numerator_of_tuples(rest + [power]), hilbert_numerator_of_tuples(quotient), a)
+
+
+def leads_by_terms(gb):
+    """The leading monomials of a basis's polys, each the largest of its
+    terms in the basis's order."""
+    return [g.leading_monomial(gb.order) for g in gb.polys]
+
+
+def standard_monomials_in_the_box(ideal):
+    """The standard monomials of the grevlex basis of ``ideal``, ascending
+    in the ring's order, from every monomial of the box that the leads' pure
+    powers cut out; NotArtinian, with Ideal.standard_monomials' message,
+    when a variable has none: the route Ideal.standard_monomials took
+    before it walked the order ideal on packed monomials, kept as a
+    reference."""
+    ring = ideal.ring
+    gb = ideal.groebner_basis(GREVLEX)
+    if gb.is_unit_ideal():
+        return []
+    leads = leads_by_terms(gb)
+    bounds = [None] * ring.nvars
+    for lm in leads:
+        nz = [i for i, e in enumerate(lm) if e]
+        if len(nz) == 1 and (bounds[nz[0]] is None or lm[nz[0]] < bounds[nz[0]]):
+            bounds[nz[0]] = lm[nz[0]]
+    missing = [ring.variables[i] for i, b in enumerate(bounds) if b is None]
+    if missing:
+        raise NotArtinian(f"no pure power of {', '.join(missing)} in the leading-term ideal")
+    box = itertools.product(*(range(b) for b in bounds))
+    return sorted((m for m in box if not any(divides(lm, m) for lm in leads)), key=ring.order.key)
+
+
+def socle_from_tuples(full):
+    """The socle basis of S/full from a matrix indexed by exponent tuples:
+    the normal form of each product x_v*m of a variable and a standard
+    monomial that is neither standard nor, on a homogeneous ideal, above
+    the top standard degree, read through ``terms()``, and each basis
+    element summed one monomial at a time: the route
+    QuotientPresentation._socle took before it read packed normal forms,
+    kept as a reference."""
+    ring = full.ring
+    monomials = standard_monomials_in_the_box(full)
+    if not monomials:
+        return ()
+    gb = full.groebner_basis(GREVLEX)
+    n = len(monomials)
+    index = {m: i for i, m in enumerate(monomials)}
+    graded = all(g.is_homogeneous() for g in full.generators)
+    top = max(map(sum, monomials))
+    rows = [[0] * n for _ in range(ring.nvars * n)]
+    for j, m in enumerate(monomials):
+        if graded and sum(m) == top:
+            continue
+        for v in range(ring.nvars):
+            bumped = tuple(e + 1 if i == v else e for i, e in enumerate(m))
+            if bumped in index:
+                rows[v * n + index[bumped]][j] = 1
+                continue
+            for mm, c in gb.normal_form(ring.monomial(bumped)).terms():
+                rows[v * n + index[mm]][j] = c
+    basis = [
+        sum((ring.monomial(m, c) for m, c in zip(monomials, coeffs) if c), ring.zero())
+        for coeffs in nullspace(rows, n, ring.p)
+    ]
+    basis.sort(key=lambda b: ring.order.key(b.leading_monomial()), reverse=True)
+    return tuple(basis)
+
+
+def bracket_kernel_from_tuples(base, power, columns):
+    """quotients._bracket_kernel with the reached degrees and the rows of
+    its matrix read from the normal forms' exponent tuples through
+    ``terms()``: the route it took before it read packed normal forms, kept
+    as a reference."""
+    brackets = [y for y in power.generators if not y.is_zero]
+    top = max(c.total_degree() for c in columns)
+    if all(g.is_homogeneous() for g in base.generators + tuple(brackets)) and all(
+        top <= y.total_degree() for y in brackets
+    ):
+        gb = base.groebner_basis(GREVLEX)
+        reached = {sum(m) for c in columns for m, _ in c.terms()}
+        brackets = [y for y in brackets if y.total_degree() in reached]
+    else:
+        gb, brackets = (base + power).groebner_basis(GREVLEX), []
+    vectors = [gb.normal_form(g) for g in [*columns, *brackets]]
+    rows = {}
+    for j, v in enumerate(vectors):
+        for m, c in v.terms():
+            rows.setdefault(m, [0] * len(vectors))[j] = c
+    p = base.ring.p
+    kernel = nullspace(list(rows.values()), len(vectors), p)
+    return rref([v[:len(columns)] for v in kernel], p)[0], vectors[:len(columns)]
 
 
 def reduce_testing_every_signature(terms, divisors, p, pk, memo, steps=None, signature=None):

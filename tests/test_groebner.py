@@ -14,6 +14,7 @@ from froblab import groebner
 from froblab.errors import BudgetExceeded, RingMismatch
 from froblab.fsing import fedder_f_pure
 from froblab.groebner import (
+    GroebnerBasis,
     Packing,
     _PairQueue,
     _reduce,
@@ -202,6 +203,26 @@ def test_contains_and_leading_monomials():
     assert gb.contains(R.parse("x^4 - y^2"))
     assert not gb.contains(R.parse("x"))
     assert gb.leading_monomials == ((2, 0),)
+
+
+@settings(max_examples=50, deadline=None, derandomize=True)
+@given(st.integers(0, 2**32 - 1), st.integers(1, 2))
+def test_leading_monomials_are_the_unpacked_leads(seed, drop):
+    """``leading_monomials`` unpacks the basis's packed leads; they are the
+    largest terms of its polys, for the lex run ``Ideal.eliminate`` makes,
+    with the dropped variables first, for a grevlex run, and for a basis
+    built from polys alone, which packs its own divisors."""
+    rng = random.Random(seed)
+    ring = PolyRing(5, ("x", "y", "z", "w"), LEX)
+    gens = [support.random_poly(rng, ring, 3, 3) for _ in range(3)]
+    for order in (LEX, GREVLEX):
+        gb = groebner_basis_of(ring, gens, order)
+        expected = tuple(support.leads_by_terms(gb))
+        assert gb.leading_monomials == expected
+        assert GroebnerBasis(ring, order, gb.polys).leading_monomials == expected
+    kept = Ideal(ring, tuple(gens)).eliminate(ring.variables[:drop]).generators
+    lex = groebner_basis_of(ring, gens, LEX)
+    assert list(kept) == [g for g in lex.polys if not any(g.leading_monomial(LEX)[:drop])]
 
 
 def _queue(*leads_and_sugars):

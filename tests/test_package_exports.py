@@ -31,11 +31,19 @@ def test_every_public_name_the_package_imports_is_listed():
 
 def test_only_polyring_and_groebner_read_packed_terms():
     """A polynomial's ``_terms`` are packed monomials; every other module
-    reads them through ``terms()``, ``total_degree`` and ``ring.monomial``."""
-    readers = {
-        path.name
-        for path in Path(froblab.__file__).parent.glob("*.py")
-        for node in ast.walk(ast.parse(path.read_text()))
-        if isinstance(node, ast.Attribute) and node.attr == "_terms"
-    }
-    assert readers <= {"polyring.py", "groebner.py"}
+    reads them through ``terms()``, ``total_degree`` and ``ring.monomial``.
+    The same holds for the packed layout (``packing``, ``pack``,
+    ``unpack``) and a basis's packed ``divisors``: the ideal and quotient
+    layers reach leads, standard monomials and normal-form coordinates
+    through ``GroebnerBasis`` methods."""
+
+    def readers(attributes):
+        return {
+            path.name
+            for path in Path(froblab.__file__).parent.glob("*.py")
+            for node in ast.walk(ast.parse(path.read_text()))
+            if isinstance(node, ast.Attribute) and node.attr in attributes
+        }
+
+    assert readers({"_terms"}) <= {"polyring.py", "groebner.py"}
+    assert readers({"divisors", "packing", "pack", "unpack"}) <= {"polyring.py", "groebner.py"}

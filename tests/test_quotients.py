@@ -680,6 +680,42 @@ def test_socle_matches_one_normal_form_per_product(case):
     assert got.basis == support.socle_by_normal_forms(Ideal(ring, tuple(defining + parameter)))
 
 
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(closure_inputs(st.integers(1, 2)))
+@example((_F2, [_F2.parse("x1*x2 + x3^3"), _F2.parse("x2^2 + x1")], [_F2.parse("x3")], 1))
+def test_packed_socles_and_kernels_match_the_tuple_routes(case):
+    """The socle built from packed normal forms is the one built from
+    exponent tuples (tests/support.py): the same basis polys, in the same
+    order, each with its terms in the same order; and every kernel the
+    closure test asks of _bracket_kernel, with the normal forms that decided
+    it, is the one whose rows and reached degrees come from ``terms()``."""
+    # Of the 100 draws and the example, 88 are Artinian, with socle
+    # dimensions 1 (72 times), 2 (14) and 3 (2).  The kernels take the
+    # graded route 13 times and fall back 83 times, 67 of all 96 with a
+    # member.  The reference builds each target a second time, so e_max
+    # stays 1 for p >= 5, where one moved draw's depth-2 target takes
+    # seconds.
+    ring, defining, parameter, e_max = case
+    if ring.p >= 5:
+        e_max = 1
+    kernel = quotients._bracket_kernel
+
+    def checked(base, power, columns):
+        got = kernel(base, power, columns)
+        assert got == support.bracket_kernel_from_tuples(base, power, columns)
+        return got
+
+    Q = QuotientPresentation(ring, Ideal(ring, tuple(defining)))
+    try:
+        got = Q.socle(Ideal(ring, tuple(parameter)))
+    except NotArtinian:
+        return
+    expected = support.socle_from_tuples(Ideal(ring, tuple(defining + parameter)))
+    assert [list(b._terms.items()) for b in got.basis] == [list(b._terms.items()) for b in expected]
+    with mock.patch.object(quotients, "_bracket_kernel", checked):
+        Q.frobenius_closure_test(Ideal(ring, tuple(parameter)), e_max)
+
+
 _LINES_N4 = PolyRing(3, ("z1", "z2", "z3", "z4"))
 _LINES_N3 = PolyRing(7, ("z1", "z2", "z3"))
 
@@ -822,6 +858,34 @@ def test_closure_makes_one_normal_form_per_socle_element_and_depth(monkeypatch):
     assert report.witness.e == 1
     # e = 2 and e = 3 would add two normal forms, two powers and two bases
     assert counts == {"normal_form": 5, "frobenius_pow": 4, "groebner_basis_of": 3}
+
+
+def test_closure_reads_no_exponent_tuples(monkeypatch):
+    """The input of test_closure_makes_one_normal_form_per_socle_element_and_depth,
+    five coordinate lines at p = 3 with e_max = 2, unpacks no monomial into
+    an exponent tuple, where it made 19 ``terms()`` calls and 36
+    ``leading_term`` calls.  terms() is called 0
+    times: the socle matrix and the kernel rows read the packed normal forms
+    inside ``GroebnerBasis``, and the reached degrees are the terms' degree
+    fields (``term_degrees``).  leading_term is called 0 times: the Hilbert
+    numerators and the standard monomials read the basis's packed leads, and
+    the socle elements sort by their last nonzero coefficient, as the
+    standard monomials ascend."""
+    counts = {"terms": 0, "leading_term": 0}
+
+    def counted(name, original):
+        def wrapper(*args, **kwargs):
+            counts[name] += 1
+            return original(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(Polynomial, "terms", counted("terms", Polynomial.terms))
+    monkeypatch.setattr(Polynomial, "leading_term", counted("leading_term", Polynomial.leading_term))
+    ring, v, lines = _coordinate_lines(3, 5)
+    Q = QuotientPresentation(ring, Ideal(ring, tuple(lines)))
+    report = Q.frobenius_closure_test(Ideal(ring, (sum(v[1:], v[0]),)), e_max=2)
+    assert (report.verdict, report.socle_dimension) == (CLOSED_UP_TO, 4)
+    assert counts == {"terms": 0, "leading_term": 0}
 
 
 def test_closure_reaches_depth_three_on_a_five_line_arrangement():
